@@ -5,40 +5,25 @@
 //
 // Usage:
 //
-//	experiments [-exp all|table1|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|table3|fig11|extdepth]
+//	experiments [-exp all|table1|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|table3|fig11|extdepth|bench]
 //	            [-quick] [-seed N] [-runs N] [-estruns N] [-scale N] [-workers N] [-csv dir]
-//	            [-trace file.jsonl]
+//	            [-trace file.jsonl] [-benchout file.json]
 //
 // With -trace, every estimator and Gibbs iteration fired across the
 // selected experiments is recorded into one trace (with convergence
 // diagnostics) and written as JSONL — even when the sweep is interrupted;
 // inspect it with sstrace.
 //
-// The special experiment id "benchpar" (never part of "all") measures the
-// wall-clock scaling of the parallel hot paths across worker counts and
-// writes the machine-readable trajectory to -benchout.
-//
-// The special experiment id "benchhot" (also never part of "all") times the
-// estimator's hot-path kernels — dense reference vs production sparse,
-// single-threaded, on Table III-scale and 10× Table III-scale datasets —
-// and writes the report to -hotout. With -hotmin it doubles as a CI gate:
-// the run fails unless every case's dense/sparse speedup reaches the
-// minimum and the kernels' outputs are bit-identical.
-//
-// The special experiment id "benchserve" (also never part of "all") drives
-// the HTTP serving layer with an open-loop load generator — repeating
-// payloads against the result cache and request coalescing, then a
-// saturation burst against a one-slot server — and writes p50/p99 latency,
-// hit/reuse rates, and shed behavior to -serveout. With -servemin it
-// doubles as a CI gate: the run fails unless shedding carried Retry-After,
-// the serving counters reconcile, and the reuse rate reaches the minimum.
-//
-// The special experiment id "benchqual" (also never part of "all") replays
-// a seeded twittersim stream through the streaming estimator with the
-// estimation-quality monitor attached, times every ObserveRefit separately
-// from the refit it rides, and writes the overhead report to -qualout.
-// With -qualmax it doubles as a CI gate: the run fails if the monitor
-// costs more than that fraction of the fitting time.
+// The special experiment id "bench" (never part of "all") runs the layer
+// benchmark — hot-path kernels (dense reference vs production sparse,
+// single-threaded), the HTTP serving layer under open-loop load and a
+// saturation burst, and the estimation-quality monitor's overhead — and
+// writes one ledger of rows to -benchout. It doubles as a gate with fixed
+// limits: the run fails unless the kernels agree bit for bit and the sparse
+// kernel is at least 0.9× the dense one, every open-loop request returns
+// 200, every 429 carries Retry-After, the burst sheds, the serving counters
+// reconcile, the reuse rate is at least 0.5, and the monitor costs at most
+// 5% of the fits it rides. -quick selects the smoke-scale workloads.
 package main
 
 import (
@@ -49,6 +34,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -71,7 +57,7 @@ func main() {
 func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		exp      = fs.String("exp", "all", "experiment id: all, table1, fig3..fig11, table3, extdepth, extsybil")
+		exp      = fs.String("exp", "all", "experiment id: all, table1, fig3..fig11, table3, extdepth, extsybil, or bench (the layer benchmark, never part of all)")
 		quick    = fs.Bool("quick", false, "reduced-scale smoke run")
 		seed     = fs.Int64("seed", 1, "base random seed")
 		runs     = fs.Int("runs", 0, "override bound-experiment repetitions (paper: 20)")
@@ -80,13 +66,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		workers  = fs.Int("workers", 0, "parallelism across repetitions and inside the bound/EM hot paths (0 = GOMAXPROCS, 1 = serial); results are identical at any value")
 		csvDir   = fs.String("csv", "", "also write each experiment's series as CSV into this directory")
 		svgDir   = fs.String("svg", "", "also render each figure as SVG into this directory")
-		benchOut = fs.String("benchout", "BENCH_parallel.json", "benchpar: write the speedup trajectory JSON to this path")
-		hotOut   = fs.String("hotout", "BENCH_hotpath.json", "benchhot: write the dense-vs-sparse kernel timing JSON to this path")
-		hotMin   = fs.Float64("hotmin", 0, "benchhot: fail unless every case's dense/sparse speedup is at least this and the kernels agree bit for bit (0 disables the gate)")
-		serveOut = fs.String("serveout", "BENCH_serving.json", "benchserve: write the serving-layer load report JSON to this path")
-		serveMin = fs.Float64("servemin", -1, "benchserve: fail unless the reuse rate is at least this, every 429 carried Retry-After, and the serving counters reconcile (negative disables the gate)")
-		qualOut  = fs.String("qualout", "BENCH_quality.json", "benchqual: write the quality-monitor overhead report JSON to this path")
-		qualMax  = fs.Float64("qualmax", -1, "benchqual: fail if the monitor costs more than this fraction of the fits it rides (negative disables the gate)")
+		benchOut = fs.String("benchout", "BENCH_layers.json", "bench: write the layer ledger JSON to this path")
 		traceOut = fs.String("trace", "", "record every estimator iteration across the selected experiments and write the trace as JSONL to this file; inspect with sstrace")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -139,22 +119,28 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 			}
 		}
 	}
-	writeFile := func(dir, name string, emit func(io.Writer) error) error {
-		if dir == "" {
-			return nil
-		}
-		f, err := os.Create(filepath.Join(dir, name))
+	writeFile := func(path string, emit func(io.Writer) error) error {
+		f, err := os.Create(path)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		return emit(f)
+		if err := emit(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
 	}
 	writeCSV := func(id string, emit func(io.Writer) error) error {
-		return writeFile(*csvDir, id+".csv", emit)
+		if *csvDir == "" {
+			return nil
+		}
+		return writeFile(filepath.Join(*csvDir, id+".csv"), emit)
 	}
 	writeSVG := func(id string, chart *plot.Chart) error {
-		return writeFile(*svgDir, id+".svg", chart.RenderSVG)
+		if *svgDir == "" {
+			return nil
+		}
+		return writeFile(filepath.Join(*svgDir, id+".svg"), chart.RenderSVG)
 	}
 
 	selected := strings.Split(strings.ToLower(*exp), ",")
@@ -166,155 +152,26 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		}
 		return false
 	}
-	// benchpar, benchhot, benchserve, and benchqual are opt-in only: they
-	// are machine benchmarks, not paper experiments, so "all" never selects
-	// them.
-	wantBench, wantHot, wantServe, wantQual := false, false, false, false
-	for _, s := range selected {
-		switch s {
-		case "benchpar":
-			wantBench = true
-		case "benchhot":
-			wantHot = true
-		case "benchserve":
-			wantServe = true
-		case "benchqual":
-			wantQual = true
-		}
-	}
-	if wantBench {
-		o := eval.BenchParallelOptions{}
-		if *quick {
-			o = eval.BenchParallelOptions{
-				EMSources: 60, EMAssertions: 200, ExactN: 16, Sweeps: 1500, Reps: 1,
-			}
-		}
+	// bench is opt-in only: a machine benchmark, not a paper experiment,
+	// so "all" never selects it.
+	if slices.Contains(selected, "bench") {
 		start := time.Now()
-		fmt.Fprintln(out, "==== benchpar ====")
-		rep, err := eval.BenchParallel(cfg, o)
+		fmt.Fprintln(out, "==== bench ====")
+		rep, err := eval.Bench(cfg, *quick, time.Now)
 		if err != nil {
-			return fmt.Errorf("benchpar: %w", err)
+			return fmt.Errorf("bench: %w", err)
 		}
 		if err := rep.Render(out); err != nil {
 			return err
 		}
-		f, err := os.Create(*benchOut)
-		if err != nil {
+		if err := writeFile(*benchOut, rep.WriteJSON); err != nil {
 			return err
 		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n(benchpar took %s)\n\n", *benchOut, time.Since(start).Round(time.Millisecond))
-	}
-	if wantHot {
-		o := eval.BenchHotOptions{}
-		if *quick {
-			o = eval.BenchHotOptions{
-				Scales: []eval.BenchHotScale{
-					{Name: "smoke", Sources: 400, Assertions: 300, Claims: 1500},
-				},
-				StepIters: 2, FitIters: 2, Reps: 1,
-			}
-		}
-		start := time.Now()
-		fmt.Fprintln(out, "==== benchhot ====")
-		rep, err := eval.BenchHot(cfg, o)
-		if err != nil {
-			return fmt.Errorf("benchhot: %w", err)
-		}
-		if err := rep.Render(out); err != nil {
-			return err
-		}
-		f, err := os.Create(*hotOut)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n(benchhot took %s)\n\n", *hotOut, time.Since(start).Round(time.Millisecond))
-		if *hotMin > 0 {
-			if !rep.AllIdentical() {
-				return fmt.Errorf("benchhot: kernel outputs diverged — the dense-reference contract is broken")
-			}
-			if ms := rep.MinSpeedup(); ms < *hotMin {
-				return fmt.Errorf("benchhot: min dense/sparse speedup %.2f is below the required %.2f", ms, *hotMin)
-			}
-		}
-	}
-	if wantServe {
-		o := eval.BenchServeOptions{}
-		if *quick {
-			o = eval.BenchServeOptions{Requests: 150, RatePerSec: 600, Unique: 6, Burst: 12}
-		}
-		start := time.Now()
-		fmt.Fprintln(out, "==== benchserve ====")
-		rep, err := eval.BenchServe(cfg, o)
-		if err != nil {
-			return fmt.Errorf("benchserve: %w", err)
-		}
-		if err := rep.Render(out); err != nil {
-			return err
-		}
-		f, err := os.Create(*serveOut)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n(benchserve took %s)\n\n", *serveOut, time.Since(start).Round(time.Millisecond))
-		if *serveMin >= 0 {
-			if err := rep.Check(*serveMin); err != nil {
-				return fmt.Errorf("benchserve: %w", err)
-			}
-		}
-	}
-	if wantQual {
-		o := eval.BenchQualOptions{}
-		if *quick {
-			// Large enough that the fit dwarfs timer noise: at smaller
-			// scales the ~0.1 ms monitor share makes the ratio jumpy.
-			o = eval.BenchQualOptions{Scale: 20, Batch: 64, Reps: 2}
-		}
-		start := time.Now()
-		fmt.Fprintln(out, "==== benchqual ====")
-		rep, err := eval.BenchQual(cfg, o)
-		if err != nil {
-			return fmt.Errorf("benchqual: %w", err)
-		}
-		if err := rep.Render(out); err != nil {
-			return err
-		}
-		f, err := os.Create(*qualOut)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n(benchqual took %s)\n\n", *qualOut, time.Since(start).Round(time.Millisecond))
-		if *qualMax >= 0 {
-			if err := rep.Check(*qualMax); err != nil {
-				return fmt.Errorf("benchqual: %w", err)
-			}
+		fmt.Fprintf(out, "wrote %s\n(bench took %s)\n\n", *benchOut, time.Since(start).Round(time.Millisecond))
+		// The ledger is written before the gate so a failing run leaves
+		// its rows behind.
+		if err := rep.Check(); err != nil {
+			return fmt.Errorf("bench: %w", err)
 		}
 	}
 

@@ -2,10 +2,13 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"depsense/internal/eval"
 )
 
 func TestRunTableI(t *testing.T) {
@@ -74,5 +77,33 @@ func TestCSVOutput(t *testing.T) {
 		if !strings.Contains(string(raw), ",") {
 			t.Fatalf("%s not CSV:\n%s", name, raw)
 		}
+	}
+}
+
+// TestRunBenchQuick runs the CI bench step through run(): the ledger file
+// holds hot, serve and qual rows, and the fixed-limit gate passed on it.
+func TestRunBenchQuick(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_layers.json")
+	var sb strings.Builder
+	if err := run(context.Background(), []string{"-exp", "bench", "-quick", "-benchout", path}, &sb); err != nil {
+		t.Fatalf("bench gate: %v\n%s", err, sb.String())
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep eval.BenchReport
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	layers := map[string]bool{}
+	for _, row := range rep.Rows {
+		layers[row.Layer] = true
+	}
+	if !layers["hot"] || !layers["serve"] || !layers["qual"] {
+		t.Fatalf("ledger layers = %v, want hot, serve and qual", layers)
+	}
+	if err := rep.Check(); err != nil {
+		t.Fatalf("decoded ledger fails the gate: %v", err)
 	}
 }

@@ -80,7 +80,7 @@ func run(pass *framework.Pass) error {
 				if name == "Now" && inClockedZone {
 					pass.Reportf(call.Pos(),
 						"bare time.Now() in clocked zone %s: results must not read the wall clock directly; "+
-							"inject a clock (see report.Input.Clock / eval.BenchParallelOptions.Clock) or, for a pure "+
+							"inject a clock (see report.Input.Clock / the clock argument of eval.Bench) or, for a pure "+
 							"timing measurement, suppress with //lint:allow seedsource <reason>", pass.Path)
 				}
 			}

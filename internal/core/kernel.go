@@ -8,7 +8,7 @@ import "fmt"
 // dense-reference contract the kernelequiv differential suite enforces
 // (see DESIGN.md §13). The sparse kernel is the production default; the
 // dense kernel exists as the slow, obviously-correct oracle and as the
-// baseline the benchhot harness times against.
+// baseline the hot layer of `experiments -exp bench` times against.
 type Kernel int
 
 // Kernel implementations.

@@ -11,7 +11,8 @@ import (
 // outside this package can measure or inspect the E-step and M-step in
 // isolation. core is a clock-free zone (the estimator's results must never
 // depend on wall time), so the timing itself lives with the caller — the
-// benchhot harness in internal/eval wraps these steps in its own clock.
+// hot layer of `experiments -exp bench` (internal/eval) wraps these steps
+// in its own clock.
 //
 // A stepper holds one engine and one working parameter set; like the
 // Scratch it embeds, it is exclusive to a single caller and not safe for

@@ -1,12 +1,8 @@
 package eval
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"math"
 	"reflect"
-	"runtime"
 	"time"
 
 	"depsense/internal/claims"
@@ -15,122 +11,29 @@ import (
 	"depsense/internal/randutil"
 )
 
-// BenchHotScale sizes one benchhot dataset: Claims random source-assertion
-// claims (about a third dependent) plus Claims/4 silent-dependent marks,
-// scattered over a Sources × Assertions grid.
-type BenchHotScale struct {
-	Name       string `json:"name"`
-	Sources    int    `json:"sources"`
-	Assertions int    `json:"assertions"`
-	Claims     int    `json:"claims"`
+// hotScale sizes one hot-layer dataset: claims random source-assertion
+// claims (about a third dependent) plus claims/4 silent-dependent marks,
+// scattered over a sources × assertions grid.
+type hotScale struct {
+	name                        string
+	sources, assertions, claims int
 }
 
-// BenchHotOptions sizes the hot-path kernel benchmark. The zero value
-// selects the acceptance scales: the paper's Table III Twitter trace
-// (5403 × 3703, 7192 claims) and the same shape at 10× — the regime where
-// the dense kernel's O(n·m) grid scan is ~10^4 times more cell visits than
-// the sparse kernel's nonzeros.
-type BenchHotOptions struct {
-	// Scales lists the dataset shapes to measure (default Table III and
-	// 10× Table III).
-	Scales []BenchHotScale
-	// StepIters is how many isolated E-steps (and M-steps) each rep times
-	// (default 3).
-	StepIters int
-	// FitIters fixes the full-fit case's EM iteration count (default 3).
-	FitIters int
-	// Reps is how many times each case runs; the fastest rep is recorded
-	// (default 2).
-	Reps int
-	// Clock stamps the report's GeneratedAt; nil means time.Now. The
-	// timings themselves always read the wall clock — they measure it.
-	Clock func() time.Time
-}
-
-func (o BenchHotOptions) normalized() BenchHotOptions {
-	if len(o.Scales) == 0 {
-		o.Scales = []BenchHotScale{
-			{Name: "table3", Sources: 5403, Assertions: 3703, Claims: 7192},
-			{Name: "table3x10", Sources: 54030, Assertions: 37030, Claims: 71920},
-		}
-	}
-	if o.StepIters <= 0 {
-		o.StepIters = 3
-	}
-	if o.FitIters <= 0 {
-		o.FitIters = 3
-	}
-	if o.Reps <= 0 {
-		o.Reps = 2
-	}
-	return o
-}
-
-// BenchHotCase is one (scale, hot path) measurement: the same work run
-// under the dense-reference kernel and the production sparse kernel,
-// single-threaded.
-type BenchHotCase struct {
-	// Scale names the BenchHotScale this case ran on.
-	Scale string `json:"scale"`
-	// Name identifies the hot path: estep, mstep, or fit.
-	Name string `json:"name"`
-	// DenseSeconds / SparseSeconds are the fastest wall-clock times over
-	// the reps for each kernel.
-	DenseSeconds  float64 `json:"dense_seconds"`
-	SparseSeconds float64 `json:"sparse_seconds"`
-	// Speedup is DenseSeconds / SparseSeconds.
-	Speedup float64 `json:"speedup"`
-	// Identical reports whether the two kernels' numeric outputs matched
-	// bit for bit — the dense-reference contract (DESIGN.md §13).
-	Identical bool `json:"identical"`
-}
-
-// BenchHotReport is the machine-readable output of the kernel benchmark,
-// written as BENCH_hotpath.json by cmd/experiments.
-type BenchHotReport struct {
-	// GOMAXPROCS and NumCPU record the host; every case itself runs
-	// single-threaded (Workers = 1).
-	GOMAXPROCS int `json:"gomaxprocs"`
-	NumCPU     int `json:"numcpu"`
-	// GeneratedAt is the RFC 3339 wall-clock time of the run.
-	GeneratedAt string `json:"generated_at"`
-	// StepIters / FitIters echo the per-case work so the raw seconds are
-	// interpretable.
-	StepIters int             `json:"step_iters"`
-	FitIters  int             `json:"fit_iters"`
-	Scales    []BenchHotScale `json:"scales"`
-	Cases     []BenchHotCase  `json:"cases"`
-}
-
-// BenchHot measures the estimator's hot paths — the E-step, the M-step, and
-// a full fixed-iteration EM-Ext fit — under the production sparse kernel
+// benchHot times the estimator's hot paths — the E-step, the M-step, and a
+// full fixed-iteration EM-Ext fit — under the production sparse kernel
 // against the dense-reference kernel, single-threaded, on Twitter-sparse
 // datasets. Each case also re-verifies the dense-reference contract: the
 // two kernels' outputs must be bit-identical (see DESIGN.md §13; the
 // kernelequiv differential suite is the exhaustive check, this is the
-// at-scale spot check).
-func BenchHot(c Config, o BenchHotOptions) (BenchHotReport, error) {
-	c = c.normalized()
-	o = o.normalized()
-	clock := o.Clock
-	if clock == nil {
-		clock = time.Now // the injectable default, not a bare read
-	}
-	rep := BenchHotReport{
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		GeneratedAt: clock().UTC().Format(time.RFC3339),
-		StepIters:   o.StepIters,
-		FitIters:    o.FitIters,
-		Scales:      o.Scales,
-	}
-
-	for _, sc := range o.Scales {
+// at-scale spot check). Per case it adds dense and sparse seconds (fastest
+// rep) and their ratio, the speedup row carrying the identical flag.
+func benchHot(c Config, sz benchSizes, rep *BenchReport) error {
+	for _, sc := range sz.hotScales {
 		ds, err := benchHotDataset(sc, c.Seed)
 		if err != nil {
-			return rep, fmt.Errorf("eval: benchhot %s: %w", sc.Name, err)
+			return fmt.Errorf("eval: bench hot %s: %w", sc.name, err)
 		}
-		init := model.InformedInitParams(randutil.New(c.Seed+1), sc.Sources)
+		init := model.InformedInitParams(randutil.New(c.Seed+1), sc.sources)
 
 		// stepOutput freezes everything a step sequence computed, so the
 		// kernels' outputs can be compared bit for bit.
@@ -150,7 +53,7 @@ func BenchHot(c Config, o BenchHotOptions) (BenchHotReport, error) {
 					return nil, err
 				}
 				var ll float64
-				for it := 0; it < o.StepIters; it++ {
+				for it := 0; it < sz.hotIters; it++ {
 					ll = st.EStep()
 				}
 				return stepOutput{LL: ll, Post: st.Posterior()}, nil
@@ -161,131 +64,80 @@ func BenchHot(c Config, o BenchHotOptions) (BenchHotReport, error) {
 					return nil, err
 				}
 				ll := st.EStep() // populate the posteriors the M-step reads
-				for it := 0; it < o.StepIters; it++ {
+				for it := 0; it < sz.hotIters; it++ {
 					st.MStep()
 				}
 				return stepOutput{LL: ll, Params: st.Params()}, nil
 			}},
 			{"fit", func(k core.Kernel) (any, error) {
 				return core.RunCtx(c.Ctx, ds, core.VariantExt, core.Options{
-					Seed: c.Seed, MaxIters: o.FitIters, Tol: 1e-300,
+					Seed: c.Seed, MaxIters: sz.hotIters, Tol: 1e-300,
 					DepMode: core.DepModeJoint, Kernel: k, Workers: 1,
 				})
 			}},
 		}
 
 		for _, bc := range cases {
-			cse := BenchHotCase{Scale: sc.Name, Name: bc.name}
-			var denseOut, sparseOut any
-			for _, k := range []core.Kernel{core.KernelDense, core.KernelSparse} {
+			var seconds [2]float64
+			var outs [2]any
+			for ki, k := range []core.Kernel{core.KernelDense, core.KernelSparse} {
 				var best time.Duration
-				var out any
-				for r := 0; r < o.Reps; r++ {
+				for r := 0; r < sz.hotReps; r++ {
 					start := time.Now() //lint:allow seedsource wall-clock timing measurement: this benchmark's output IS elapsed seconds
 					v, err := bc.run(k)
 					if err != nil {
-						return rep, fmt.Errorf("eval: benchhot %s %s kernel=%v: %w", sc.Name, bc.name, k, err)
+						return fmt.Errorf("eval: bench hot %s %s kernel=%v: %w", sc.name, bc.name, k, err)
 					}
 					if d := time.Since(start); r == 0 || d < best {
 						best = d
 					}
-					out = v
+					outs[ki] = v
 				}
-				if k == core.KernelDense {
-					cse.DenseSeconds = best.Seconds()
-					denseOut = out
-				} else {
-					cse.SparseSeconds = best.Seconds()
-					sparseOut = out
-				}
+				seconds[ki] = best.Seconds()
 			}
-			cse.Identical = reflect.DeepEqual(denseOut, sparseOut)
-			if cse.SparseSeconds > 0 {
-				cse.Speedup = cse.DenseSeconds / cse.SparseSeconds
+			identical := reflect.DeepEqual(outs[0], outs[1])
+			var speedup float64
+			if seconds[1] > 0 {
+				speedup = seconds[0] / seconds[1]
 			}
-			rep.Cases = append(rep.Cases, cse)
+			name := sc.name + "/" + bc.name
+			rep.add("hot", name+"/dense", seconds[0], "s")
+			rep.add("hot", name+"/sparse", seconds[1], "s")
+			rep.Rows = append(rep.Rows, BenchRow{Layer: "hot", Case: name + "/speedup", Value: speedup, Unit: "x", Identical: &identical})
 		}
 	}
-	return rep, nil
+	return nil
 }
 
-// benchHotDataset scatters sc.Claims claims (35% dependent) and sc.Claims/4
+// benchHotDataset scatters sc.claims claims (35% dependent) and sc.claims/4
 // silent-dependent marks uniformly over the grid, drawing nonzeros directly
 // — O(nnz) generation, never an n×m scan, so the 10× scale builds in
 // milliseconds.
-func benchHotDataset(sc BenchHotScale, seed int64) (*claims.Dataset, error) {
-	marks := sc.Claims + sc.Claims/4
-	if sc.Sources <= 0 || sc.Assertions <= 0 || marks > sc.Sources*sc.Assertions/2 {
+func benchHotDataset(sc hotScale, seed int64) (*claims.Dataset, error) {
+	marks := sc.claims + sc.claims/4
+	if sc.sources <= 0 || sc.assertions <= 0 || marks > sc.sources*sc.assertions/2 {
 		return nil, fmt.Errorf("scale %q is not sparse: %d marks on a %d×%d grid",
-			sc.Name, marks, sc.Sources, sc.Assertions)
+			sc.name, marks, sc.sources, sc.assertions)
 	}
 	rng := randutil.New(seed)
-	b := claims.NewBuilder(sc.Sources, sc.Assertions)
+	b := claims.NewBuilder(sc.sources, sc.assertions)
 	taken := make(map[[2]int]bool, marks)
 	draw := func() (int, int) {
 		for {
-			i, j := rng.Intn(sc.Sources), rng.Intn(sc.Assertions)
+			i, j := rng.Intn(sc.sources), rng.Intn(sc.assertions)
 			if !taken[[2]int{i, j}] {
 				taken[[2]int{i, j}] = true
 				return i, j
 			}
 		}
 	}
-	for k := 0; k < sc.Claims; k++ {
+	for k := 0; k < sc.claims; k++ {
 		i, j := draw()
 		b.AddClaim(i, j, rng.Float64() < 0.35)
 	}
-	for k := 0; k < sc.Claims/4; k++ {
+	for k := 0; k < sc.claims/4; k++ {
 		i, j := draw()
 		b.MarkSilentDependent(i, j)
 	}
 	return b.Build()
-}
-
-// MinSpeedup returns the smallest dense/sparse speedup across all cases,
-// the number the CI gate compares against: the sparse kernel must never be
-// meaningfully slower than the dense reference, even on small smoke scales
-// where both are fast.
-func (r BenchHotReport) MinSpeedup() float64 {
-	min := math.Inf(1)
-	for _, c := range r.Cases {
-		if c.Speedup < min {
-			min = c.Speedup
-		}
-	}
-	if len(r.Cases) == 0 {
-		return 0
-	}
-	return min
-}
-
-// AllIdentical reports whether every case's kernels agreed bit for bit.
-func (r BenchHotReport) AllIdentical() bool {
-	for _, c := range r.Cases {
-		if !c.Identical {
-			return false
-		}
-	}
-	return true
-}
-
-// Render writes the benchmark as a table.
-func (r BenchHotReport) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "hot-path kernels, dense reference vs production sparse, single-threaded (GOMAXPROCS=%d, NumCPU=%d)\n",
-		r.GOMAXPROCS, r.NumCPU); err != nil {
-		return err
-	}
-	t := &table{header: []string{"scale", "case", "dense s", "sparse s", "speedup", "identical"}}
-	for _, c := range r.Cases {
-		t.add(c.Scale, c.Name, fmt.Sprintf("%.4f", c.DenseSeconds), fmt.Sprintf("%.4f", c.SparseSeconds),
-			fmt.Sprintf("%.1f", c.Speedup), fmt.Sprintf("%t", c.Identical))
-	}
-	return t.write(w)
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r BenchHotReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

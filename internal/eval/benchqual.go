@@ -2,10 +2,7 @@ package eval
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"runtime"
 	"time"
 
 	"depsense/internal/core"
@@ -15,125 +12,21 @@ import (
 	"depsense/internal/twittersim"
 )
 
-// BenchQualOptions sizes the estimation-quality overhead benchmark. The
-// zero value selects the acceptance-scale defaults: the Ukraine scenario at
-// 1/10 volume, batches of 64, three repetitions.
-type BenchQualOptions struct {
-	// Scenario names the twittersim preset feeding the stream
-	// (default "Ukraine").
-	Scenario string
-	// Scale is the scenario downscale divisor (default 10).
-	Scale int
-	// Batch is the claim batch size per refit (default 64).
-	Batch int
-	// Reps is how many times the whole stream is replayed; fit and
-	// monitor times are summed across repetitions (default 3).
-	Reps int
-	// BoundEvery forwards to qual.Options.BoundEvery. The default -1
-	// keeps bound tracking out of the measurement: the bound is a
-	// separately budgeted, amortized evaluation, while the gate is about
-	// the per-refit verdict that rides every fit (default -1).
-	BoundEvery int
-	// Clock stamps the report's GeneratedAt; nil means time.Now. The
-	// overhead measurements always read the wall clock — they measure it.
-	Clock func() time.Time
-}
+// qualBatch is the claim batch size per refit of the quality layer.
+const qualBatch = 64
 
-func (o BenchQualOptions) normalized() BenchQualOptions {
-	if o.Scenario == "" {
-		o.Scenario = "Ukraine"
-	}
-	if o.Scale <= 0 {
-		o.Scale = 10
-	}
-	if o.Batch <= 0 {
-		o.Batch = 64
-	}
-	if o.Reps <= 0 {
-		o.Reps = 3
-	}
-	if o.BoundEvery == 0 {
-		o.BoundEvery = -1
-	}
-	return o
-}
-
-// BenchQualReport is the machine-readable output of the quality-monitor
-// overhead benchmark, written as BENCH_quality.json by cmd/experiments.
-type BenchQualReport struct {
-	// GOMAXPROCS and NumCPU record the machine the timings were taken on.
-	GOMAXPROCS int `json:"gomaxprocs"`
-	NumCPU     int `json:"numcpu"`
-	// GeneratedAt is the RFC 3339 wall-clock time of the run.
-	GeneratedAt string `json:"generated_at"`
-
-	// Scenario / Scale / Batch / Reps echo the workload.
-	Scenario string `json:"scenario"`
-	Scale    int    `json:"scale"`
-	Batch    int    `json:"batch"`
-	Reps     int    `json:"reps"`
-
-	// Ticks is the total number of verdicts produced (refits × reps);
-	// Sources / Assertions / Claims the final dataset shape.
-	Ticks      int `json:"ticks"`
-	Sources    int `json:"sources"`
-	Assertions int `json:"assertions"`
-	Claims     int `json:"claims"`
-
-	// FitMillis is the total time spent inside AddBatch minus the
-	// monitor's share; MonitorMillis is the total time spent inside
-	// ObserveRefit (calibration + drift + spill-free verdict assembly).
-	// Overhead is MonitorMillis / FitMillis — the gated ratio.
-	FitMillis     float64 `json:"fit_ms"`
-	MonitorMillis float64 `json:"monitor_ms"`
-	Overhead      float64 `json:"overhead"`
-
-	// PerTickMicros is the mean monitor cost per refit.
-	PerTickMicros float64 `json:"per_tick_us"`
-	// Alarms counts detector firings over the clean seeded stream
-	// (cold-start settling; informational, not gated).
-	Alarms int `json:"alarms"`
-}
-
-// Check is the CI gate: the monitor must cost at most maxOverhead of the
-// fit it rides (e.g. 0.05 = 5%).
-func (r BenchQualReport) Check(maxOverhead float64) error {
-	if r.Ticks == 0 {
-		return fmt.Errorf("eval: benchqual: no refits measured")
-	}
-	if r.Overhead > maxOverhead {
-		return fmt.Errorf("eval: benchqual: monitor overhead %.4f (%.2f ms over %.2f ms of fitting) exceeds the allowed %.4f",
-			r.Overhead, r.MonitorMillis, r.FitMillis, maxOverhead)
-	}
-	return nil
-}
-
-// BenchQual measures what the estimation-quality monitor costs relative to
-// the refits it observes: a seeded twittersim stream is replayed through
+// benchQual measures what the estimation-quality monitor costs relative to
+// the refits it observes: a seeded Ukraine stream is replayed through
 // stream.Estimator with a qual.Monitor on OnRefit, every ObserveRefit is
-// timed separately from the batch it rides, and the report relates the two.
+// timed separately from the batch it rides, and the rows relate the two.
 // The monitor runs synchronously inside AddBatch, so fit time is the batch
-// total minus the monitor's share.
-func BenchQual(c Config, o BenchQualOptions) (BenchQualReport, error) {
-	c = c.normalized()
-	o = o.normalized()
-	clock := o.Clock
-	if clock == nil {
-		clock = time.Now // the injectable default, not a bare read
-	}
-	rep := BenchQualReport{
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		GeneratedAt: clock().UTC().Format(time.RFC3339),
-		Scenario:    o.Scenario,
-		Scale:       o.Scale,
-		Batch:       o.Batch,
-		Reps:        o.Reps,
-	}
-
-	w, err := twittersim.Generate(twittersim.Small(o.Scenario, o.Scale), randutil.New(c.Seed))
+// total minus the monitor's share. Bound tracking stays off: the bound is a
+// separately budgeted, amortized evaluation, while the gate is about the
+// per-refit verdict that rides every fit.
+func benchQual(c Config, sz benchSizes, rep *BenchReport) error {
+	w, err := twittersim.Generate(twittersim.Small("Ukraine", sz.qualScale), randutil.New(c.Seed))
 	if err != nil {
-		return rep, fmt.Errorf("eval: benchqual scenario: %w", err)
+		return fmt.Errorf("eval: bench qual scenario: %w", err)
 	}
 	kinds := w.Kinds
 	truth := func(j int) (bool, bool) {
@@ -145,9 +38,10 @@ func BenchQual(c Config, o BenchQualOptions) (BenchQualReport, error) {
 	events := w.Events()
 
 	var batchTime, monitorTime time.Duration
-	for run := 0; run < o.Reps; run++ {
+	ticks, alarms := 0, 0
+	for run := 0; run < sz.qualReps; run++ {
 		m := qual.NewMonitor(qual.Options{
-			BoundEvery: o.BoundEvery,
+			BoundEvery: -1,
 			BoundSeed:  c.Seed,
 			Workers:    c.Workers,
 			Truth:      truth,
@@ -164,65 +58,46 @@ func BenchQual(c Config, o BenchQualOptions) (BenchQualReport, error) {
 				}
 			},
 		})
-		for at := 0; at < len(events); at += o.Batch {
-			end := min(at+o.Batch, len(events))
+		for at := 0; at < len(events); at += qualBatch {
+			end := min(at+qualBatch, len(events))
 			for _, tw := range w.Tweets[at:end] {
 				if tw.RetweetOf >= 0 {
 					orig := w.Tweets[tw.RetweetOf]
 					if orig.Source != tw.Source {
 						if err := est.ObserveFollow(tw.Source, orig.Source); err != nil {
-							return rep, fmt.Errorf("eval: benchqual follow: %w", err)
+							return fmt.Errorf("eval: bench qual follow: %w", err)
 						}
 					}
 				}
 			}
 			t0 := time.Now() //lint:allow seedsource wall-clock timing measurement: this benchmark's output IS monitor overhead
 			if _, err := est.AddBatch(events[at:end]); err != nil {
-				return rep, fmt.Errorf("eval: benchqual batch at %d: %w", at, err)
+				return fmt.Errorf("eval: bench qual batch at %d: %w", at, err)
 			}
 			batchTime += time.Since(t0)
 		}
 		if obsErr != nil {
-			return rep, fmt.Errorf("eval: benchqual observe: %w", obsErr)
+			return fmt.Errorf("eval: bench qual observe: %w", obsErr)
 		}
-		rep.Ticks += m.Ticks()
-		rep.Alarms += len(m.Alarms())
-		if last := m.Latest(); last != nil {
-			rep.Sources, rep.Assertions, rep.Claims = last.Sources, last.Assertions, last.Claims
-		}
+		ticks += m.Ticks()
+		alarms += len(m.Alarms())
 	}
 
 	fit := batchTime - monitorTime
-	rep.FitMillis = fit.Seconds() * 1000
-	rep.MonitorMillis = monitorTime.Seconds() * 1000
+	var overhead, perTick float64
 	if fit > 0 {
-		rep.Overhead = monitorTime.Seconds() / fit.Seconds()
+		overhead = monitorTime.Seconds() / fit.Seconds()
 	}
-	if rep.Ticks > 0 {
-		rep.PerTickMicros = monitorTime.Seconds() * 1e6 / float64(rep.Ticks)
+	if ticks > 0 {
+		perTick = monitorTime.Seconds() * 1e6 / float64(ticks)
 	}
-	return rep, nil
-}
-
-// Render writes the benchmark as a table.
-func (r BenchQualReport) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "quality-monitor overhead (GOMAXPROCS=%d, NumCPU=%d)\n", r.GOMAXPROCS, r.NumCPU); err != nil {
-		return err
-	}
-	t := &table{header: []string{"metric", "value"}}
-	t.add("workload", fmt.Sprintf("%s 1/%d, batch %d, %d rep(s)", r.Scenario, r.Scale, r.Batch, r.Reps))
-	t.add("dataset", fmt.Sprintf("%d sources, %d assertions, %d claims", r.Sources, r.Assertions, r.Claims))
-	t.add("refits observed", fmt.Sprintf("%d", r.Ticks))
-	t.add("fit time", fmt.Sprintf("%.2f ms", r.FitMillis))
-	t.add("monitor time", fmt.Sprintf("%.2f ms (%.1f µs/refit)", r.MonitorMillis, r.PerTickMicros))
-	t.add("overhead", fmt.Sprintf("%.4f", r.Overhead))
-	t.add("alarms", fmt.Sprintf("%d", r.Alarms))
-	return t.write(w)
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r BenchQualReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	rep.add("qual", "ticks", float64(ticks), "count")
+	rep.add("qual", "fit", fit.Seconds()*1000, "ms")
+	rep.add("qual", "monitor", monitorTime.Seconds()*1000, "ms")
+	rep.add("qual", "monitor_per_tick", perTick, "us")
+	rep.add("qual", "overhead", overhead, "ratio")
+	// Detector firings over the clean seeded stream: cold-start settling,
+	// informational, not gated.
+	rep.add("qual", "alarms", float64(alarms), "count")
+	return nil
 }

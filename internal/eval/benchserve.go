@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -16,164 +14,36 @@ import (
 	"depsense/internal/obs"
 )
 
-// BenchServeOptions sizes the serving-layer load benchmark. The zero value
-// selects the acceptance-scale defaults (2000 open-loop requests at
-// 500 req/s over 32 unique payloads, then a 16-way saturation burst).
-type BenchServeOptions struct {
-	// Requests is the open-loop arrival count (default 2000).
-	Requests int
-	// RatePerSec is the open-loop arrival rate; arrivals are scheduled at
-	// start + i/rate regardless of completions — the generator never waits
-	// for the server, which is what makes queueing visible (default 500).
-	RatePerSec float64
-	// Unique is how many distinct payloads the arrivals cycle through;
-	// everything beyond the first occurrence of each is answerable from the
-	// cache or an in-flight coalesced run (default 32).
-	Unique int
-	// Algorithm names the fact-finder every payload requests
-	// (default "EM-Ext").
-	Algorithm string
-	// CacheSize / CacheTTL configure the open-loop server's result cache
-	// (defaults: the httpapi defaults).
-	CacheSize int
-	CacheTTL  time.Duration
-	// Burst is the size of the saturation phase: a deliberately heavy
-	// request holds the single compute slot of a MaxInFlight=1,
-	// QueueDepth=0, cache-disabled server while Burst-1 distinct probes are
-	// fired at it; every probe must shed with 429 + Retry-After
-	// (default 16).
-	Burst int
-	// Clock stamps the report's GeneratedAt; nil means time.Now. The latency
-	// measurements themselves always read the wall clock — they measure it.
-	Clock func() time.Time
-}
-
-func (o BenchServeOptions) normalized() BenchServeOptions {
-	if o.Requests <= 0 {
-		o.Requests = 2000
-	}
-	if o.RatePerSec <= 0 {
-		o.RatePerSec = 500
-	}
-	if o.Unique <= 0 {
-		o.Unique = 32
-	}
-	if o.Algorithm == "" {
-		o.Algorithm = "EM-Ext"
-	}
-	if o.Burst <= 0 {
-		o.Burst = 16
-	}
-	return o
-}
-
-// BenchServeReport is the machine-readable output of the serving benchmark,
-// written as BENCH_serving.json by cmd/experiments.
-type BenchServeReport struct {
-	// GOMAXPROCS and NumCPU record the machine the latencies were measured on.
-	GOMAXPROCS int `json:"gomaxprocs"`
-	NumCPU     int `json:"numcpu"`
-	// GeneratedAt is the RFC 3339 wall-clock time of the run.
-	GeneratedAt string `json:"generated_at"`
-
-	// Open-loop phase.
-	Requests   int     `json:"requests"`
-	RatePerSec float64 `json:"rate_per_sec"`
-	Unique     int     `json:"unique_payloads"`
-	P50Millis  float64 `json:"p50_ms"`
-	P99Millis  float64 `json:"p99_ms"`
-	// Hits/Misses/Coalesced are the server's own serving counters after the
-	// open-loop phase; HitRate counts replays alone, ReuseRate adds requests
-	// that shared an in-flight run.
-	Hits      float64 `json:"cache_hits"`
-	Misses    float64 `json:"cache_misses"`
-	Coalesced float64 `json:"coalesced"`
-	HitRate   float64 `json:"hit_rate"`
-	ReuseRate float64 `json:"reuse_rate"`
-	// OK200 counts open-loop 200s (every open-loop request should succeed —
-	// the open-loop server is unbounded).
-	OK200 int `json:"ok_200"`
-
-	// Saturation burst phase.
-	Burst        int     `json:"burst"`
-	BurstOK      int     `json:"burst_ok"`
-	BurstShed    int     `json:"burst_shed"`
-	ShedRate     float64 `json:"shed_rate"`
-	ShedCounter  float64 `json:"shed_counter"`
-	RetryAfterOK bool    `json:"retry_after_ok"`
-
-	// AccountingOK holds when, on both servers, hits + misses equals the
-	// request total and the in-flight/queued gauges drained to zero.
-	AccountingOK bool `json:"accounting_ok"`
-}
-
-// Check is the CI gate: shed correctness (every 429 carried Retry-After and
-// the burst actually shed), intact accounting, and a minimum reuse rate
-// (cache hits plus coalesced requests over total).
-func (r BenchServeReport) Check(minReuse float64) error {
-	if !r.RetryAfterOK {
-		return fmt.Errorf("eval: benchserve: a 429 response was missing Retry-After")
-	}
-	if r.BurstShed == 0 {
-		return fmt.Errorf("eval: benchserve: the %d-way saturation burst shed nothing", r.Burst)
-	}
-	if !r.AccountingOK {
-		return fmt.Errorf("eval: benchserve: serving counters do not reconcile (hits+misses != requests, or gauges did not drain)")
-	}
-	if r.ReuseRate < minReuse {
-		return fmt.Errorf("eval: benchserve: reuse rate %.3f is below the required %.3f", r.ReuseRate, minReuse)
-	}
-	return nil
-}
-
-// BenchServe drives the HTTP serving layer the way a client fleet would:
+// benchServe drives the HTTP serving layer the way a client fleet would:
 // an open-loop arrival process (requests scheduled by the clock, not by
 // completions) over a small set of repeating payloads against a cached,
 // coalescing server, followed by a saturation burst against a one-slot
-// server to verify load-shedding behaves. Requests go straight through
-// Server.ServeHTTP — no sockets — so the numbers isolate the serving layer
-// itself.
-func BenchServe(c Config, o BenchServeOptions) (BenchServeReport, error) {
-	c = c.normalized()
-	o = o.normalized()
-	clock := o.Clock
-	if clock == nil {
-		clock = time.Now // the injectable default, not a bare read
-	}
-	rep := BenchServeReport{
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		GeneratedAt: clock().UTC().Format(time.RFC3339),
-		Requests:    o.Requests,
-		RatePerSec:  o.RatePerSec,
-		Unique:      o.Unique,
-		Burst:       o.Burst,
-	}
-
+// server to verify load-shedding behaves. The open-loop server has no
+// admission limit, so every open-loop request must return 200. Requests go
+// straight through Server.ServeHTTP — no sockets — so the numbers isolate
+// the serving layer itself.
+func benchServe(c Config, sz benchSizes, rep *BenchReport) error {
 	// ---- Open-loop phase: cache + coalescing, unbounded compute. ----
 	reg := obs.NewRegistry()
-	srv := httpapi.New(httpapi.Options{
-		Seed:      c.Seed,
-		Workers:   1,
-		Metrics:   reg,
-		CacheSize: o.CacheSize,
-		CacheTTL:  o.CacheTTL,
-	})
-	payloads := make([][]byte, o.Unique)
+	srv := httpapi.New(httpapi.Options{Seed: c.Seed, Workers: 1, Metrics: reg})
+	payloads := make([][]byte, sz.serveUnique)
 	for v := range payloads {
-		b, err := json.Marshal(openLoopPayload(v, o.Algorithm))
+		b, err := json.Marshal(openLoopPayload(v))
 		if err != nil {
-			return rep, fmt.Errorf("eval: benchserve payload: %w", err)
+			return fmt.Errorf("eval: bench serve payload: %w", err)
 		}
 		payloads[v] = b
 	}
 
-	lat := make([]float64, o.Requests)
-	status := make([]int, o.Requests)
+	lat := make([]float64, sz.serveRequests)
+	status := make([]int, sz.serveRequests)
 	var wg sync.WaitGroup
 	start := time.Now() //lint:allow seedsource wall-clock timing measurement: this benchmark's output IS request latency
-	for i := 0; i < o.Requests; i++ {
-		due := time.Duration(float64(i) / o.RatePerSec * float64(time.Second))
+	for i := 0; i < sz.serveRequests; i++ {
+		// Arrivals are due at start + i/rate regardless of completions —
+		// the generator never waits for the server, which is what makes
+		// queueing visible.
+		due := time.Duration(float64(i) / sz.serveRate * float64(time.Second))
 		if wait := due - time.Since(start); wait > 0 {
 			time.Sleep(wait)
 		}
@@ -183,7 +53,7 @@ func BenchServe(c Config, o BenchServeOptions) (BenchServeReport, error) {
 			issued := time.Since(start)
 			rec := httptest.NewRecorder()
 			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/factfind",
-				bytes.NewReader(payloads[i%o.Unique])))
+				bytes.NewReader(payloads[i%sz.serveUnique])))
 			lat[i] = (time.Since(start) - issued).Seconds()
 			status[i] = rec.Code
 		}(i)
@@ -191,19 +61,17 @@ func BenchServe(c Config, o BenchServeOptions) (BenchServeReport, error) {
 	wg.Wait()
 
 	sort.Float64s(lat)
-	rep.P50Millis = quantileAt(lat, 0.5) * 1000
-	rep.P99Millis = quantileAt(lat, 0.99) * 1000
+	non200 := 0
 	for _, s := range status {
-		if s == http.StatusOK {
-			rep.OK200++
+		if s != http.StatusOK {
+			non200++
 		}
 	}
-	rep.Hits = reg.Counter(httpapi.MetricCacheHits, "").Value()
-	rep.Misses = reg.Counter(httpapi.MetricCacheMisses, "").Value()
-	rep.Coalesced = reg.Counter(httpapi.MetricCoalesced, "").Value()
-	rep.HitRate = rep.Hits / float64(o.Requests)
-	rep.ReuseRate = (rep.Hits + rep.Coalesced) / float64(o.Requests)
-	accounting := rep.Hits+rep.Misses == float64(o.Requests) &&
+	requests := float64(sz.serveRequests)
+	hits := reg.Counter(httpapi.MetricCacheHits, "").Value()
+	misses := reg.Counter(httpapi.MetricCacheMisses, "").Value()
+	coalesced := reg.Counter(httpapi.MetricCoalesced, "").Value()
+	reconciled := hits+misses == requests &&
 		reg.Gauge(httpapi.MetricComputeInFlight, "").Value() == 0 &&
 		reg.Gauge(httpapi.MetricComputeQueued, "").Value() == 0
 
@@ -217,10 +85,9 @@ func BenchServe(c Config, o BenchServeOptions) (BenchServeReport, error) {
 		MaxInFlight: 1,
 		QueueDepth:  0,
 	})
-	rep.RetryAfterOK = true
 	blockerBody, err := json.Marshal(blockerPayload())
 	if err != nil {
-		return rep, fmt.Errorf("eval: benchserve blocker payload: %w", err)
+		return fmt.Errorf("eval: bench serve blocker payload: %w", err)
 	}
 	blockerDone := make(chan int, 1)
 	go func() {
@@ -239,39 +106,55 @@ func BenchServe(c Config, o BenchServeOptions) (BenchServeReport, error) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	burstOK, burstShed, retryAfterMissing := 0, 0, 0
 	if held {
-		for i := 0; i < o.Burst-1; i++ {
-			b, err := json.Marshal(openLoopPayload(1000+i, o.Algorithm))
+		for i := 0; i < sz.serveBurst-1; i++ {
+			b, err := json.Marshal(openLoopPayload(1000 + i))
 			if err != nil {
-				return rep, fmt.Errorf("eval: benchserve probe payload: %w", err)
+				return fmt.Errorf("eval: bench serve probe payload: %w", err)
 			}
 			rec := httptest.NewRecorder()
 			burstSrv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/factfind",
 				bytes.NewReader(b)))
 			switch rec.Code {
 			case http.StatusOK:
-				rep.BurstOK++
+				burstOK++
 			case http.StatusTooManyRequests:
-				rep.BurstShed++
+				burstShed++
 				if rec.Header().Get("Retry-After") == "" {
-					rep.RetryAfterOK = false
+					retryAfterMissing++
 				}
 			}
 		}
 	}
 	if code := <-blockerDone; code == http.StatusOK {
-		rep.BurstOK++
+		burstOK++
 	}
-	rep.ShedRate = float64(rep.BurstShed) / float64(o.Burst)
-	rep.ShedCounter = burstReg.Counter(httpapi.MetricShed, "", obs.L("reason", "queue-full")).Value()
+	shedCounter := burstReg.Counter(httpapi.MetricShed, "", obs.L("reason", "queue-full")).Value()
 	burstHits := burstReg.Counter(httpapi.MetricCacheHits, "").Value()
 	burstMisses := burstReg.Counter(httpapi.MetricCacheMisses, "").Value()
-	rep.AccountingOK = accounting &&
-		burstHits+burstMisses == float64(o.Burst) &&
-		rep.ShedCounter == float64(rep.BurstShed) &&
+	reconciled = reconciled &&
+		burstHits+burstMisses == float64(sz.serveBurst) &&
+		shedCounter == float64(burstShed) &&
 		burstReg.Gauge(httpapi.MetricComputeInFlight, "").Value() == 0 &&
 		burstReg.Gauge(httpapi.MetricComputeQueued, "").Value() == 0
-	return rep, nil
+
+	rep.add("serve", "open_loop_requests", requests, "count")
+	rep.add("serve", "open_loop_non200", float64(non200), "count")
+	rep.add("serve", "p50", quantileAt(lat, 0.5)*1000, "ms")
+	rep.add("serve", "p99", quantileAt(lat, 0.99)*1000, "ms")
+	rep.add("serve", "cache_hits", hits, "count")
+	rep.add("serve", "cache_misses", misses, "count")
+	rep.add("serve", "coalesced", coalesced, "count")
+	rep.add("serve", "hit_rate", hits/requests, "ratio")
+	rep.add("serve", "reuse_rate", (hits+coalesced)/requests, "ratio")
+	rep.add("serve", "blocker_held", boolValue(held), "bool")
+	rep.add("serve", "burst_requests", float64(sz.serveBurst), "count")
+	rep.add("serve", "burst_ok", float64(burstOK), "count")
+	rep.add("serve", "burst_shed", float64(burstShed), "count")
+	rep.add("serve", "retry_after_missing", float64(retryAfterMissing), "count")
+	rep.add("serve", "counters_reconcile", boolValue(reconciled), "bool")
+	return nil
 }
 
 // quantileAt reads the q-quantile from already-sorted samples (nearest-rank).
@@ -292,7 +175,7 @@ func quantileAt(sorted []float64, q float64) float64 {
 // openLoopPayload builds the v-th distinct open-loop request: the message
 // text carries the variant token, so each variant hashes to its own cache
 // key while the workload stays constant.
-func openLoopPayload(v int, algorithm string) httpapi.Request {
+func openLoopPayload(v int) httpapi.Request {
 	return httpapi.Request{
 		Sources: 4,
 		Follows: [][2]int{{1, 0}},
@@ -302,19 +185,18 @@ func openLoopPayload(v int, algorithm string) httpapi.Request {
 			{Source: 2, Time: 3, Text: fmt.Sprintf("official denied outage near campus n%d #bench", v)},
 			{Source: 3, Time: 4, Text: fmt.Sprintf("official denied outage near campus n%d #bench update", v)},
 		},
-		Algorithm: algorithm,
+		Algorithm: "EM-Ext",
 		TopK:      5,
 	}
 }
 
 // blockerPayload builds the saturation blocker: an EM-Ext workload heavy
-// enough (hundreds of sources, thousands of messages) to hold the compute
-// slot for a macroscopic stretch while the shed probes arrive — including
-// on a single-core host, where async preemption is the only concurrency.
+// enough to hold the compute slot for a macroscopic stretch while the shed
+// probes arrive — including on a single-core host, where async preemption
+// is the only concurrency.
 func blockerPayload() httpapi.Request {
-	// 2500 distinct assertions (the cluster stage must not merge them, so
-	// every text is unique) × 4 claims each across 500 sources: EM-Ext at
-	// this scale computes for a macroscopic stretch.
+	// 12000 distinct assertions (the cluster stage must not merge them, so
+	// every text is unique) × 4 claims each across 2000 sources.
 	const (
 		sources    = 2000
 		assertions = 12000
@@ -337,29 +219,4 @@ func blockerPayload() httpapi.Request {
 		Algorithm: "EM-Ext",
 		TopK:      10,
 	}
-}
-
-// Render writes the benchmark as a table.
-func (r BenchServeReport) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "serving under load (GOMAXPROCS=%d, NumCPU=%d)\n", r.GOMAXPROCS, r.NumCPU); err != nil {
-		return err
-	}
-	t := &table{header: []string{"metric", "value"}}
-	t.add("requests", fmt.Sprintf("%d @ %.0f req/s over %d payloads", r.Requests, r.RatePerSec, r.Unique))
-	t.add("p50 latency", fmt.Sprintf("%.3f ms", r.P50Millis))
-	t.add("p99 latency", fmt.Sprintf("%.3f ms", r.P99Millis))
-	t.add("hit rate", fmt.Sprintf("%.3f (%g hits)", r.HitRate, r.Hits))
-	t.add("reuse rate", fmt.Sprintf("%.3f (+%g coalesced)", r.ReuseRate, r.Coalesced))
-	t.add("open-loop 200s", fmt.Sprintf("%d/%d", r.OK200, r.Requests))
-	t.add("burst shed", fmt.Sprintf("%d/%d (shed rate %.3f)", r.BurstShed, r.Burst, r.ShedRate))
-	t.add("retry-after ok", fmt.Sprintf("%t", r.RetryAfterOK))
-	t.add("accounting ok", fmt.Sprintf("%t", r.AccountingOK))
-	return t.write(w)
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r BenchServeReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -177,16 +177,16 @@ func New(opts Options) *Server {
 		reg.Gauge(MetricComputeInFlight, "Pipeline computations holding a compute slot."),
 		reg.Gauge(MetricComputeQueued, "Pipeline computations queued for a compute slot."))
 	s.algorithms = baselines.ExtendedNames()
-	// Every route is method-restricted by methodOnly (405 + Allow header),
+	// Every route is method-restricted by MethodOnly (405 + Allow header),
 	// with instrumentation outermost so rejected methods stay counted.
-	s.mux.HandleFunc("/healthz", s.instrument("/healthz", methodOnly(http.MethodGet, s.handleHealthz)))
-	s.mux.HandleFunc("/v1/algorithms", s.instrument("/v1/algorithms", methodOnly(http.MethodGet, s.handleAlgorithms)))
-	s.mux.HandleFunc("/v1/factfind", s.instrument("/v1/factfind", methodOnly(http.MethodPost, s.handleFactFind)))
-	s.mux.HandleFunc("/debug/runs", s.instrument("/debug/runs", methodOnly(http.MethodGet, s.handleRunsIndex)))
-	s.mux.HandleFunc("/debug/runs/{id}", s.instrument("/debug/runs/{id}", methodOnly(http.MethodGet, s.handleRunByID)))
-	s.mux.HandleFunc("/debug/quality", s.instrument("/debug/quality", methodOnly(http.MethodGet, s.handleQuality)))
+	s.mux.HandleFunc("/healthz", s.instrument("/healthz", MethodOnly(http.MethodGet, s.handleHealthz)))
+	s.mux.HandleFunc("/v1/algorithms", s.instrument("/v1/algorithms", MethodOnly(http.MethodGet, s.handleAlgorithms)))
+	s.mux.HandleFunc("/v1/factfind", s.instrument("/v1/factfind", MethodOnly(http.MethodPost, s.handleFactFind)))
+	s.mux.HandleFunc("/debug/runs", s.instrument("/debug/runs", MethodOnly(http.MethodGet, s.handleRunsIndex)))
+	s.mux.HandleFunc("/debug/runs/{id}", s.instrument("/debug/runs/{id}", MethodOnly(http.MethodGet, s.handleRunByID)))
+	s.mux.HandleFunc("/debug/quality", s.instrument("/debug/quality", MethodOnly(http.MethodGet, s.handleQuality)))
 	if !opts.DisableMetrics {
-		s.mux.HandleFunc("/metrics", s.instrument("/metrics", methodOnly(http.MethodGet, reg.Handler().ServeHTTP)))
+		s.mux.HandleFunc("/metrics", s.instrument("/metrics", MethodOnly(http.MethodGet, reg.Handler().ServeHTTP)))
 	}
 	return s
 }

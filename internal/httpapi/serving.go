@@ -73,10 +73,10 @@ type servedResult struct {
 	fromCache  bool   // answered from the result cache (X-Cache: hit)
 }
 
-// methodOnly restricts a handler to one HTTP method, answering anything
+// MethodOnly restricts a handler to one HTTP method, answering anything
 // else with 405 plus the RFC 9110-required Allow header and the standard
 // JSON error body.
-func methodOnly(method string, h http.HandlerFunc) http.HandlerFunc {
+func MethodOnly(method string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != method {
 			w.Header().Set("Allow", method)

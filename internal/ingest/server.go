@@ -28,13 +28,18 @@ func NewServer(p *Pipeline) *Server {
 		mw:  httpapi.NewMiddleware(p.reg, p.log, p.clock),
 		mux: http.NewServeMux(),
 	}
-	s.mux.HandleFunc("/healthz", s.mw.Instrument("/healthz", s.handleHealthz))
-	s.mux.HandleFunc("/v1/rankings", s.mw.Instrument("/v1/rankings", s.handleRankings))
-	s.mux.HandleFunc("/statusz", s.mw.Instrument("/statusz", s.handleStatusz))
-	s.mux.HandleFunc("/debug/runs", s.mw.Instrument("/debug/runs", s.handleRunsIndex))
-	s.mux.HandleFunc("/debug/runs/{id}", s.mw.Instrument("/debug/runs/{id}", s.handleRunByID))
-	s.mux.HandleFunc("/debug/quality", s.mw.Instrument("/debug/quality", s.handleQuality))
-	s.mux.HandleFunc("/metrics", s.mw.Instrument("/metrics", s.handleMetrics))
+	// Every route is GET-only via httpapi.MethodOnly (405 + Allow header),
+	// with instrumentation outermost so rejected methods stay counted.
+	get := func(path string, h http.HandlerFunc) {
+		s.mux.HandleFunc(path, s.mw.Instrument(path, httpapi.MethodOnly(http.MethodGet, h)))
+	}
+	get("/healthz", s.handleHealthz)
+	get("/v1/rankings", s.handleRankings)
+	get("/statusz", s.handleStatusz)
+	get("/debug/runs", s.handleRunsIndex)
+	get("/debug/runs/{id}", s.handleRunByID)
+	get("/debug/quality", s.handleQuality)
+	get("/metrics", s.handleMetrics)
 	return s
 }
 
@@ -48,10 +53,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleRankings serves the latest published ranking, 503 before the first
 // committed batch.
 func (s *Server) handleRankings(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpapi.WriteError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	pub := s.p.Published()
 	if pub == nil {
 		httpapi.WriteError(w, http.StatusServiceUnavailable, errors.New("no ranking published yet"))
@@ -91,10 +92,6 @@ type QueueStatus struct {
 }
 
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpapi.WriteError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	httpapi.WriteJSON(w, http.StatusOK, s.status())
 }
 
@@ -148,10 +145,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // plus the cumulative alarm history. 404 when quality monitoring is
 // disabled, 503 before the first refit.
 func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpapi.WriteError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	m := s.p.Quality()
 	if m == nil {
 		httpapi.WriteError(w, http.StatusNotFound, errors.New("quality monitoring disabled"))
@@ -168,10 +161,6 @@ func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
 // handleRunsIndex serves the flight recorder's refit-trace index, newest
 // first.
 func (s *Server) handleRunsIndex(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpapi.WriteError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	added, evicted := s.p.flight.Stats()
 	httpapi.WriteJSON(w, http.StatusOK, struct {
 		Runs    []trace.Summary `json:"runs"`
@@ -182,10 +171,6 @@ func (s *Server) handleRunsIndex(w http.ResponseWriter, r *http.Request) {
 
 // handleRunByID serves one retained refit trace in full.
 func (s *Server) handleRunByID(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpapi.WriteError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	id := r.PathValue("id")
 	t, ok := s.p.flight.Get(id)
 	if !ok {

@@ -79,6 +79,35 @@ func TestServerRankingsLifecycle(t *testing.T) {
 	}
 }
 
+// TestServerMethodNotAllowed: every ingest route answers a wrong method
+// with 405, the RFC 9110 Allow header, and a JSON error naming the allowed
+// method — the same contract as httpapi's routes.
+func TestServerMethodNotAllowed(t *testing.T) {
+	_, srv := servedPipeline(t)
+	for _, path := range []string{
+		"/healthz", "/v1/rankings", "/statusz", "/debug/runs", "/debug/runs/some-id",
+		"/debug/quality", "/metrics",
+	} {
+		for _, method := range []string{http.MethodPost, http.MethodDelete} {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(method, path, nil))
+			if rec.Code != http.StatusMethodNotAllowed {
+				t.Errorf("%s %s: status %d, want 405", method, path, rec.Code)
+				continue
+			}
+			if got := rec.Header().Get("Allow"); got != http.MethodGet {
+				t.Errorf("%s %s: Allow = %q, want GET", method, path, got)
+			}
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, http.MethodGet) {
+				t.Errorf("%s %s: body %q does not name the allowed method", method, path, rec.Body)
+			}
+		}
+	}
+}
+
 func TestServerStatusz(t *testing.T) {
 	p, srv := servedPipeline(t)
 	if err := p.Run(context.Background()); err != nil {

@@ -75,7 +75,7 @@ const (
 	// MetricVerdicts counts verdicts produced.
 	MetricVerdicts = "depsense_qual_verdicts_total"
 	// MetricObserveSeconds / MetricBoundSeconds are TIMING histograms: the
-	// monitor's per-refit overhead (calibration + drift; what benchqual
+	// monitor's per-refit overhead (calibration + drift; what -exp bench
 	// gates against fit cost) and the amortized bound evaluation cost.
 	MetricObserveSeconds = "depsense_qual_observe_duration_seconds"
 	MetricBoundSeconds   = "depsense_qual_bound_duration_seconds"
