@@ -18,11 +18,11 @@
 package claims
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
-	"depsense/internal/mapsort"
 	"depsense/internal/model"
 )
 
@@ -42,26 +42,23 @@ type SourceRef struct {
 
 // Dataset is an immutable fact-finding input: n sources, m assertions, the
 // sparse claim structure, and the sparse dependent-pair structure. Construct
-// one with a Builder; a zero Dataset is empty but valid.
+// one with a Builder or FromRows; a zero Dataset is empty but valid.
 type Dataset struct {
 	n int
 	m int
 
-	// byAssertion[j] lists the sources that claimed C_j.
-	byAssertion [][]ClaimRef
-	// silentDepByAssertion[j] lists sources with D[i][j] = 1 and no claim.
-	silentDepByAssertion [][]int
+	// Each index is one flat array delimited by the sparse view's pointer
+	// array: the claimants of C_j are claimants[ColPtr[j]:ColPtr[j+1]] of
+	// sparse.Claims, the independent claims of S_i are
+	// claimsD0[RowPtr[i]:RowPtr[i+1]] of sparse.ClaimsD0, and so on.
+	claimants []ClaimRef // by assertion: sources that claimed C_j
+	silentDep []int      // by assertion: D[i][j] = 1 and no claim
+	claimsD0  []int      // by source: assertions claimed independently
+	claimsD1  []int      // by source: assertions claimed dependently
+	silentD1  []int      // by source: D[i][j] = 1 where S_i stayed silent
 
-	// bySource indices for the M-step.
-	claimsD0BySource [][]int // assertions claimed independently by i
-	claimsD1BySource [][]int // assertions claimed dependently by i
-	silentD1BySource [][]int // assertions with D=1 where i stayed silent
-
-	// sparse is the flattened CSR/CSC kernel view, frozen at Build time.
+	// sparse is the flattened CSR/CSC kernel view, frozen at assembly.
 	sparse *SparseView
-
-	numClaims    int
-	numDependent int
 }
 
 // SparseView is the flattened sparse-kernel view of a Dataset: the SC and D
@@ -95,48 +92,120 @@ func (d *Dataset) Sparse() *SparseView {
 	if d.sparse == nil {
 		// Zero-value Dataset (n = m = 0): synthesize an empty view so the
 		// kernels need no nil checks. Not cached — caching here would race
-		// with concurrent readers; Build-produced datasets are always cached.
-		return d.buildSparse()
+		// with concurrent readers; assembled datasets always carry one.
+		return assemble(emptyRows(0, 0), emptyRows(0, 0), emptyRows(0, 0)).sparse
 	}
 	return d.sparse
 }
 
-// buildSparse flattens the sorted slice-of-slices indexes into the packed
-// form. Iteration order is inherited from sortIndexes, so the view meets the
-// CSR/CSC strict-ordering invariant by construction.
-func (d *Dataset) buildSparse() *SparseView {
-	sv := &SparseView{
-		Claims:   &model.CSC{NumRows: d.n, NumCols: d.m, ColPtr: make([]int32, d.m+1)},
-		Silent:   &model.CSC{NumRows: d.n, NumCols: d.m, ColPtr: make([]int32, d.m+1)},
-		ClaimsD0: &model.CSR{NumRows: d.n, NumCols: d.m, RowPtr: make([]int32, d.n+1)},
-		ClaimsD1: &model.CSR{NumRows: d.n, NumCols: d.m, RowPtr: make([]int32, d.n+1)},
-		SilentD1: &model.CSR{NumRows: d.n, NumCols: d.m, RowPtr: make([]int32, d.n+1)},
-	}
-	sv.Claims.Row = make([]int32, 0, d.numClaims)
-	sv.ClaimDep = make([]bool, 0, d.numClaims)
-	for j := 0; j < d.m; j++ {
-		for _, c := range d.byAssertion[j] {
-			sv.Claims.Row = append(sv.Claims.Row, int32(c.Source))
-			sv.ClaimDep = append(sv.ClaimDep, c.Dependent)
+// FromRows assembles a Dataset from its by-source rows: for every source,
+// d0 lists the assertions it claimed independently, d1 those it claimed
+// dependently, and s1 those it stayed silent on with D = 1. The rows become
+// the SparseView's ClaimsD0, ClaimsD1 and SilentD1 and must not be modified
+// afterwards. Every other index is derived by counting passes with no
+// sorting, so a caller that produces rows in assertion order (as
+// depgraph.BuildDataset does) builds a Dataset in linear time. The rows
+// must be valid n×m CSRs (model.CSR.Validate) with no pair in two of them.
+func FromRows(d0, d1, s1 *model.CSR) (*Dataset, error) {
+	rows := [...]*model.CSR{d0, d1, s1}
+	for _, r := range rows {
+		if r.NumRows != d0.NumRows || r.NumCols != d0.NumCols {
+			return nil, fmt.Errorf("claims: rows of %d×%d and %d×%d", d0.NumRows, d0.NumCols, r.NumRows, r.NumCols)
 		}
-		sv.Claims.ColPtr[j+1] = int32(len(sv.Claims.Row))
-		for _, i := range d.silentDepByAssertion[j] {
-			sv.Silent.Row = append(sv.Silent.Row, int32(i))
+		if err := r.Validate(); err != nil {
+			return nil, fmt.Errorf("claims: %w", err)
 		}
-		sv.Silent.ColPtr[j+1] = int32(len(sv.Silent.Row))
 	}
-	flattenRows := func(dst *model.CSR, rows [][]int) {
-		for i := 0; i < d.n; i++ {
-			for _, j := range rows[i] {
-				dst.Col = append(dst.Col, int32(j))
+	// seen[j] = i+1 once row i has touched assertion j.
+	seen := make([]int32, d0.NumCols)
+	for i := 0; i < d0.NumRows; i++ {
+		for _, r := range rows {
+			for _, j := range r.Row(i) {
+				if seen[j] == int32(i+1) {
+					return nil, fmt.Errorf("claims: pair (source=%d, assertion=%d) in two rows", i, j)
+				}
+				seen[j] = int32(i + 1)
 			}
-			dst.RowPtr[i+1] = int32(len(dst.Col))
 		}
 	}
-	flattenRows(sv.ClaimsD0, d.claimsD0BySource)
-	flattenRows(sv.ClaimsD1, d.claimsD1BySource)
-	flattenRows(sv.SilentD1, d.silentD1BySource)
-	return sv
+	return assemble(d0, d1, s1), nil
+}
+
+// assemble builds a Dataset around valid, pairwise disjoint by-source rows.
+// The by-assertion views come from one counting pass over the rows in
+// source order, so every column lists its sources in increasing order.
+func assemble(d0, d1, s1 *model.CSR) *Dataset {
+	n, m := d0.NumRows, d0.NumCols
+	nnz := len(d0.Col) + len(d1.Col)
+	claims := &model.CSC{NumRows: n, NumCols: m, ColPtr: make([]int32, m+1), Row: make([]int32, nnz)}
+	for _, j := range d0.Col {
+		claims.ColPtr[j+1]++
+	}
+	for _, j := range d1.Col {
+		claims.ColPtr[j+1]++
+	}
+	for j := 0; j < m; j++ {
+		claims.ColPtr[j+1] += claims.ColPtr[j]
+	}
+	refs := make([]ClaimRef, nnz)
+	dep := make([]bool, nnz)
+	next := make([]int32, m)
+	copy(next, claims.ColPtr[:m])
+	place := func(i int, row []int32, dependent bool) {
+		for _, j := range row {
+			k := next[j]
+			next[j]++
+			claims.Row[k] = int32(i)
+			refs[k] = ClaimRef{Source: i, Dependent: dependent}
+			dep[k] = dependent
+		}
+	}
+	for i := 0; i < n; i++ {
+		place(i, d0.Row(i), false)
+		place(i, d1.Row(i), true)
+	}
+	silent := s1.CSC()
+	return &Dataset{
+		n:         n,
+		m:         m,
+		claimants: refs,
+		silentDep: toInts(silent.Row),
+		claimsD0:  toInts(d0.Col),
+		claimsD1:  toInts(d1.Col),
+		silentD1:  toInts(s1.Col),
+		sparse: &SparseView{
+			Claims:   claims,
+			ClaimDep: dep,
+			Silent:   silent,
+			ClaimsD0: d0,
+			ClaimsD1: d1,
+			SilentD1: s1,
+		},
+	}
+}
+
+// emptyRows returns an n×m CSR with no nonzeros, ready to append rows to.
+func emptyRows(n, m int) *model.CSR {
+	return &model.CSR{NumRows: n, NumCols: m, RowPtr: make([]int32, n+1), Col: []int32{}}
+}
+
+func toInts(idx []int32) []int {
+	out := make([]int, len(idx))
+	for k, v := range idx {
+		out[k] = int(v)
+	}
+	return out
+}
+
+// span returns entry k of a flat index delimited by ptr, capped so that an
+// append by the caller copies instead of overwriting entry k+1. An empty
+// entry is nil, as in an index built by appending.
+func span[T any](flat []T, ptr []int32, k int) []T {
+	lo, hi := ptr[k], ptr[k+1]
+	if lo == hi {
+		return nil
+	}
+	return flat[lo:hi:hi]
 }
 
 // N returns the number of sources.
@@ -146,36 +215,40 @@ func (d *Dataset) N() int { return d.n }
 func (d *Dataset) M() int { return d.m }
 
 // NumClaims returns the total number of claims (nonzeros of SC).
-func (d *Dataset) NumClaims() int { return d.numClaims }
+func (d *Dataset) NumClaims() int { return len(d.claimants) }
 
 // NumDependentClaims returns the number of claims with D[i][j] = 1.
-func (d *Dataset) NumDependentClaims() int { return d.numDependent }
+func (d *Dataset) NumDependentClaims() int { return len(d.claimsD1) }
 
 // NumOriginalClaims returns the number of independent claims, the paper's
 // "#Original Claims" column in Table III.
-func (d *Dataset) NumOriginalClaims() int { return d.numClaims - d.numDependent }
+func (d *Dataset) NumOriginalClaims() int { return len(d.claimsD0) }
 
 // Claimants returns the sources claiming assertion j. The returned slice is
 // owned by the Dataset and must not be modified.
-func (d *Dataset) Claimants(j int) []ClaimRef { return d.byAssertion[j] }
+func (d *Dataset) Claimants(j int) []ClaimRef {
+	return span(d.claimants, d.sparse.Claims.ColPtr, j)
+}
 
 // SilentDependents returns the sources with D[i][j] = 1 that did not claim
 // j. The returned slice is owned by the Dataset and must not be modified.
-func (d *Dataset) SilentDependents(j int) []int { return d.silentDepByAssertion[j] }
+func (d *Dataset) SilentDependents(j int) []int {
+	return span(d.silentDep, d.sparse.Silent.ColPtr, j)
+}
 
 // ClaimsD0 returns the assertions source i claimed independently.
-func (d *Dataset) ClaimsD0(i int) []int { return d.claimsD0BySource[i] }
+func (d *Dataset) ClaimsD0(i int) []int { return span(d.claimsD0, d.sparse.ClaimsD0.RowPtr, i) }
 
 // ClaimsD1 returns the assertions source i claimed dependently.
-func (d *Dataset) ClaimsD1(i int) []int { return d.claimsD1BySource[i] }
+func (d *Dataset) ClaimsD1(i int) []int { return span(d.claimsD1, d.sparse.ClaimsD1.RowPtr, i) }
 
 // SilentD1 returns the assertions with D[i][j] = 1 that source i did not
 // claim.
-func (d *Dataset) SilentD1(i int) []int { return d.silentD1BySource[i] }
+func (d *Dataset) SilentD1(i int) []int { return span(d.silentD1, d.sparse.SilentD1.RowPtr, i) }
 
 // Claimed reports SC[i][j].
 func (d *Dataset) Claimed(i, j int) bool {
-	for _, c := range d.byAssertion[j] {
+	for _, c := range d.Claimants(j) {
 		if c.Source == i {
 			return true
 		}
@@ -185,12 +258,12 @@ func (d *Dataset) Claimed(i, j int) bool {
 
 // Dependent reports D[i][j].
 func (d *Dataset) Dependent(i, j int) bool {
-	for _, c := range d.byAssertion[j] {
+	for _, c := range d.Claimants(j) {
 		if c.Source == i {
 			return c.Dependent
 		}
 	}
-	for _, s := range d.silentDepByAssertion[j] {
+	for _, s := range d.SilentDependents(j) {
 		if s == i {
 			return true
 		}
@@ -202,12 +275,12 @@ func (d *Dataset) Dependent(i, j int) bool {
 // length n. The error-bound computation consumes columns in this form.
 func (d *Dataset) DependencyColumn(j int) []bool {
 	col := make([]bool, d.n)
-	for _, c := range d.byAssertion[j] {
+	for _, c := range d.Claimants(j) {
 		if c.Dependent {
 			col[c.Source] = true
 		}
 	}
-	for _, s := range d.silentDepByAssertion[j] {
+	for _, s := range d.SilentDependents(j) {
 		col[s] = true
 	}
 	return col
@@ -225,17 +298,13 @@ type Summary struct {
 
 // Summarize computes dataset statistics.
 func (d *Dataset) Summarize() Summary {
-	silent := 0
-	for _, s := range d.silentDepByAssertion {
-		silent += len(s)
-	}
 	return Summary{
 		Sources:         d.n,
 		Assertions:      d.m,
-		TotalClaims:     d.numClaims,
+		TotalClaims:     d.NumClaims(),
 		OriginalClaims:  d.NumOriginalClaims(),
-		DependentClaims: d.numDependent,
-		SilentDependent: silent,
+		DependentClaims: d.NumDependentClaims(),
+		SilentDependent: len(d.silentDep),
 	}
 }
 
@@ -249,13 +318,26 @@ func (s Summary) String() string {
 // Dataset. It validates index ranges eagerly and duplicate/conflicting
 // entries at Build time.
 type Builder struct {
-	n, m      int
-	claimed   map[pairKey]bool // value: dependent
-	silentDep map[pairKey]struct{}
-	err       error
+	n, m  int
+	calls []call
+	err   error
 }
 
-type pairKey struct{ i, j int }
+// call is one recorded AddClaim or MarkSilentDependent.
+type call struct {
+	i, j int
+	kind callKind
+}
+
+// callKind is what a call recorded; Build ORs a pair's calls together, so
+// their order within the pair does not matter.
+type callKind uint8
+
+const (
+	independentClaim callKind = iota
+	dependentClaim
+	silentMark
+)
 
 // Errors reported by the Builder.
 var (
@@ -265,35 +347,29 @@ var (
 
 // NewBuilder creates a Builder for n sources and m assertions.
 func NewBuilder(n, m int) *Builder {
-	return &Builder{
-		n:         n,
-		m:         m,
-		claimed:   make(map[pairKey]bool),
-		silentDep: make(map[pairKey]struct{}),
-	}
+	return &Builder{n: n, m: m}
 }
 
-func (b *Builder) checkRange(i, j int) bool {
+func (b *Builder) record(i, j int, kind callKind) *Builder {
 	if i < 0 || i >= b.n || j < 0 || j >= b.m {
 		if b.err == nil {
 			b.err = fmt.Errorf("%w: (source=%d, assertion=%d) with n=%d, m=%d",
 				ErrIndexOutOfRange, i, j, b.n, b.m)
 		}
-		return false
+		return b
 	}
-	return true
+	b.calls = append(b.calls, call{i, j, kind})
+	return b
 }
 
 // AddClaim records SC[i][j] = 1 with D[i][j] = dependent. Re-adding the same
 // pair is allowed; a dependent mark wins over an independent one (a claim is
 // dependent if ANY earlier ancestor assertion exists).
 func (b *Builder) AddClaim(i, j int, dependent bool) *Builder {
-	if !b.checkRange(i, j) {
-		return b
+	if dependent {
+		return b.record(i, j, dependentClaim)
 	}
-	k := pairKey{i, j}
-	b.claimed[k] = b.claimed[k] || dependent
-	return b
+	return b.record(i, j, independentClaim)
 }
 
 // MarkSilentDependent records D[i][j] = 1 for a pair where source i made no
@@ -301,73 +377,53 @@ func (b *Builder) AddClaim(i, j int, dependent bool) *Builder {
 // unless the claim itself was added as dependent (in which case the silent
 // mark is redundant and dropped).
 func (b *Builder) MarkSilentDependent(i, j int) *Builder {
-	if !b.checkRange(i, j) {
-		return b
-	}
-	b.silentDep[pairKey{i, j}] = struct{}{}
-	return b
+	return b.record(i, j, silentMark)
 }
 
-// Build freezes the accumulated structure into a Dataset.
+// Build freezes the accumulated structure into a Dataset. When several
+// pairs conflict it reports the smallest (source, assertion).
 func (b *Builder) Build() (*Dataset, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	d := &Dataset{
-		n:                    b.n,
-		m:                    b.m,
-		byAssertion:          make([][]ClaimRef, b.m),
-		silentDepByAssertion: make([][]int, b.m),
-		claimsD0BySource:     make([][]int, b.n),
-		claimsD1BySource:     make([][]int, b.n),
-		silentD1BySource:     make([][]int, b.n),
-	}
-	// Iterate both pair maps in sorted order so the dataset layout and —
-	// when several pairs conflict — the reported error are identical on
-	// every run, per the determinism contract (maporder).
-	pairLess := func(a, b pairKey) bool {
-		if a.i != b.i {
-			return a.i < b.i
+	// Sorting by (source, assertion) groups each pair's calls and emits
+	// every source's rows in assertion order.
+	slices.SortFunc(b.calls, func(x, y call) int {
+		if c := cmp.Compare(x.i, y.i); c != 0 {
+			return c
 		}
-		return a.j < b.j
-	}
-	for _, k := range mapsort.KeysFunc(b.claimed, pairLess) {
-		dep := b.claimed[k]
-		if _, silent := b.silentDep[k]; silent && !dep {
-			return nil, fmt.Errorf("%w: (source=%d, assertion=%d)", ErrConflictingPair, k.i, k.j)
+		return cmp.Compare(x.j, y.j)
+	})
+	d0, d1, s1 := emptyRows(b.n, b.m), emptyRows(b.n, b.m), emptyRows(b.n, b.m)
+	for k := 0; k < len(b.calls); {
+		i, j := b.calls[k].i, b.calls[k].j
+		var claimed, dep, silent bool
+		for ; k < len(b.calls) && b.calls[k].i == i && b.calls[k].j == j; k++ {
+			switch b.calls[k].kind {
+			case independentClaim:
+				claimed = true
+			case dependentClaim:
+				claimed, dep = true, true
+			case silentMark:
+				silent = true
+			}
 		}
-		d.byAssertion[k.j] = append(d.byAssertion[k.j], ClaimRef{Source: k.i, Dependent: dep})
-		if dep {
-			d.claimsD1BySource[k.i] = append(d.claimsD1BySource[k.i], k.j)
-			d.numDependent++
-		} else {
-			d.claimsD0BySource[k.i] = append(d.claimsD0BySource[k.i], k.j)
+		row := s1
+		switch {
+		case claimed && silent && !dep:
+			return nil, fmt.Errorf("%w: (source=%d, assertion=%d)", ErrConflictingPair, i, j)
+		case dep:
+			row = d1 // a dependent claim absorbs any silent mark
+		case claimed:
+			row = d0
 		}
-		d.numClaims++
+		row.Col = append(row.Col, int32(j))
+		row.RowPtr[i+1]++
 	}
-	for _, k := range mapsort.KeysFunc(b.silentDep, pairLess) {
-		if _, isClaim := b.claimed[k]; isClaim {
-			continue // claim already carries the dependent mark
+	for _, r := range [...]*model.CSR{d0, d1, s1} {
+		for i := 0; i < b.n; i++ {
+			r.RowPtr[i+1] += r.RowPtr[i]
 		}
-		d.silentDepByAssertion[k.j] = append(d.silentDepByAssertion[k.j], k.i)
-		d.silentD1BySource[k.i] = append(d.silentD1BySource[k.i], k.j)
 	}
-	d.sortIndexes()
-	d.sparse = d.buildSparse()
-	return d, nil
-}
-
-// sortIndexes makes iteration order deterministic regardless of map order.
-func (d *Dataset) sortIndexes() {
-	for j := range d.byAssertion {
-		sort.Slice(d.byAssertion[j], func(a, b int) bool {
-			return d.byAssertion[j][a].Source < d.byAssertion[j][b].Source
-		})
-		sort.Ints(d.silentDepByAssertion[j])
-	}
-	for i := 0; i < d.n; i++ {
-		sort.Ints(d.claimsD0BySource[i])
-		sort.Ints(d.claimsD1BySource[i])
-		sort.Ints(d.silentD1BySource[i])
-	}
+	return assemble(d0, d1, s1), nil
 }

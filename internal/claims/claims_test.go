@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"depsense/internal/model"
 )
 
 func mustBuild(t *testing.T, b *Builder) *Dataset {
@@ -374,5 +377,120 @@ func TestSparseViewMatchesAccessors(t *testing.T) {
 	var zero Dataset
 	if err := zero.Sparse().Claims.Validate(); err != nil {
 		t.Fatalf("zero-value view: %v", err)
+	}
+}
+
+// TestBuilderContract pins the Builder's resolution rules by the exact
+// error or JSON encoding Build produces for a sequence of calls.
+func TestBuilderContract(t *testing.T) {
+	cases := []struct {
+		name     string
+		n, m     int
+		calls    func(b *Builder)
+		wantErr  string
+		wantJSON string
+	}{
+		{
+			name: "conflict names the smallest pair",
+			n:    4, m: 4,
+			calls: func(b *Builder) {
+				b.AddClaim(2, 0, false).MarkSilentDependent(2, 0)
+				b.MarkSilentDependent(1, 3).AddClaim(1, 3, false)
+				b.MarkSilentDependent(0, 3).AddClaim(0, 3, true) // absorbed, no conflict
+				b.AddClaim(1, 2, false).AddClaim(3, 1, false).MarkSilentDependent(1, 2)
+			},
+			wantErr: "claims: pair marked both claimed and silent-dependent: (source=1, assertion=2)",
+		},
+		{
+			name: "out of range names the first bad call",
+			n:    2, m: 3,
+			calls: func(b *Builder) {
+				b.AddClaim(0, 0, false)
+				b.MarkSilentDependent(1, 9)
+				b.AddClaim(-1, 0, true)
+				b.AddClaim(5, 0, false)
+			},
+			wantErr: "claims: source or assertion index out of range: (source=1, assertion=9) with n=2, m=3",
+		},
+		{
+			name: "dependent claim absorbs silent marks",
+			n:    3, m: 2,
+			calls: func(b *Builder) {
+				b.MarkSilentDependent(1, 0).AddClaim(1, 0, true).MarkSilentDependent(1, 0)
+				b.AddClaim(0, 0, false).MarkSilentDependent(2, 0).MarkSilentDependent(2, 0)
+			},
+			wantJSON: `{"sources":3,"assertions":2,"claims":[{"source":0,"assertion":0},` +
+				`{"source":1,"assertion":0,"dependent":true}],"silentDependent":[{"source":2,"assertion":0}]}`,
+		},
+		{
+			name: "duplicate claims OR their dependent flags",
+			n:    2, m: 2,
+			calls: func(b *Builder) {
+				b.AddClaim(0, 1, false).AddClaim(1, 1, false).AddClaim(0, 1, true).AddClaim(0, 1, false)
+				b.AddClaim(1, 1, false).AddClaim(1, 0, true).AddClaim(1, 0, true)
+			},
+			wantJSON: `{"sources":2,"assertions":2,"claims":[{"source":1,"assertion":0,"dependent":true},` +
+				`{"source":0,"assertion":1,"dependent":true},{"source":1,"assertion":1}]}`,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBuilder(tc.n, tc.m)
+			tc.calls(b)
+			ds, err := b.Build()
+			if tc.wantErr != "" {
+				if err == nil || err.Error() != tc.wantErr {
+					t.Fatalf("Build error = %v, want %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != tc.wantJSON {
+				t.Fatalf("Build encodes as\n%s\nwant\n%s", got, tc.wantJSON)
+			}
+			sum := ds.Summarize()
+			if sum.TotalClaims != ds.Sparse().Claims.NNZ() || sum.SilentDependent != ds.Sparse().Silent.NNZ() {
+				t.Fatalf("summary %+v disagrees with the sparse view", sum)
+			}
+		})
+	}
+}
+
+// TestFromRowsRejectsBadRows: FromRows accepts only valid, pairwise
+// disjoint rows of one shape.
+func TestFromRowsRejectsBadRows(t *testing.T) {
+	rows := func(n, m int, row ...int32) *model.CSR {
+		r := &model.CSR{NumRows: n, NumCols: m, RowPtr: make([]int32, n+1), Col: row}
+		r.RowPtr[n] = int32(len(row)) // every nonzero sits in the last row
+		return r
+	}
+	cases := []struct {
+		name       string
+		d0, d1, s1 *model.CSR
+		want       string
+	}{
+		{"shape", rows(2, 3), rows(2, 4), rows(2, 3), "claims: rows of 2×3 and 2×4"},
+		{"unsorted", rows(2, 3, 2, 1), rows(2, 3), rows(2, 3), "indices not strictly increasing"},
+		{"out of range", rows(2, 3), rows(2, 3, 3), rows(2, 3), "outside [0, 3)"},
+		{"claimed twice", rows(2, 3, 1), rows(2, 3, 1), rows(2, 3), "(source=1, assertion=1) in two rows"},
+		{"claimed and silent", rows(2, 3, 0, 2), rows(2, 3), rows(2, 3, 2), "(source=1, assertion=2) in two rows"},
+	}
+	for _, tc := range cases {
+		if _, err := FromRows(tc.d0, tc.d1, tc.s1); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: FromRows error = %v, want it to contain %q", tc.name, err, tc.want)
+		}
+	}
+	ds, err := FromRows(rows(2, 3, 0), rows(2, 3, 1), rows(2, 3, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.NumClaims() != 2 || ds.NumDependentClaims() != 1 || !reflect.DeepEqual(ds.SilentDependents(2), []int{1}) {
+		t.Fatalf("FromRows built %+v", ds.Summarize())
 	}
 }

@@ -30,12 +30,12 @@ type pairJSON struct {
 // MarshalJSON implements json.Marshaler.
 func (d *Dataset) MarshalJSON() ([]byte, error) {
 	out := datasetJSON{Sources: d.n, Assertions: d.m}
-	out.Claims = make([]claimJSON, 0, d.numClaims)
-	for j, refs := range d.byAssertion {
-		for _, c := range refs {
+	out.Claims = make([]claimJSON, 0, d.NumClaims())
+	for j := 0; j < d.m; j++ {
+		for _, c := range d.Claimants(j) {
 			out.Claims = append(out.Claims, claimJSON{Source: c.Source, Assertion: j, Dependent: c.Dependent})
 		}
-		for _, i := range d.silentDepByAssertion[j] {
+		for _, i := range d.SilentDependents(j) {
 			out.SilentDep = append(out.SilentDep, pairJSON{Source: i, Assertion: j})
 		}
 	}

@@ -11,12 +11,14 @@
 package depgraph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"depsense/internal/claims"
-	"depsense/internal/mapsort"
+	"depsense/internal/model"
 )
 
 // Graph is a directed follower graph over n sources. Edges(i) lists the
@@ -36,6 +38,15 @@ func NewGraph(n int) *Graph {
 
 // N returns the number of sources.
 func (g *Graph) N() int { return g.n }
+
+// Grow extends the graph to n sources; the new sources have no edges and
+// existing ancestor lists keep their order. A smaller n is a no-op.
+func (g *Graph) Grow(n int) {
+	if n > g.n {
+		g.ancestors = append(g.ancestors, make([][]int, n-g.n)...)
+		g.n = n
+	}
+}
 
 // AddFollow records that follower follows followee (followee becomes an
 // ancestor of follower). Self-follows and duplicates are ignored.
@@ -103,54 +114,113 @@ type Event struct {
 //     materialized (the matrix stays sparse).
 //
 // m is the total number of assertions (assertion ids must lie in [0, m)).
+//
+// The derivation uses flat arrays, no maps: a counting sort groups the
+// events by source, each source's row keeps its earliest time per assertion
+// in assertion order, claims binary-search their ancestors' rows, and silent
+// pairs come from walking those rows. It runs in O(E + nnz + n + m), where E
+// counts the events and follow edges and nnz the pairs of SC and D, plus a
+// sort of each source's events and silent pairs and a binary search per
+// (claim, ancestor) pair.
 func BuildDataset(g *Graph, events []Event, m int) (*claims.Dataset, error) {
-	// earliest[i][j] = earliest claim time of j by i.
-	earliest := make([]map[int]int64, g.n)
+	n := g.n
 	for _, e := range events {
-		if e.Source < 0 || e.Source >= g.n {
-			return nil, fmt.Errorf("%w: event source %d with n=%d", ErrBadSource, e.Source, g.n)
+		if e.Source < 0 || e.Source >= n {
+			return nil, fmt.Errorf("%w: event source %d with n=%d", ErrBadSource, e.Source, n)
 		}
 		if e.Assertion < 0 || e.Assertion >= m {
 			return nil, fmt.Errorf("depgraph: event assertion %d out of range m=%d", e.Assertion, m)
 		}
-		if earliest[e.Source] == nil {
-			earliest[e.Source] = make(map[int]int64)
-		}
-		if t, ok := earliest[e.Source][e.Assertion]; !ok || e.Time < t {
-			earliest[e.Source][e.Assertion] = e.Time
-		}
 	}
 
-	b := claims.NewBuilder(g.n, m)
-	// Iterate each source's claim set in sorted assertion order, never map
-	// order, so the builder sees an identical call sequence every run and
-	// any validation error it reports is reproducible.
-	for i := 0; i < g.n; i++ {
-		// Assertions this source claimed.
-		for _, j := range mapsort.Keys(earliest[i]) {
-			t := earliest[i][j]
-			dep := false
-			for _, anc := range g.ancestors[i] {
-				if ta, ok := earliest[anc][j]; ok && ta < t {
-					dep = true
-					break
-				}
+	// Counting sort by source: source i's events land in
+	// stamps[start[i]:start[i+1]].
+	start := make([]int, n+1)
+	for _, e := range events {
+		start[e.Source+1]++
+	}
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	stamps := make([]stamp, len(events))
+	next := make([]int, n)
+	copy(next, start[:n])
+	for _, e := range events {
+		stamps[next[e.Source]] = stamp{int32(e.Assertion), e.Time}
+		next[e.Source]++
+	}
+	// Sort each source's stamps by (assertion, time) and keep the first
+	// per assertion, its earliest claim.
+	rows := make([][]stamp, n)
+	for i := range rows {
+		r := stamps[start[i]:start[i+1]]
+		slices.SortFunc(r, func(a, b stamp) int {
+			if c := cmp.Compare(a.j, b.j); c != 0 {
+				return c
 			}
-			b.AddClaim(i, j, dep)
+			return cmp.Compare(a.t, b.t)
+		})
+		kept := 0
+		for k, s := range r {
+			if k == 0 || s.j != r[kept-1].j {
+				r[kept] = s
+				kept++
+			}
 		}
-		// Silent pairs: ancestor claimed j, i did not.
-		seen := make(map[int]bool)
-		for _, anc := range g.ancestors[i] {
-			for _, j := range mapsort.Keys(earliest[anc]) {
-				if _, claimed := earliest[i][j]; claimed || seen[j] {
-					continue
-				}
-				seen[j] = true
-				b.MarkSilentDependent(i, j)
+		rows[i] = r[:kept]
+	}
+
+	d0, d1, s1 := newRows(n, m), newRows(n, m), newRows(n, m)
+	// mark[j] == i+1 once source i claimed or was found silent on j.
+	mark := make([]int32, m)
+	for i := 0; i < n; i++ {
+		epoch := int32(i + 1)
+		for _, s := range rows[i] {
+			mark[s.j] = epoch
+			row := d0
+			if dependent(rows, g.ancestors[i], s) {
+				row = d1
 			}
+			row.Col = append(row.Col, s.j)
+		}
+		silentFrom := len(s1.Col)
+		for _, anc := range g.ancestors[i] {
+			for _, s := range rows[anc] {
+				if mark[s.j] != epoch {
+					mark[s.j] = epoch
+					s1.Col = append(s1.Col, s.j)
+				}
+			}
+		}
+		slices.Sort(s1.Col[silentFrom:])
+		d0.RowPtr[i+1] = int32(len(d0.Col))
+		d1.RowPtr[i+1] = int32(len(d1.Col))
+		s1.RowPtr[i+1] = int32(len(s1.Col))
+	}
+	return claims.FromRows(d0, d1, s1)
+}
+
+// stamp is one source's claim of assertion j at time t.
+type stamp struct {
+	j int32
+	t int64
+}
+
+// dependent reports whether some ancestor's row holds claim s's assertion
+// strictly earlier than s: the paper's rule for a dependent claim.
+func dependent(rows [][]stamp, ancestors []int, s stamp) bool {
+	for _, anc := range ancestors {
+		r := rows[anc]
+		k, found := slices.BinarySearchFunc(r, s.j, func(a stamp, j int32) int { return cmp.Compare(a.j, j) })
+		if found && r[k].t < s.t {
+			return true
 		}
 	}
-	return b.Build()
+	return false
+}
+
+func newRows(n, m int) *model.CSR {
+	return &model.CSR{NumRows: n, NumCols: m, RowPtr: make([]int32, n+1), Col: []int32{}}
 }
 
 // SortEvents orders events by time, breaking ties by source then assertion,

@@ -23,14 +23,3 @@ func Keys[K cmp.Ordered, V any](m map[K]V) []K {
 	sort.Slice(ks, func(i, j int) bool { return cmp.Less(ks[i], ks[j]) })
 	return ks
 }
-
-// KeysFunc returns the map's keys ordered by less, for key types without a
-// natural order (composite keys).
-func KeysFunc[K comparable, V any](m map[K]V, less func(a, b K) bool) []K {
-	ks := make([]K, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return less(ks[i], ks[j]) })
-	return ks
-}

@@ -38,24 +38,3 @@ func TestKeysEmptyAndNil(t *testing.T) {
 		t.Errorf("nil map: got %v", got)
 	}
 }
-
-type pair struct{ i, j int }
-
-func TestKeysFunc(t *testing.T) {
-	m := map[pair]bool{{2, 1}: true, {1, 9}: true, {1, 2}: true, {2, 0}: true}
-	less := func(a, b pair) bool {
-		if a.i != b.i {
-			return a.i < b.i
-		}
-		return a.j < b.j
-	}
-	want := []pair{{1, 2}, {1, 9}, {2, 0}, {2, 1}}
-	for run := 0; run < 20; run++ {
-		got := KeysFunc(m, less)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("KeysFunc = %v, want %v", got, want)
-			}
-		}
-	}
-}

@@ -32,6 +32,9 @@ const (
 	MetricFits = "depsense_stream_fits_total"
 	// MetricFitSeconds is the refit-duration histogram by mode.
 	MetricFitSeconds = "depsense_stream_fit_duration_seconds"
+	// MetricBuildSeconds is the histogram of the dataset rebuild (the D
+	// derivation, depgraph.BuildDataset) that precedes every refit.
+	MetricBuildSeconds = "depsense_stream_build_duration_seconds"
 	// MetricSources / MetricAssertions / MetricClaims gauge the accumulated
 	// stream id spaces and claim count.
 	MetricSources    = "depsense_stream_sources"
@@ -56,8 +59,8 @@ type Options struct {
 	// cold fit's strict tolerance buys nothing but iterations here.
 	WarmTol float64
 	// Metrics, when set, receives fit telemetry: MetricFits counters and
-	// MetricFitSeconds histograms labeled mode="cold"/"warm". Nil records
-	// nothing.
+	// MetricFitSeconds histograms labeled mode="cold"/"warm", and the
+	// MetricBuildSeconds histogram. Nil records nothing.
 	Metrics *obs.Registry
 	// Clock supplies the fit-duration timestamps; nil means the wall
 	// clock. Injected so the package honors the clocked-zone lint
@@ -178,9 +181,14 @@ func (e *Estimator) AddBatchContext(ctx context.Context, batch []depgraph.Event)
 		e.numAssert = maxAssert + 1
 	}
 	e.events = append(e.events, batch...)
+	buildStart := e.clock()
 	ds, err := depgraph.BuildDataset(e.graph, e.events, e.numAssert)
 	if err != nil {
 		return nil, err
+	}
+	if reg := e.opts.Metrics; reg != nil {
+		reg.Histogram(MetricBuildSeconds, "Stream dataset build (D derivation) duration in seconds.",
+			nil).Observe(e.clock().Sub(buildStart).Seconds())
 	}
 
 	opts := e.opts.EM
@@ -267,15 +275,7 @@ func (e *Estimator) growSources(n int) {
 	if n <= e.numSrc {
 		return
 	}
-	grown := depgraph.NewGraph(n)
-	for i := 0; i < e.numSrc; i++ {
-		for _, anc := range e.graph.Ancestors(i) {
-			// Re-adding within a larger graph cannot fail: indices are
-			// in range by construction.
-			_ = grown.AddFollow(i, anc)
-		}
-	}
-	e.graph = grown
+	e.graph.Grow(n)
 	if e.params != nil {
 		p := model.NewParams(n, e.params.Z)
 		copy(p.Sources, e.params.Sources)

@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -137,6 +139,53 @@ func TestFitTelemetry(t *testing.T) {
 		if h.Count() != 1 || h.Sum() != 0.25 {
 			t.Fatalf("fit duration{mode=%q}: count=%d sum=%v, want 1/0.25", mode, h.Count(), h.Sum())
 		}
+	}
+	// Each dataset build spans one clock step too, outside the fit.
+	if h := reg.Histogram(MetricBuildSeconds, "", nil); h.Count() != 2 || h.Sum() != 0.5 {
+		t.Fatalf("build duration: count=%d sum=%v, want 2/0.5", h.Count(), h.Sum())
+	}
+}
+
+// TestGrowSourcesKeepsGraph: growing the id space one follow at a time
+// leaves the same graph — ancestor order included — and the same snapshot
+// bytes as sizing it once up front.
+func TestGrowSourcesKeepsGraph(t *testing.T) {
+	follows := [][2]int{{1, 0}, {3, 2}, {3, 0}, {3, 1}, {6, 3}, {2, 6}, {9, 3}, {3, 8}}
+	batch := []depgraph.Event{{Source: 0, Assertion: 0, Time: 1}, {Source: 3, Assertion: 0, Time: 2}, {Source: 9, Assertion: 1, Time: 3}}
+	run := func(sizeFirst bool) *Estimator {
+		e := New(Options{EM: core.Options{Seed: 3}})
+		if sizeFirst {
+			e.growSources(10)
+		}
+		for _, f := range follows {
+			if err := e.ObserveFollow(f[0], f[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.AddBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	grown, sized := run(false), run(true)
+	if got := grown.graph.Ancestors(3); !reflect.DeepEqual(got, []int{2, 0, 1, 8}) {
+		t.Fatalf("Ancestors(3) = %v, want observation order [2 0 1 8]", got)
+	}
+	for i := 0; i < 10; i++ {
+		if !reflect.DeepEqual(grown.graph.Ancestors(i), sized.graph.Ancestors(i)) {
+			t.Fatalf("source %d: ancestors %v, want %v", i, grown.graph.Ancestors(i), sized.graph.Ancestors(i))
+		}
+	}
+	a, err := json.Marshal(grown.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(sized.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("snapshots differ:\n%s\n%s", a, b)
 	}
 }
 
