@@ -10,7 +10,7 @@
 //
 // With -trace, the run's full trace — pipeline stage timings, estimator
 // iteration events, and convergence diagnostics — is written as JSONL,
-// even when the run is interrupted; inspect it with sstrace.
+// even when the run is interrupted; inspect it with ssaudit.
 package main
 
 import (
@@ -30,6 +30,7 @@ import (
 	"depsense/internal/depgraph"
 	"depsense/internal/factfind"
 	"depsense/internal/grader"
+	"depsense/internal/jsonl"
 	reportpkg "depsense/internal/report"
 	"depsense/internal/runctx"
 	"depsense/internal/trace"
@@ -63,7 +64,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		report   = fs.String("report", "", "also write an HTML report to this file")
 		seed     = fs.Int64("seed", 1, "random seed")
 		workers  = fs.Int("workers", 1, "estimator parallelism (EM block sharding and restart fan-out); results are identical at any value, 0 = GOMAXPROCS")
-		traceOut = fs.String("trace", "", "write the run trace (stages, iteration events, convergence diagnostics) as JSONL to this file; inspect with sstrace")
+		traceOut = fs.String("trace", "", "write the run trace (stages, iteration events, convergence diagnostics) as JSONL to this file; inspect with ssaudit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -138,7 +139,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if err != nil {
 			msg = err.Error()
 		}
-		if werr := trace.WriteFile(*traceOut, tb.Finish(status, msg)); werr != nil {
+		if werr := jsonl.WriteFile(*traceOut, tb.Finish(status, msg)); werr != nil {
 			if err == nil {
 				return fmt.Errorf("write trace: %w", werr)
 			}

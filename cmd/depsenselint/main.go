@@ -8,14 +8,13 @@
 // Modes beyond the default print:
 //
 //	-fix         apply each finding's first suggested fix in place
-//	-json        machine-readable output (findings, stale allows, cache stats)
+//	-json        machine-readable output (findings, stale allows, package count)
 //	-annotations render findings as GitHub Actions ::error commands
 //	-staleallow  also audit //lint:allow directives that suppress nothing
-//	-cache FILE  package-level result cache keyed by source+dependency hash
 //
 // Exit status: 0 clean, 1 findings, 2 load/run error.
 //
-// CI runs `go run ./cmd/depsenselint -cache ... -annotations ./...` (see
+// CI runs `go run ./cmd/depsenselint -staleallow -annotations ./...` (see
 // .github/workflows/ci.yml); the invocation is fully offline — the suite is
 // stdlib-only and type-checks against export data produced by the local go
 // toolchain. Suppress a finding with //lint:allow <analyzer> <reason>; the
@@ -29,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -63,7 +61,6 @@ type options struct {
 	jsonOut     bool
 	annotations bool
 	staleAllow  bool
-	cachePath   string
 }
 
 func main() {
@@ -74,7 +71,6 @@ func main() {
 	flag.BoolVar(&opts.jsonOut, "json", false, "emit findings as JSON instead of text")
 	flag.BoolVar(&opts.annotations, "annotations", false, "emit findings as GitHub Actions ::error annotations")
 	flag.BoolVar(&opts.staleAllow, "staleallow", false, "also report //lint:allow directives that suppress nothing")
-	flag.StringVar(&opts.cachePath, "cache", "", "package-result cache file; unchanged packages skip analysis")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: depsenselint [flags] [packages]\n\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "Runs the depsense determinism/concurrency/memory-contract analyzers.\n\n")
@@ -106,7 +102,6 @@ type jsonOutput struct {
 	Findings    []framework.Finding `json:"findings"`
 	StaleAllows []framework.Finding `json:"staleAllows,omitempty"`
 	Analyzed    int                 `json:"analyzed"`
-	Skipped     int                 `json:"skipped"`
 	Fixed       int                 `json:"fixed,omitempty"`
 }
 
@@ -124,20 +119,9 @@ func runLint(opts options, patterns []string, w io.Writer) (int, error) {
 		}
 	}
 
-	var runOpts framework.Options
-	var cache *fileCache
-	if opts.cachePath != "" {
-		cache = openCache(opts.cachePath, cacheVersion())
-		runOpts.Cache = cache
-	}
-	res, err := framework.Run(pkgs, analyzers, runOpts)
+	res, err := framework.Run(pkgs, analyzers)
 	if err != nil {
 		return 0, err
-	}
-	if cache != nil {
-		if err := cache.save(); err != nil {
-			return 0, fmt.Errorf("saving cache: %v", err)
-		}
 	}
 
 	findings := res.Findings
@@ -167,7 +151,7 @@ func runLint(opts options, patterns []string, w io.Writer) (int, error) {
 
 	switch {
 	case opts.jsonOut:
-		out := jsonOutput{Findings: findings, Analyzed: res.Analyzed, Skipped: res.Skipped, Fixed: fixed}
+		out := jsonOutput{Findings: findings, Analyzed: res.Analyzed, Fixed: fixed}
 		if opts.staleAllow {
 			// Already merged above for the exit status; split back out so
 			// consumers can tell contract findings from audit findings.
@@ -192,10 +176,6 @@ func runLint(opts options, patterns []string, w io.Writer) (int, error) {
 		if fixed > 0 {
 			fmt.Fprintf(w, "depsenselint: applied %d suggested fix(es)\n", fixed)
 		}
-	}
-	if opts.cachePath != "" && !opts.jsonOut {
-		fmt.Fprintf(os.Stderr, "depsenselint: %d package(s) analyzed, %d served from cache\n",
-			res.Analyzed, res.Skipped)
 	}
 	return len(findings), nil
 }
@@ -255,14 +235,4 @@ func escapeAnnotation(s string) string {
 	s = strings.ReplaceAll(s, "\r", "%0D")
 	s = strings.ReplaceAll(s, "\n", "%0A")
 	return s
-}
-
-// cacheVersion identifies the analysis configuration: a cache produced by a
-// different roster, analyzer wording, or toolchain must not be reused.
-func cacheVersion() string {
-	parts := []string{"v1", runtime.Version()}
-	for _, a := range analyzers {
-		parts = append(parts, a.Name+"#"+a.Doc)
-	}
-	return strings.Join(parts, "|")
 }

@@ -130,52 +130,6 @@ func lintJSON(t *testing.T, bin, dir string, extra ...string) jsonOutput {
 	return out
 }
 
-// TestCacheGate exercises the cached CI gate end to end: a violation is
-// found, the unchanged rebuild is served entirely from the cache while
-// still failing, and editing the package invalidates its entry.
-func TestCacheGate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: skips go-list subprocesses")
-	}
-	bin := buildLint(t)
-	dir := writeTempModule(t)
-	cache := filepath.Join(t.TempDir(), "lint-cache.json")
-
-	first := lintJSON(t, bin, dir, "-cache", cache)
-	if len(first.Findings) != 1 || !strings.Contains(first.Findings[0].Message, "pipeline channel") {
-		t.Fatalf("expected one chandisc finding on first run, got %+v", first.Findings)
-	}
-	if first.Skipped != 0 || first.Analyzed == 0 {
-		t.Fatalf("first run should analyze everything: %+v", first)
-	}
-
-	second := lintJSON(t, bin, dir, "-cache", cache)
-	if len(second.Findings) != 1 {
-		t.Fatalf("cached rebuild must still fail on the stored finding, got %+v", second.Findings)
-	}
-	if second.Analyzed != 0 || second.Skipped != first.Analyzed {
-		t.Fatalf("no-op rebuild should be served from cache (analyzed=0, skipped=%d), got %+v",
-			first.Analyzed, second)
-	}
-
-	// Editing the package must invalidate its cache entry.
-	pfile := filepath.Join(dir, "p", "p.go")
-	src, err := os.ReadFile(pfile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(pfile, append(src, []byte("\n// touched\n")...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	third := lintJSON(t, bin, dir, "-cache", cache)
-	if third.Analyzed == 0 {
-		t.Fatalf("edited package should be re-analyzed, got %+v", third)
-	}
-	if len(third.Findings) != 1 {
-		t.Fatalf("edited package still carries the violation, got %+v", third.Findings)
-	}
-}
-
 // TestFixFlag applies the chandisc suggested fix in place and verifies the
 // module is clean afterwards.
 func TestFixFlag(t *testing.T) {

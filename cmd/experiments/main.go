@@ -12,7 +12,7 @@
 // With -trace, every estimator and Gibbs iteration fired across the
 // selected experiments is recorded into one trace (with convergence
 // diagnostics) and written as JSONL — even when the sweep is interrupted;
-// inspect it with sstrace.
+// inspect it with ssaudit.
 //
 // The special experiment id "bench" (never part of "all") runs the layer
 // benchmark — hot-path kernels (dense reference vs production sparse,
@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"depsense/internal/eval"
+	"depsense/internal/jsonl"
 	"depsense/internal/plot"
 	"depsense/internal/runctx"
 	"depsense/internal/trace"
@@ -67,7 +68,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		csvDir   = fs.String("csv", "", "also write each experiment's series as CSV into this directory")
 		svgDir   = fs.String("svg", "", "also render each figure as SVG into this directory")
 		benchOut = fs.String("benchout", "BENCH_layers.json", "bench: write the layer ledger JSON to this path")
-		traceOut = fs.String("trace", "", "record every estimator iteration across the selected experiments and write the trace as JSONL to this file; inspect with sstrace")
+		traceOut = fs.String("trace", "", "record every estimator iteration across the selected experiments and write the trace as JSONL to this file; inspect with ssaudit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -102,7 +103,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 			if err != nil {
 				msg = err.Error()
 			}
-			if werr := trace.WriteFile(*traceOut, tb.Finish(status, msg)); werr != nil {
+			if werr := jsonl.WriteFile(*traceOut, tb.Finish(status, msg)); werr != nil {
 				if err == nil {
 					err = fmt.Errorf("write trace: %w", werr)
 				} else {

@@ -18,7 +18,7 @@
 // quality monitor (internal/qual): per-refit calibration and drift
 // verdicts at /debug/quality, alarm counters on /metrics, and — when
 // -trace-dir is set — a quality.jsonl spill next to traces.jsonl for
-// offline auditing with ssqual. -interval > 0 paces emission like a
+// offline auditing with ssaudit. -interval > 0 paces emission like a
 // live stream; 0 replays as fast as the pipeline drains. With -data, every
 // batch is committed to an fsynced claim log before it is applied and the
 // model is snapshotted periodically, so restarting with the same -data
@@ -71,8 +71,8 @@ func run(args []string) error {
 		addr      = fs.String("addr", ":8090", "HTTP listen address (empty = no HTTP surface)")
 		once      = fs.Bool("once", false, "exit when the firehose is exhausted instead of idling")
 		traceBuf  = fs.Int("trace-buffer", 64, "refit traces retained by the flight recorder, served at /debug/runs")
-		traceDir  = fs.String("trace-dir", "", "append every refit trace to this directory's traces.jsonl (read offline with sstrace)")
-		quality   = fs.Bool("quality", false, "run the estimation-quality monitor: /debug/quality, alarm metrics, and (with -trace-dir) a quality.jsonl spill for ssqual")
+		traceDir  = fs.String("trace-dir", "", "append every refit trace to this directory's traces.jsonl (read offline with ssaudit)")
+		quality   = fs.Bool("quality", false, "run the estimation-quality monitor: /debug/quality, alarm metrics, and (with -trace-dir) a quality.jsonl spill for ssaudit")
 		qualLam   = fs.Float64("quality-lambda", 0, "drift alarm threshold override (0 = qual default)")
 		qualBound = fs.Int("quality-bound-every", 0, "evaluate the error bound every n refits (0 = qual default, negative = off)")
 	)

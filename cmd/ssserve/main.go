@@ -11,7 +11,7 @@
 // GET /debug/runs and GET /debug/runs/{id} (see internal/httpapi for the
 // request schema). -trace-buffer sizes the in-memory flight recorder;
 // -trace-dir additionally appends every finished run trace to
-// dir/traces.jsonl for offline analysis with sstrace. With -pprof,
+// dir/traces.jsonl for offline analysis with ssaudit. With -pprof,
 // net/http/pprof handlers are served on a separate listener so profiling
 // is never exposed on the public address. The server shuts down gracefully
 // on SIGINT/SIGTERM.
@@ -76,7 +76,7 @@ func run(args []string) error {
 		metrics    = fs.Bool("metrics", true, "serve GET /metrics (Prometheus text exposition)")
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this separate address (empty = disabled)")
 		traceBuf   = fs.Int("trace-buffer", 64, "completed run traces retained by the flight recorder (failed runs get a separate quarter-sized ring); served at GET /debug/runs")
-		traceDir   = fs.String("trace-dir", "", "append every finished run trace to this directory's traces.jsonl (empty = no spill); read offline with sstrace")
+		traceDir   = fs.String("trace-dir", "", "append every finished run trace to this directory's traces.jsonl (empty = no spill); read offline with ssaudit")
 		cacheSize  = fs.Int("cache-size", 256, "result cache capacity in responses (negative = caching disabled)")
 		cacheTTL   = fs.Duration("cache-ttl", 5*time.Minute, "result cache entry lifetime (negative = entries never expire)")
 		maxInFl    = fs.Int("max-inflight", 0, "maximum concurrently executing pipeline computations (0 = unlimited); cache hits and coalesced requests are not counted")

@@ -12,8 +12,8 @@ type Finding struct {
 	Pos      Position
 	Message  string
 	// Fixes are the diagnostic's suggested fixes with positions resolved
-	// to byte offsets, so they survive serialization into the cache and
-	// can be applied without a FileSet.
+	// to byte offsets, so -json can carry them and -fix can apply them
+	// without a FileSet.
 	Fixes []Fix `json:",omitempty"`
 }
 
@@ -60,37 +60,8 @@ type Result struct {
 	// analyzer not in the roster). Reported separately so the default
 	// mode stays byte-compatible and `-staleallow` can audit.
 	StaleAllows []Finding
-	// Analyzed and Skipped count packages analyzed versus served from
-	// the cache.
+	// Analyzed counts the packages analyzed.
 	Analyzed int
-	Skipped  int
-}
-
-// Options configures a driver run.
-type Options struct {
-	// Cache, when non-nil, lets unchanged packages skip analysis: before
-	// analyzing a package the driver asks the cache for a hit keyed by
-	// the package's content key; on a hit the cached findings, stale
-	// allows, and exported facts are installed verbatim.
-	Cache Cache
-}
-
-// Cache is the driver's package-result cache interface, implemented by the
-// depsenselint CLI over a JSON file.
-type Cache interface {
-	// Get returns the cached entry for the package key, if present.
-	Get(importPath, key string) (*CacheEntry, bool)
-	// Put stores the entry for the package key.
-	Put(importPath, key string, e *CacheEntry)
-}
-
-// CacheEntry is everything a package contributes to a run: its findings,
-// its stale-allow findings, and the facts its analysis exported (which
-// downstream packages may import even when this package is a cache hit).
-type CacheEntry struct {
-	Findings    []Finding   `json:"findings,omitempty"`
-	StaleAllows []Finding   `json:"staleAllows,omitempty"`
-	Facts       []SavedFact `json:"facts,omitempty"`
 }
 
 // RunAnalyzers applies every analyzer to every package, filters the
@@ -99,7 +70,7 @@ type CacheEntry struct {
 // as findings under the reserved "lintallow" name, which no directive can
 // suppress — every suppression must carry a justification.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	res, err := Run(pkgs, analyzers, Options{})
+	res, err := Run(pkgs, analyzers)
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +81,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 // orders packages so dependencies are analyzed before dependents (facts
 // flow forward), runs each analyzer with fact import/export wired up, and
 // resolves suppressions. See RunAnalyzers for the suppression contract.
-func Run(pkgs []*Package, analyzers []*Analyzer, opts Options) (*Result, error) {
+func Run(pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
 	roster, err := expandAnalyzers(analyzers)
 	if err != nil {
 		return nil, err
@@ -123,32 +94,17 @@ func Run(pkgs []*Package, analyzers []*Analyzer, opts Options) (*Result, error) 
 	for _, a := range roster {
 		rosterNames[a.Name] = true
 	}
-	factTypes := factTypeRegistry(roster)
 
 	res := &Result{}
 	facts := newFactStore()
 	for _, pkg := range ordered {
-		if opts.Cache != nil && pkg.Key != "" {
-			if e, ok := opts.Cache.Get(pkg.ImportPath, pkg.Key); ok {
-				if err := facts.installFacts(pkg.ImportPath, e.Facts, factTypes); err != nil {
-					return nil, err
-				}
-				res.Findings = append(res.Findings, e.Findings...)
-				res.StaleAllows = append(res.StaleAllows, e.StaleAllows...)
-				res.Skipped++
-				continue
-			}
-		}
-		entry, err := runPackage(pkg, roster, rosterNames, facts)
+		findings, stale, err := runPackage(pkg, roster, rosterNames, facts)
 		if err != nil {
 			return nil, err
 		}
-		res.Findings = append(res.Findings, entry.Findings...)
-		res.StaleAllows = append(res.StaleAllows, entry.StaleAllows...)
+		res.Findings = append(res.Findings, findings...)
+		res.StaleAllows = append(res.StaleAllows, stale...)
 		res.Analyzed++
-		if opts.Cache != nil && pkg.Key != "" {
-			opts.Cache.Put(pkg.ImportPath, pkg.Key, entry)
-		}
 	}
 	sortFindings(res.Findings)
 	sortFindings(res.StaleAllows)
@@ -156,13 +112,12 @@ func Run(pkgs []*Package, analyzers []*Analyzer, opts Options) (*Result, error) 
 }
 
 // runPackage applies the full roster to one package and resolves its
-// suppressions, returning the package's cacheable contribution.
-func runPackage(pkg *Package, roster []*Analyzer, rosterNames map[string]bool, facts *factStore) (*CacheEntry, error) {
-	entry := &CacheEntry{}
+// suppressions, returning the package's findings and stale allows.
+func runPackage(pkg *Package, roster []*Analyzer, rosterNames map[string]bool, facts *factStore) (findings, stale []Finding, err error) {
 	allows := parseAllows(pkg)
 	for i := range allows {
 		if allows[i].malformed != "" {
-			entry.Findings = append(entry.Findings, Finding{
+			findings = append(findings, Finding{
 				Analyzer: AllowName,
 				Pos:      positionOf(pkg.Fset.Position(allows[i].pos)),
 				Message:  allows[i].malformed,
@@ -185,7 +140,7 @@ func runPackage(pkg *Package, roster []*Analyzer, rosterNames map[string]bool, f
 			facts:     facts,
 		}
 		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("framework: analyzer %s on %s: %v", a.Name, pkg.ImportPath, err)
+			return nil, nil, fmt.Errorf("framework: analyzer %s on %s: %v", a.Name, pkg.ImportPath, err)
 		}
 		for _, d := range diags {
 			pos := pkg.Fset.Position(d.Pos)
@@ -196,7 +151,7 @@ func runPackage(pkg *Package, roster []*Analyzer, rosterNames map[string]bool, f
 				used[di][a.Name] = true
 				continue
 			}
-			entry.Findings = append(entry.Findings, Finding{
+			findings = append(findings, Finding{
 				Analyzer: a.Name,
 				Pos:      positionOf(pos),
 				Message:  d.Message,
@@ -212,13 +167,13 @@ func runPackage(pkg *Package, roster []*Analyzer, rosterNames map[string]bool, f
 			pos := positionOf(pkg.Fset.Position(allows[i].pos))
 			switch {
 			case !rosterNames[name]:
-				entry.StaleAllows = append(entry.StaleAllows, Finding{
+				stale = append(stale, Finding{
 					Analyzer: StaleAllowName,
 					Pos:      pos,
 					Message:  fmt.Sprintf("//lint:allow names unknown analyzer %q", name),
 				})
 			case used[i] == nil || !used[i][name]:
-				entry.StaleAllows = append(entry.StaleAllows, Finding{
+				stale = append(stale, Finding{
 					Analyzer: StaleAllowName,
 					Pos:      pos,
 					Message: fmt.Sprintf("stale //lint:allow %s: no %s finding fires on line %d; delete the directive",
@@ -227,12 +182,7 @@ func runPackage(pkg *Package, roster []*Analyzer, rosterNames map[string]bool, f
 			}
 		}
 	}
-	var err error
-	entry.Facts, err = facts.exportedFacts(pkg.ImportPath)
-	if err != nil {
-		return nil, err
-	}
-	return entry, nil
+	return findings, stale, nil
 }
 
 // resolveFixes converts a diagnostic's fixes from token positions to byte
@@ -299,8 +249,7 @@ func expandAnalyzers(analyzers []*Analyzer) ([]*Analyzer, error) {
 
 // sortPackages orders packages so every package follows the packages it
 // imports (facts flow dependency-first); ties break by import path so the
-// order — and therefore finding order and cache contents — is
-// deterministic.
+// order — and therefore finding order — is deterministic.
 func sortPackages(pkgs []*Package) ([]*Package, error) {
 	byPath := make(map[string]*Package, len(pkgs))
 	for _, p := range pkgs {

@@ -1,20 +1,17 @@
 package framework
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
 // A Fact is a typed, serializable property attached to a package or to a
 // package-level object (function, method, type, var), produced by one
 // analyzer and consumed by analyzers that declare it in Requires. It mirrors
 // golang.org/x/tools/go/analysis.Fact: fact types must be pointers to
-// JSON-serializable structs (JSON rather than gob so the depsenselint cache
-// file stays human-inspectable), and every type an analyzer exports must be
-// listed in its FactTypes so the driver can decode cached facts.
+// structs. Facts live in memory for one driver run and are never
+// serialized.
 //
 // Facts propagate through the import graph: the driver analyzes packages in
 // dependency order, so when an analyzer runs on package P it can import
@@ -102,9 +99,6 @@ func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) error {
 	if !ok {
 		return fmt.Errorf("framework: cannot export %s fact for non-package-level object %v", factTypeName(fact), obj)
 	}
-	if err := p.checkFactType(fact); err != nil {
-		return err
-	}
 	p.facts.set(factKey{pkg: obj.Pkg().Path(), object: key, typ: factTypeName(fact)}, fact)
 	return nil
 }
@@ -122,9 +116,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, ptr Fact) bool {
 
 // ExportPackageFact attaches fact to the package under analysis.
 func (p *Pass) ExportPackageFact(fact Fact) error {
-	if err := p.checkFactType(fact); err != nil {
-		return err
-	}
 	p.facts.set(factKey{pkg: p.Path, typ: factTypeName(fact)}, fact)
 	return nil
 }
@@ -134,79 +125,4 @@ func (p *Pass) ExportPackageFact(fact Fact) error {
 // analyzed earlier) into *ptr.
 func (p *Pass) ImportPackageFact(path string, ptr Fact) bool {
 	return p.facts.get(factKey{pkg: path, typ: factTypeName(ptr)}, ptr)
-}
-
-// checkFactType enforces the FactTypes registration contract, which the
-// cache decoder depends on.
-func (p *Pass) checkFactType(fact Fact) error {
-	for _, ft := range p.Analyzer.FactTypes {
-		if factTypeName(ft) == factTypeName(fact) {
-			return nil
-		}
-	}
-	return fmt.Errorf("framework: analyzer %s exports unregistered fact type %s (add it to FactTypes)", p.Analyzer.Name, factTypeName(fact))
-}
-
-// SavedFact is one serialized fact, as stored in the depsenselint cache:
-// facts for a cache-hit package are re-installed from this form instead of
-// re-running the analyzers that produced them.
-type SavedFact struct {
-	// Object is the objectKey of the fact's object, "" for a package fact.
-	Object string `json:"object,omitempty"`
-	// Type is the fact's registered type name (e.g. "*zonefacts.ZoneFact").
-	Type string `json:"type"`
-	// Value is the fact's JSON encoding.
-	Value json.RawMessage `json:"value"`
-}
-
-// exportedFacts serializes every fact the store holds for pkgPath,
-// deterministically ordered.
-func (s *factStore) exportedFacts(pkgPath string) ([]SavedFact, error) {
-	var out []SavedFact
-	for k, f := range s.m {
-		if k.pkg != pkgPath {
-			continue
-		}
-		raw, err := json.Marshal(f)
-		if err != nil {
-			return nil, fmt.Errorf("framework: encoding fact %s for %s: %v", k.typ, pkgPath, err)
-		}
-		out = append(out, SavedFact{Object: k.object, Type: k.typ, Value: raw})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Object != out[j].Object {
-			return out[i].Object < out[j].Object
-		}
-		return out[i].Type < out[j].Type
-	})
-	return out, nil
-}
-
-// installFacts decodes cached facts back into the store. types maps
-// registered fact type names to their reflect types (built from the
-// analyzer roster's FactTypes).
-func (s *factStore) installFacts(pkgPath string, saved []SavedFact, types map[string]reflect.Type) error {
-	for _, sf := range saved {
-		rt, ok := types[sf.Type]
-		if !ok {
-			return fmt.Errorf("framework: cached fact of unknown type %s for %s", sf.Type, pkgPath)
-		}
-		fv := reflect.New(rt.Elem())
-		if err := json.Unmarshal(sf.Value, fv.Interface()); err != nil {
-			return fmt.Errorf("framework: decoding cached fact %s for %s: %v", sf.Type, pkgPath, err)
-		}
-		s.set(factKey{pkg: pkgPath, object: sf.Object, typ: sf.Type}, fv.Interface().(Fact))
-	}
-	return nil
-}
-
-// factTypeRegistry collects the fact types registered by a roster.
-func factTypeRegistry(analyzers []*Analyzer) map[string]reflect.Type {
-	types := map[string]reflect.Type{}
-	for _, a := range analyzers {
-		for _, ft := range a.FactTypes {
-			types[factTypeName(ft)] = reflect.TypeOf(ft)
-		}
-	}
-	return types
 }

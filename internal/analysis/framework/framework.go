@@ -40,10 +40,6 @@ type Analyzer struct {
 	// this one; their exported facts are visible to this analyzer's Run.
 	// The driver runs the transitive closure in topological order.
 	Requires []*Analyzer
-	// FactTypes declares every fact type Run may export, one zero value
-	// per type. Exporting an unregistered type is an error; registration
-	// is what lets the cache decode persisted facts.
-	FactTypes []Fact
 	// Run applies the check to one package and reports findings through
 	// pass.Reportf or pass.Report.
 	Run func(pass *Pass) error

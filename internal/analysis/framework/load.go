@@ -2,8 +2,6 @@ package framework
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -27,14 +25,6 @@ type Package struct {
 	// Imports are the package's direct imports; the driver analyzes
 	// packages dependency-first so facts propagate along this graph.
 	Imports []string
-	// Key is the package's content key: a hash of its sources and,
-	// transitively, of everything its analysis can observe (loaded
-	// dependencies by their keys, external dependencies by their
-	// export-data hash). Two loads with equal Keys produce identical
-	// findings and facts, which is what makes the depsenselint cache
-	// sound. Empty when key computation failed; such packages are always
-	// re-analyzed.
-	Key string
 	// Fset positions all files of all packages of one Load call.
 	Fset *token.FileSet
 	// Files are the parsed non-test Go files, in go list order.
@@ -179,64 +169,5 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		out = append(out, pkg)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ImportPath < out[j].ImportPath })
-	computeKeys(out, listed)
 	return out, nil
-}
-
-// computeKeys fills every loaded package's content Key. A loaded package's
-// key hashes its own sources plus the keys of its direct imports: loaded
-// imports recurse (so an edit anywhere in the module invalidates exactly
-// its importers), external imports contribute their export-data hash (which
-// changes whenever their visible API or inlinable bodies change — the only
-// channels through which they can influence analysis of this package).
-func computeKeys(loaded []*Package, listed []listPkg) {
-	loadedBy := make(map[string]*Package, len(loaded))
-	for _, p := range loaded {
-		loadedBy[p.ImportPath] = p
-	}
-	exportPath := make(map[string]string, len(listed))
-	importsOf := make(map[string][]string, len(listed))
-	for _, lp := range listed {
-		exportPath[lp.ImportPath] = lp.Export
-		importsOf[lp.ImportPath] = lp.Imports
-	}
-	memo := map[string]string{}
-	var keyOf func(path string) string
-	keyOf = func(path string) string {
-		if k, ok := memo[path]; ok {
-			return k
-		}
-		memo[path] = "" // cycle guard; Go import graphs are acyclic anyway
-		h := sha256.New()
-		if p, ok := loadedBy[path]; ok {
-			fmt.Fprintf(h, "pkg %s\n", path)
-			files := make([]string, 0, len(p.Sources))
-			for f := range p.Sources {
-				files = append(files, f)
-			}
-			sort.Strings(files)
-			for _, f := range files {
-				fmt.Fprintf(h, "file %s %d\n", filepath.Base(f), len(p.Sources[f]))
-				h.Write(p.Sources[f])
-			}
-			imps := append([]string(nil), importsOf[path]...)
-			sort.Strings(imps)
-			for _, imp := range imps {
-				fmt.Fprintf(h, "import %s %s\n", imp, keyOf(imp))
-			}
-		} else {
-			fmt.Fprintf(h, "dep %s\n", path)
-			if ep := exportPath[path]; ep != "" {
-				if data, err := os.ReadFile(ep); err == nil {
-					h.Write(data)
-				}
-			}
-		}
-		k := hex.EncodeToString(h.Sum(nil))
-		memo[path] = k
-		return k
-	}
-	for _, p := range loaded {
-		p.Key = keyOf(p.ImportPath)
-	}
 }

@@ -57,9 +57,8 @@ var Analyzer = &framework.Analyzer{
 	Name: "mutexguard",
 	Doc: "flag accesses to struct fields annotated \"guarded by <mu>\" made without " +
 		"holding the mutex (lexically, in the enclosing function)",
-	Requires:  []*framework.Analyzer{zonefacts.Analyzer},
-	FactTypes: []framework.Fact{(*Guards)(nil)},
-	Run:       run,
+	Requires: []*framework.Analyzer{zonefacts.Analyzer},
+	Run:      run,
 }
 
 var guardedRe = regexp.MustCompile(`guarded by (\w+)`)

@@ -55,9 +55,8 @@ var Analyzer = &framework.Analyzer{
 	Name: "scratchalias",
 	Doc: "forbid slices of //depsense:scratch structs from escaping into struct fields, " +
 		"composite literals, or exported-function returns; export ReturnsScratch facts for borrows",
-	Requires:  []*framework.Analyzer{zonefacts.Analyzer},
-	FactTypes: []framework.Fact{(*ReturnsScratch)(nil)},
-	Run:       run,
+	Requires: []*framework.Analyzer{zonefacts.Analyzer},
+	Run:      run,
 }
 
 func run(pass *framework.Pass) error {

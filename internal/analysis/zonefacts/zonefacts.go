@@ -47,8 +47,7 @@ var Analyzer = &framework.Analyzer{
 	Name: "zonefacts",
 	Doc: "compute zone membership (zones maps ∪ //depsense:zone package directives) " +
 		"and export it as a package fact for the checking analyzers",
-	FactTypes: []framework.Fact{(*ZoneFact)(nil)},
-	Run:       run,
+	Run: run,
 }
 
 func run(pass *framework.Pass) error {

@@ -32,8 +32,8 @@ var Deterministic = map[string]bool{
 	"depsense/internal/obs":      true,
 	"depsense/internal/trace":    true,
 	"depsense/internal/qual":     true,
-	"depsense/cmd/sstrace":       true,
-	"depsense/cmd/ssqual":        true,
+	"depsense/internal/jsonl":    true,
+	"depsense/cmd/ssaudit":       true,
 }
 
 // Estimator lists the packages that run open-ended iteration (EM rounds,
@@ -97,7 +97,6 @@ var Clocked = map[string]bool{
 	"depsense/internal/serve":      true,
 	"depsense/internal/trace":      true,
 	"depsense/internal/qual":       true,
-	"depsense/cmd/sstrace":         true,
+	"depsense/cmd/ssaudit":         true,
 	"depsense/cmd/ssingest":        true,
-	"depsense/cmd/ssqual":          true,
 }

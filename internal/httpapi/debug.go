@@ -1,32 +1,14 @@
 package httpapi
 
 import (
-	"errors"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strconv"
 
 	"depsense/internal/apollo"
+	"depsense/internal/jsonl"
 	"depsense/internal/trace"
 )
-
-// spillFile is the JSONL file name appended inside Options.TraceDir.
-const spillFile = "traces.jsonl"
-
-// traceFailedRetention derives the failed-ring capacity from the completed
-// retention: a quarter of it, never below trace.DefaultFailed, so shrinking
-// -trace-buffer can't silently stop retaining the failures the operator is
-// hunting.
-func traceFailedRetention(completed int) int {
-	if completed <= 0 {
-		return trace.DefaultFailed
-	}
-	if f := completed / 4; f > trace.DefaultFailed {
-		return f
-	}
-	return trace.DefaultFailed
-}
 
 // Flight returns the server's flight recorder, for programmatic access to
 // retained run traces (tests, embedding servers).
@@ -73,51 +55,10 @@ func (s *Server) spillTrace(t *trace.Trace) {
 	if s.opts.TraceDir == "" {
 		return
 	}
+	path := filepath.Join(s.opts.TraceDir, trace.SpillFile)
 	s.spillMu.Lock()
 	defer s.spillMu.Unlock()
-	path := filepath.Join(s.opts.TraceDir, spillFile)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		s.log.Error("trace spill open failed", "path", path, "err", err)
-		return
+	if err := jsonl.Append(path, t); err != nil {
+		s.log.Error("trace spill failed", "path", path, "err", err)
 	}
-	defer f.Close()
-	if err := trace.Write(f, t); err != nil {
-		s.log.Error("trace spill write failed", "path", path, "err", err)
-	}
-}
-
-// handleRunsIndex serves GET /debug/runs: the flight recorder's index,
-// newest first.
-func (s *Server) handleRunsIndex(w http.ResponseWriter, r *http.Request) {
-	added, evicted := s.flight.Stats()
-	writeJSON(w, http.StatusOK, struct {
-		Runs    []trace.Summary `json:"runs"`
-		Added   uint64          `json:"added"`
-		Evicted uint64          `json:"evicted"`
-	}{Runs: s.flight.Index(), Added: added, Evicted: evicted})
-}
-
-// handleRunByID serves GET /debug/runs/{id}: one retained trace in full,
-// iteration events and diagnostics included.
-func (s *Server) handleRunByID(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	t, ok := s.flight.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("no retained trace with id "+strconv.Quote(id)))
-		return
-	}
-	writeJSON(w, http.StatusOK, t)
-}
-
-// handleQuality serves GET /debug/quality: the estimation-quality report
-// (latest verdict + cumulative alarms) over computed factfind results. 503
-// before the first computed (non-cached) result.
-func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
-	rep := s.qual.Report()
-	if rep.Latest == nil {
-		writeError(w, http.StatusServiceUnavailable, errors.New("no computed result observed yet"))
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
@@ -156,12 +155,7 @@ func TestDeadlineRunRecoverablePostMortem(t *testing.T) {
 	}
 
 	// On-disk post-mortem: the spill file decodes to the same record.
-	f, err := os.Open(filepath.Join(dir, spillFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	spilled, err := trace.Read(f)
+	spilled, err := trace.ReadFile(filepath.Join(dir, trace.SpillFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +231,8 @@ func TestFlightRecorderBounded(t *testing.T) {
 // surface — factfind writers racing /debug/runs readers — and is the
 // race-detector fixture for the serving path.
 func TestDebugRunsConcurrent(t *testing.T) {
-	ts := newTestServer()
+	srv := New(Options{Seed: 1})
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -277,8 +272,11 @@ func TestDebugRunsConcurrent(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/debug/runs", &idx); code != http.StatusOK {
 		t.Fatalf("/debug/runs status %d", code)
 	}
-	if idx.Added != 12 {
-		t.Fatalf("added = %d, want 12", idx.Added)
+	// Every request records one trace (computed or cache hit) except
+	// coalesced followers, which share their leader's.
+	coalesced := srv.Metrics().Counter(MetricCoalesced, "").Value()
+	if want := 12 - uint64(coalesced); idx.Added != want {
+		t.Fatalf("added = %d, want %d (12 requests, %v coalesced)", idx.Added, want, coalesced)
 	}
 	for _, s := range idx.Runs {
 		if _, err := strconv.Atoi(s.ID[len("req-"):]); err != nil {

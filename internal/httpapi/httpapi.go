@@ -11,6 +11,10 @@
 //	GET  /metrics         — Prometheus text exposition (unless disabled)
 //	GET  /debug/runs      — flight-recorder index (recent run traces)
 //	GET  /debug/runs/{id} — one run's full trace JSON
+//	GET  /debug/quality   — calibration report over computed results
+//
+// The /healthz, /metrics and /debug routes are the operator surface shared
+// with the ingestion server (NewOpsMux).
 //
 // Every endpoint runs behind the request middleware: per-endpoint
 // request/status counters, latency histograms, an in-flight gauge, and
@@ -22,7 +26,7 @@
 // per-request trace. Finished traces land in an in-memory flight recorder
 // (bounded rings of recent completed and failed runs, served by the /debug
 // endpoints) and, when Options.TraceDir is set, are appended to a JSONL
-// spill file for post-mortem analysis with cmd/sstrace.
+// spill file for post-mortem analysis with cmd/ssaudit.
 package httpapi
 
 import (
@@ -81,7 +85,7 @@ type Options struct {
 	// trace.DefaultCompleted.
 	TraceBuffer int
 	// TraceDir, when non-empty, appends every finished run trace to
-	// TraceDir/traces.jsonl — the post-mortem spill read by cmd/sstrace.
+	// TraceDir/traces.jsonl — the post-mortem spill read by cmd/ssaudit.
 	// The directory must exist; write failures are logged, never fatal.
 	TraceDir string
 	// CacheSize bounds the result cache in responses. 0 selects
@@ -149,9 +153,8 @@ func New(opts Options) *Server {
 	if clock == nil {
 		clock = time.Now
 	}
-	s := &Server{opts: opts, mux: http.NewServeMux(), reg: reg, log: log, clock: clock,
-		mw: NewMiddleware(reg, log, clock)}
-	s.flight = trace.NewFlightRecorder(opts.TraceBuffer, traceFailedRetention(opts.TraceBuffer))
+	s := &Server{opts: opts, reg: reg, log: log, clock: clock, mw: NewMiddleware(reg, log, clock)}
+	s.flight = trace.NewFlightRecorder(opts.TraceBuffer, 0)
 	// Estimation-quality monitoring (internal/qual), calibration-only:
 	// each request fits an unrelated dataset, so the drift detectors (which
 	// assume one evolving stream) and the amortized bound tracking are off;
@@ -177,17 +180,13 @@ func New(opts Options) *Server {
 		reg.Gauge(MetricComputeInFlight, "Pipeline computations holding a compute slot."),
 		reg.Gauge(MetricComputeQueued, "Pipeline computations queued for a compute slot."))
 	s.algorithms = baselines.ExtendedNames()
-	// Every route is method-restricted by MethodOnly (405 + Allow header),
-	// with instrumentation outermost so rejected methods stay counted.
-	s.mux.HandleFunc("/healthz", s.instrument("/healthz", MethodOnly(http.MethodGet, s.handleHealthz)))
-	s.mux.HandleFunc("/v1/algorithms", s.instrument("/v1/algorithms", MethodOnly(http.MethodGet, s.handleAlgorithms)))
-	s.mux.HandleFunc("/v1/factfind", s.instrument("/v1/factfind", MethodOnly(http.MethodPost, s.handleFactFind)))
-	s.mux.HandleFunc("/debug/runs", s.instrument("/debug/runs", MethodOnly(http.MethodGet, s.handleRunsIndex)))
-	s.mux.HandleFunc("/debug/runs/{id}", s.instrument("/debug/runs/{id}", MethodOnly(http.MethodGet, s.handleRunByID)))
-	s.mux.HandleFunc("/debug/quality", s.instrument("/debug/quality", MethodOnly(http.MethodGet, s.handleQuality)))
+	var metrics http.HandlerFunc
 	if !opts.DisableMetrics {
-		s.mux.HandleFunc("/metrics", s.instrument("/metrics", MethodOnly(http.MethodGet, reg.Handler().ServeHTTP)))
+		metrics = reg.Handler().ServeHTTP
 	}
+	s.mux = NewOpsMux(s.mw, s.flight, s.qual, metrics)
+	s.mw.Route(s.mux, http.MethodGet, "/v1/algorithms", s.handleAlgorithms)
+	s.mw.Route(s.mux, http.MethodPost, "/v1/factfind", s.handleFactFind)
 	return s
 }
 
@@ -267,11 +266,6 @@ type apiError struct {
 	// failure happened after compute started; the post-mortem record lives at
 	// /debug/runs/{traceID}.
 	TraceID string `json:"traceID,omitempty"`
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write([]byte(`{"status":"ok"}`))
 }
 
 func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {

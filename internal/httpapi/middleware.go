@@ -131,12 +131,7 @@ func (m *Middleware) Instrument(endpoint string, h http.HandlerFunc) http.Handle
 	}
 }
 
-// instrument and requestID keep the server's historical internal surface,
-// delegating to the shared middleware.
-func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return s.mw.Instrument(endpoint, h)
-}
-
+// requestID delegates to the shared middleware.
 func (s *Server) requestID(r *http.Request) uint64 { return s.mw.RequestID(r) }
 
 // recordStages exports the pipeline's per-stage timings; partial runs

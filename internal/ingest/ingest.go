@@ -247,7 +247,8 @@ type Options struct {
 	// Logger receives operational logs; nil discards.
 	Logger *slog.Logger
 	// TraceBuffer sizes the per-refit flight recorder (default
-	// trace.DefaultCompleted).
+	// trace.DefaultCompleted); failed and alarm traces get a ring of their
+	// own, a quarter of it and at least trace.DefaultFailed.
 	TraceBuffer int
 	// TraceDir, when set, appends every refit trace to
 	// TraceDir/traces.jsonl.
@@ -258,7 +259,7 @@ type Options struct {
 	// /debug/quality, with alarm windows snapshotted into the flight
 	// recorder. The monitor's Metrics, Clock, and Flight are overridden by
 	// the pipeline's; its SpillDir defaults to TraceDir, so verdicts land
-	// in TraceDir/quality.jsonl next to the refit traces for cmd/ssqual.
+	// in TraceDir/quality.jsonl next to the refit traces for cmd/ssaudit.
 	// Verdict ticks are per-process: a warm restart replays committed
 	// batches through the monitor from tick zero.
 	Quality *qual.Options

@@ -12,7 +12,6 @@ import (
 	"depsense/internal/claims"
 	"depsense/internal/cluster"
 	"depsense/internal/stream"
-	"depsense/internal/trace"
 )
 
 // Persistence layout inside Options.Dir:
@@ -33,7 +32,6 @@ import (
 const (
 	logFile      = "claims.log"
 	snapshotFile = "snapshot.json"
-	spillFile    = "traces.jsonl"
 )
 
 // snapshotVersion guards the persisted-state schema.
@@ -337,14 +335,4 @@ func (p *Pipeline) rewriteLog(path string, batches []loggedBatch) error {
 	}
 	p.log.Info("claim log rewritten", "batches", len(batches))
 	return nil
-}
-
-// spillTrace appends one finished refit trace to dir/traces.jsonl.
-func spillTrace(dir string, t *trace.Trace) error {
-	f, err := os.OpenFile(filepath.Join(dir, spillFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return trace.Write(f, t)
 }

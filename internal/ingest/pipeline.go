@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"depsense/internal/claims"
 	"depsense/internal/cluster"
 	"depsense/internal/depgraph"
+	"depsense/internal/jsonl"
 	"depsense/internal/obs"
 	"depsense/internal/qual"
 	"depsense/internal/runctx"
@@ -66,7 +68,7 @@ func New(ctx context.Context, source Source, opts Options) (*Pipeline, error) {
 		clock:  o.Clock,
 		source: source,
 	}
-	p.flight = trace.NewFlightRecorder(o.TraceBuffer, o.TraceBuffer/4)
+	p.flight = trace.NewFlightRecorder(o.TraceBuffer, 0)
 	// The inter-stage queues exist from construction so the HTTP layer can
 	// report their occupancy before and during Run without racing it.
 	p.rawCh = make(chan Tweet, o.RawQueue)
@@ -456,7 +458,7 @@ func (p *Pipeline) finishTrace(tb *trace.Builder, err error) {
 	t := tb.Finish(trace.StatusOf(err), errMsg)
 	p.flight.Record(t)
 	if p.opts.TraceDir != "" {
-		if serr := spillTrace(p.opts.TraceDir, t); serr != nil {
+		if serr := jsonl.Append(filepath.Join(p.opts.TraceDir, trace.SpillFile), t); serr != nil {
 			p.log.Error("trace spill failed", "dir", p.opts.TraceDir, "err", serr)
 		}
 	}

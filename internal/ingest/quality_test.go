@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"depsense/internal/core"
+	"depsense/internal/jsonl"
 	"depsense/internal/qual"
 	"depsense/internal/randutil"
 	"depsense/internal/stream"
@@ -198,7 +199,7 @@ func TestPipelineQualityDriftAlarm(t *testing.T) {
 
 	// The verdict spill landed next to traces.jsonl and replays the run:
 	// one verdict per published batch, the alarm at its recorded tick.
-	spilled, err := qual.ReadFile(filepath.Join(dir, qual.SpillFile))
+	spilled, err := jsonl.ReadFile[qual.Verdict](filepath.Join(dir, qual.SpillFile))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,52 +3,34 @@ package ingest
 import (
 	"errors"
 	"net/http"
-	"strconv"
 
 	"depsense/internal/httpapi"
 	"depsense/internal/obs"
-	"depsense/internal/trace"
 )
 
-// Server is the ingestion service's HTTP surface: live rankings, queue and
-// staleness status, metrics, and per-refit debug traces. It reuses the
-// httpapi request middleware, so access logging and the http_* metric
-// families are identical across both depsense servers.
+// Server is the ingestion service's HTTP surface: live rankings and queue
+// and staleness status on top of the operator routes every depsense server
+// shares (httpapi.NewOpsMux: health, metrics, per-refit debug traces and the
+// quality report). It reuses the httpapi request middleware, so access
+// logging and the http_* metric families are identical across both servers.
 type Server struct {
 	p   *Pipeline
-	mw  *httpapi.Middleware
 	mux *http.ServeMux
 }
 
 // NewServer wires the pipeline's HTTP surface. The middleware shares the
 // pipeline's registry, logger, and clock.
 func NewServer(p *Pipeline) *Server {
-	s := &Server{
-		p:   p,
-		mw:  httpapi.NewMiddleware(p.reg, p.log, p.clock),
-		mux: http.NewServeMux(),
-	}
-	// Every route is GET-only via httpapi.MethodOnly (405 + Allow header),
-	// with instrumentation outermost so rejected methods stay counted.
-	get := func(path string, h http.HandlerFunc) {
-		s.mux.HandleFunc(path, s.mw.Instrument(path, httpapi.MethodOnly(http.MethodGet, h)))
-	}
-	get("/healthz", s.handleHealthz)
-	get("/v1/rankings", s.handleRankings)
-	get("/statusz", s.handleStatusz)
-	get("/debug/runs", s.handleRunsIndex)
-	get("/debug/runs/{id}", s.handleRunByID)
-	get("/debug/quality", s.handleQuality)
-	get("/metrics", s.handleMetrics)
+	s := &Server{p: p}
+	mw := httpapi.NewMiddleware(p.reg, p.log, p.clock)
+	s.mux = httpapi.NewOpsMux(mw, p.flight, p.qual, s.handleMetrics)
+	mw.Route(s.mux, http.MethodGet, "/v1/rankings", s.handleRankings)
+	mw.Route(s.mux, http.MethodGet, "/statusz", s.handleStatusz)
 	return s
 }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
 
 // handleRankings serves the latest published ranking, 503 before the first
 // committed batch.
@@ -139,43 +121,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	p.refreshSnapshotAge()
 	p.reg.Handler().ServeHTTP(w, r)
-}
-
-// handleQuality serves the estimation-quality report: the latest verdict
-// plus the cumulative alarm history. 404 when quality monitoring is
-// disabled, 503 before the first refit.
-func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
-	m := s.p.Quality()
-	if m == nil {
-		httpapi.WriteError(w, http.StatusNotFound, errors.New("quality monitoring disabled"))
-		return
-	}
-	rep := m.Report()
-	if rep.Latest == nil {
-		httpapi.WriteError(w, http.StatusServiceUnavailable, errors.New("no refit observed yet"))
-		return
-	}
-	httpapi.WriteJSON(w, http.StatusOK, rep)
-}
-
-// handleRunsIndex serves the flight recorder's refit-trace index, newest
-// first.
-func (s *Server) handleRunsIndex(w http.ResponseWriter, r *http.Request) {
-	added, evicted := s.p.flight.Stats()
-	httpapi.WriteJSON(w, http.StatusOK, struct {
-		Runs    []trace.Summary `json:"runs"`
-		Added   uint64          `json:"added"`
-		Evicted uint64          `json:"evicted"`
-	}{Runs: s.p.flight.Index(), Added: added, Evicted: evicted})
-}
-
-// handleRunByID serves one retained refit trace in full.
-func (s *Server) handleRunByID(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	t, ok := s.p.flight.Get(id)
-	if !ok {
-		httpapi.WriteError(w, http.StatusNotFound, errors.New("no retained trace with id "+strconv.Quote(id)))
-		return
-	}
-	httpapi.WriteJSON(w, http.StatusOK, t)
 }

@@ -28,13 +28,13 @@
 // snapshot their window into an attached trace.FlightRecorder under a
 // non-"ok" status, parking them in the failed ring where healthy refit
 // traffic can never evict them, and every verdict can be spilled as JSONL
-// for the cmd/ssqual offline checker.
+// (internal/jsonl) for the cmd/ssaudit offline checker.
 package qual
 
 import (
 	"context"
 	"fmt"
-	"os"
+	"io"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -44,8 +44,10 @@ import (
 	"depsense/internal/bound"
 	"depsense/internal/claims"
 	"depsense/internal/factfind"
+	"depsense/internal/jsonl"
 	"depsense/internal/obs"
 	"depsense/internal/randutil"
+	"depsense/internal/runctx"
 	"depsense/internal/trace"
 )
 
@@ -107,6 +109,11 @@ const decisionThreshold = factfind.DefaultThreshold
 // SpillFile is the quality spill filename under Options.SpillDir.
 const SpillFile = "quality.jsonl"
 
+// Write encodes verdicts as their spill lines. No Verdict field carries
+// timestamps or scheduler state, so the same refit sequence always spills
+// the same bytes.
+func Write(w io.Writer, verdicts ...*Verdict) error { return jsonl.Write(w, verdicts...) }
+
 // Options configures a Monitor. The zero value selects the documented
 // defaults with drift detection on, the bound evaluated every 8 refits,
 // and live-mode (Voting agreement) calibration.
@@ -164,7 +171,7 @@ type Options struct {
 	// with status "alarm" (retained in the failed ring).
 	Flight *trace.FlightRecorder
 	// SpillDir, when set, appends every verdict to SpillDir/quality.jsonl
-	// for offline analysis with cmd/ssqual. The directory must exist.
+	// for offline analysis with cmd/ssaudit. The directory must exist.
 	SpillDir string
 }
 
@@ -424,7 +431,7 @@ func (m *Monitor) ObserveRefit(ctx context.Context, r Refit) (*Verdict, error) {
 			Observe(observeD.Seconds())
 	}
 	if o.SpillDir != "" {
-		if err := AppendVerdict(o.SpillDir, v); err != nil {
+		if err := jsonl.Append(filepath.Join(o.SpillDir, SpillFile), v); err != nil {
 			return v, fmt.Errorf("qual: spill verdict %d: %w", v.Tick, err)
 		}
 	}
@@ -653,7 +660,7 @@ func alarmTrace(a Alarm, clock func() time.Time) *trace.Trace {
 	tb.SetAttr("threshold", fmt.Sprintf("%g", a.Threshold))
 	hook := tb.Hook()
 	for i, x := range a.Window {
-		hook(alarmIteration(a.Kind, i+1, x))
+		hook(runctx.Iteration{Algorithm: a.Kind, N: i + 1, Value: x, HasValue: true})
 	}
 	return tb.Finish(TraceStatusAlarm,
 		fmt.Sprintf("%s drift alarm at tick %d: stat %g > threshold %g", a.Kind, a.Tick, a.Stat, a.Threshold))
@@ -663,18 +670,4 @@ func alarmTrace(a Alarm, clock func() time.Time) *trace.Trace {
 // equal-width bins over [0, 1].
 func PosteriorBuckets() []float64 {
 	return []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1}
-}
-
-// AppendVerdict appends one verdict to dir/quality.jsonl as a single JSON
-// line — the spill read back by ReadFile and cmd/ssqual.
-func AppendVerdict(dir string, v *Verdict) error {
-	f, err := os.OpenFile(filepath.Join(dir, SpillFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := writeVerdict(f, v); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

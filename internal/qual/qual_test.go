@@ -3,6 +3,7 @@ package qual
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"depsense/internal/claims"
 	"depsense/internal/core"
 	"depsense/internal/factfind"
+	"depsense/internal/jsonl"
 	"depsense/internal/model"
 	"depsense/internal/obs"
 	"depsense/internal/randutil"
@@ -142,7 +144,7 @@ func TestMonitorSourceDriftAlarm(t *testing.T) {
 	}
 
 	// Spill round-trip: the alarm verdict is recoverable offline.
-	spilled, err := ReadFile(filepath.Join(dir, SpillFile))
+	spilled, err := jsonl.ReadFile[Verdict](filepath.Join(dir, SpillFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +384,7 @@ func TestStreamVerdictsGoldenAndWorkersEquivalence(t *testing.T) {
 	}
 }
 
-// TestVerdictJSONLRoundTrip: Write/Read preserve verdicts exactly.
+// TestVerdictJSONLRoundTrip: the spill codec preserves verdicts exactly.
 func TestVerdictJSONLRoundTrip(t *testing.T) {
 	ds := testDataset(t)
 	m := NewMonitor(Options{BoundEvery: -1, Truth: func(int) (bool, bool) { return true, true }})
@@ -395,10 +397,10 @@ func TestVerdictJSONLRoundTrip(t *testing.T) {
 		vs = append(vs, v)
 	}
 	path := filepath.Join(t.TempDir(), "v.jsonl")
-	if err := WriteFile(path, vs...); err != nil {
+	if err := jsonl.WriteFile(path, vs...); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(path)
+	got, err := jsonl.ReadFile[Verdict](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,8 +408,8 @@ func TestVerdictJSONLRoundTrip(t *testing.T) {
 		t.Fatalf("read %d verdicts, want %d", len(got), len(vs))
 	}
 	for i := range vs {
-		a, _ := Marshal(vs[i])
-		b, _ := Marshal(got[i])
+		a, _ := json.Marshal(vs[i])
+		b, _ := json.Marshal(got[i])
 		if !bytes.Equal(a, b) {
 			t.Fatalf("verdict %d round-trip mismatch:\n%s\n%s", i, a, b)
 		}

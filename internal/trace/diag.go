@@ -95,7 +95,7 @@ const (
 )
 
 // Diagnose computes the convergence diagnostics for a finished trace. It is
-// called by Builder.Finish; exposed so offline tools (sstrace) can
+// called by Builder.Finish; exposed so offline tools (ssaudit) can
 // re-diagnose traces loaded from JSONL.
 func Diagnose(t *Trace) *Diagnostics {
 	if len(t.Runs) == 0 {

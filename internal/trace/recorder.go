@@ -63,13 +63,16 @@ func (r *ring) each(f func(*entry)) {
 }
 
 // NewFlightRecorder builds a recorder retaining up to completed healthy
-// traces and failed error traces; zero or negative selects the defaults.
+// traces and failed error traces. Zero or negative completed selects
+// DefaultCompleted; zero or negative failed selects a quarter of the
+// completed retention, never below DefaultFailed, so a small completed ring
+// cannot silently stop retaining the failures the operator is hunting.
 func NewFlightRecorder(completed, failed int) *FlightRecorder {
 	if completed <= 0 {
 		completed = DefaultCompleted
 	}
 	if failed <= 0 {
-		failed = DefaultFailed
+		failed = max(completed/4, DefaultFailed)
 	}
 	return &FlightRecorder{
 		ok:   ring{buf: make([]*entry, completed)},

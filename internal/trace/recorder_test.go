@@ -99,6 +99,13 @@ func TestFlightRecorderZeroDefaults(t *testing.T) {
 	if len(fr.ok.buf) != DefaultCompleted || len(fr.bad.buf) != DefaultFailed {
 		t.Fatalf("defaults not applied: %d/%d", len(fr.ok.buf), len(fr.bad.buf))
 	}
+	// The failed ring follows the completed one: a quarter of it, never
+	// below DefaultFailed.
+	for _, tc := range []struct{ completed, want int }{{8, DefaultFailed}, {200, 50}} {
+		if fr := NewFlightRecorder(tc.completed, 0); len(fr.bad.buf) != tc.want {
+			t.Errorf("completed %d: failed ring %d, want %d", tc.completed, len(fr.bad.buf), tc.want)
+		}
+	}
 }
 
 // TestFlightRecorderConcurrent hammers Record from many goroutines while

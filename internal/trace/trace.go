@@ -12,7 +12,8 @@
 //   - the trace model and Builder (this file): a concurrent-safe recorder
 //     whose Hook plugs into runctx.WithHook (compose with other observers
 //     via runctx.MultiHook) and whose Finish canonicalizes the record;
-//   - a JSONL codec (jsonl.go): one trace per line, deterministic bytes;
+//   - the spill format: one trace per line through internal/jsonl
+//     (SpillFile, Marshal, ReadFile), deterministic bytes;
 //   - a flight recorder (recorder.go): fixed-capacity ring buffers holding
 //     the last K completed and, separately, the last K' failed/cancelled
 //     traces, so errors are never evicted by healthy traffic;
@@ -31,13 +32,34 @@
 package trace
 
 import (
+	"encoding/json"
+	"fmt"
 	"sort"
 	"sync"
 	"time"
 
+	"depsense/internal/jsonl"
 	"depsense/internal/mapsort"
 	"depsense/internal/runctx"
 )
+
+// SpillFile is the trace spill filename under a server's trace directory.
+const SpillFile = "traces.jsonl"
+
+// Marshal encodes one trace as its spill line (no trailing newline): the
+// struct field order is fixed by the type definitions and attrs and runs
+// are canonicalized by Finish, so the same trace always encodes to the same
+// bytes.
+func Marshal(t *Trace) ([]byte, error) {
+	line, err := json.Marshal(t)
+	if err != nil {
+		return nil, fmt.Errorf("trace: encode %q: %w", t.ID, err)
+	}
+	return line, nil
+}
+
+// ReadFile decodes a trace spill strictly (see internal/jsonl).
+func ReadFile(path string) ([]*Trace, error) { return jsonl.ReadFile[Trace](path) }
 
 // Trace statuses. A trace is "failed" (retained in the flight recorder's
 // error ring) for any status other than StatusOK.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"depsense/internal/jsonl"
 	"depsense/internal/runctx"
 )
 
@@ -171,12 +172,12 @@ func TestJSONLRoundTrip(t *testing.T) {
 	in := []*Trace{mk("a", StatusOK), mk("b", StatusError), mk("c", StatusCancelled)}
 
 	var buf bytes.Buffer
-	if err := Write(&buf, in...); err != nil {
+	if err := jsonl.Write(&buf, in...); err != nil {
 		t.Fatal(err)
 	}
 	// Blank lines are tolerated.
 	buf.WriteString("\n")
-	out, err := Read(&buf)
+	out, err := jsonl.Read[Trace](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 
 	// A corrupt line fails loudly with its line number.
-	if _, err := Read(bytes.NewReader([]byte("{\"id\":\"ok\"}\n{nope\n"))); err == nil {
+	if _, err := jsonl.Read[Trace](bytes.NewReader([]byte("{\"id\":\"ok\"}\n{nope\n"))); err == nil {
 		t.Fatal("corrupt line silently accepted")
 	}
 }
