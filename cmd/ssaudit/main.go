@@ -303,8 +303,8 @@ func printVerdicts(out io.Writer, path string, verdicts []*qual.Verdict, tailTic
 		if b.Exceeded {
 			verdict = "EXCEEDED"
 		}
-		fmt.Fprintf(out, "  bound@%d: bound=%.4g (stderr %.4g, %d sweeps) observed=%.4g ratio=%.4g: %s\n",
-			b.Tick, b.Bound, b.StdErr, b.Sweeps, b.Observed, b.Ratio, verdict)
+		fmt.Fprintf(out, "  bound@%d: bound=%.4g observed=%.4g ratio=%.4g: %s\n",
+			b.Tick, b.Bound, b.Observed, b.Ratio, verdict)
 	}
 
 	byKind := map[string]int{}

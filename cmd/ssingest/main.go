@@ -106,8 +106,6 @@ func run(args []string) error {
 		qualOpts = &qual.Options{
 			DriftLambda: *qualLam,
 			BoundEvery:  *qualBound,
-			BoundSeed:   *emSeed,
-			Workers:     *workers,
 		}
 	}
 

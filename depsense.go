@@ -226,13 +226,16 @@ const (
 // ErrorBound computes the fundamental error bound of Section III for a
 // dataset under known parameters: the Bayes risk of an optimal estimator,
 // which lower-bounds any fact-finder's expected misclassification rate.
+// rng drives Gibbs sampling and column sampling (MaxColumns); without
+// either, rng may be nil. A nil rng where one is needed is an error.
 func ErrorBound(ds *Dataset, p *Params, opts BoundOptions, rng *rand.Rand) (BoundResult, error) {
 	return bound.ForDataset(ds, p, opts, rng)
 }
 
 // ErrorBoundContext is ErrorBound under a cancellable run-context: exact
-// enumeration checks the context every block of patterns and the Gibbs
-// approximation checks it every sweep.
+// enumeration checks the context every block of patterns, the Gibbs
+// approximation every sweep, and the convolution every node of its
+// column tree.
 func ErrorBoundContext(ctx context.Context, ds *Dataset, p *Params, opts BoundOptions, rng *rand.Rand) (BoundResult, error) {
 	return bound.ForDatasetContext(ctx, ds, p, opts, rng)
 }

@@ -4,7 +4,9 @@
 // misclassification rate on an assertion is lower-bounded by this value.
 //
 // Exact computes Eq. (3) by enumerating all 2^n claim patterns; Approx
-// implements the Gibbs-sampling approximation of Algorithm 1. Both decompose
+// implements the Gibbs-sampling approximation of Algorithm 1; Convolution
+// is a deterministic lattice DP over the log-likelihood ratio, which
+// ForDataset shares across every distinct dependency column. All decompose
 // the bound into its false-positive part (false assertions the optimal
 // estimator would label true) and false-negative part (true assertions it
 // would label false).

@@ -36,8 +36,8 @@ type BenchRow struct {
 }
 
 // BenchReport is the layer ledger -exp bench writes as BENCH_layers.json:
-// the hot-path kernel, serving and quality-monitor rows of one run, with
-// the host they were measured on.
+// the hot-path kernel, serving, quality-monitor and error-bound rows of one
+// run, with the host they were measured on.
 type BenchReport struct {
 	GOMAXPROCS  int        `json:"gomaxprocs"`
 	NumCPU      int        `json:"numcpu"`
@@ -70,7 +70,8 @@ type benchSizes struct {
 	serveRate     float64
 	serveUnique   int
 	serveBurst    int
-	// qualScale divides the Ukraine scenario replayed qualReps times.
+	// qualScale divides the Ukraine scenario replayed qualReps times; the
+	// bound layer evaluates the final refit of that replay qualReps times.
 	qualScale, qualReps int
 }
 
@@ -98,10 +99,10 @@ var (
 )
 
 // Bench runs the layer benchmark — hot-path kernels, serving under load,
-// quality-monitor overhead — on the benchFull table, or benchQuick when
-// quick is set. clock stamps GeneratedAt (nil means time.Now); the
-// timings themselves always read the wall clock, which is what they
-// measure. The gate is separate: see Check.
+// quality-monitor overhead and the monitor's error bound — on the
+// benchFull table, or benchQuick when quick is set. clock stamps
+// GeneratedAt (nil means time.Now); the timings themselves always read the
+// wall clock, which is what they measure. The gate is separate: see Check.
 func Bench(c Config, quick bool, clock func() time.Time) (BenchReport, error) {
 	c = c.normalized()
 	sz := benchFull

@@ -3,8 +3,10 @@ package eval
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
+	"depsense/internal/bound"
 	"depsense/internal/core"
 	"depsense/internal/qual"
 	"depsense/internal/randutil"
@@ -39,11 +41,10 @@ func benchQual(c Config, sz benchSizes, rep *BenchReport) error {
 
 	var batchTime, monitorTime time.Duration
 	ticks, alarms := 0, 0
+	var last stream.RefitEvent
 	for run := 0; run < sz.qualReps; run++ {
 		m := qual.NewMonitor(qual.Options{
 			BoundEvery: -1,
-			BoundSeed:  c.Seed,
-			Workers:    c.Workers,
 			Truth:      truth,
 		})
 		var obsErr error
@@ -53,6 +54,7 @@ func benchQual(c Config, sz benchSizes, rep *BenchReport) error {
 				t0 := time.Now() //lint:allow seedsource wall-clock timing measurement: this benchmark's output IS monitor overhead
 				_, err := m.ObserveRefit(ctx, qual.Refit{Result: ev.Result, Dataset: ev.Dataset, Edges: ev.Edges})
 				monitorTime += time.Since(t0)
+				last = ev
 				if err != nil && obsErr == nil {
 					obsErr = err
 				}
@@ -99,5 +101,26 @@ func benchQual(c Config, sz benchSizes, rep *BenchReport) error {
 	// Detector firings over the clean seeded stream: cold-start settling,
 	// informational, not gated.
 	rep.add("qual", "alarms", float64(alarms), "count")
+	return benchBound(c, sz, last, rep)
+}
+
+// benchBound times the bound the quality monitor evaluates every
+// BoundEvery refits (qual.ErrorBound) on the stream's final fitted
+// dataset, keeping the fastest of qualReps evaluations. Report-only: its
+// cost grows with the distinct dependency columns, recorded beside it.
+func benchBound(c Config, sz benchSizes, last stream.RefitEvent, rep *BenchReport) error {
+	if last.Result == nil || last.Result.Params == nil {
+		return fmt.Errorf("eval: bench bound: no fitted refit to evaluate")
+	}
+	best := time.Duration(math.MaxInt64)
+	for run := 0; run < sz.qualReps; run++ {
+		t0 := time.Now() //lint:allow seedsource wall-clock timing measurement: this benchmark's output IS bound evaluation time
+		if _, err := qual.ErrorBound(c.Ctx, last.Dataset, last.Result.Params); err != nil {
+			return fmt.Errorf("eval: bench bound: %w", err)
+		}
+		best = min(best, time.Since(t0))
+	}
+	rep.add("bound", "eval", best.Seconds()*1000, "ms")
+	rep.add("bound", "columns", float64(bound.DistinctColumns(last.Dataset)), "count")
 	return nil
 }

@@ -10,10 +10,10 @@
 //     Voting baseline's decisions (cross-estimator agreement) in live mode;
 //   - bound-vs-empirical tracking: every BoundEvery refits the paper's
 //     error bound is re-evaluated on the current fitted parameters (the
-//     Gibbs approximation of Algorithm 1 under a compute budget) and
-//     compared against the observed disagreement rate — empirical error
-//     exceeding the bound is the immediate red flag the paper's theory
-//     licenses;
+//     deterministic lattice convolution over every distinct dependency
+//     column) and compared against the observed disagreement rate —
+//     empirical error exceeding the bound is the immediate red flag the
+//     paper's theory licenses;
 //   - drift detection: deterministic Page-Hinkley detectors over every
 //     source's fitted reliability trajectory and one-sided CUSUM detectors
 //     over dependency-graph churn (dependent-claim fraction, follow-edge
@@ -45,8 +45,8 @@ import (
 	"depsense/internal/claims"
 	"depsense/internal/factfind"
 	"depsense/internal/jsonl"
+	"depsense/internal/model"
 	"depsense/internal/obs"
-	"depsense/internal/randutil"
 	"depsense/internal/runctx"
 	"depsense/internal/trace"
 )
@@ -144,16 +144,9 @@ type Options struct {
 	// BoundEvery evaluates the error bound every n-th refit; 0 selects 8,
 	// negative disables bound tracking.
 	BoundEvery int
-	// BoundSeed seeds the bound evaluation's private generator; each
-	// evaluation derives its own deterministic seed from it and the tick.
+	// Deprecated: no effect; the bound is deterministic.
 	BoundSeed int64
-	// BoundMaxColumns caps the distinct dependency columns evaluated per
-	// bound (sampled and reweighted beyond it; default 16).
-	BoundMaxColumns int
-	// BoundSweeps caps the Gibbs sweeps per column (default 400).
-	BoundSweeps int
-	// Workers bounds the bound evaluation's parallelism; the result is
-	// identical at any value.
+	// Deprecated: no effect; the bound is deterministic.
 	Workers int
 
 	// Truth, when set, supplies ground-truth labels by assertion id
@@ -199,12 +192,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BoundEvery == 0 {
 		o.BoundEvery = 8
-	}
-	if o.BoundMaxColumns <= 0 {
-		o.BoundMaxColumns = 16
-	}
-	if o.BoundSweeps <= 0 {
-		o.BoundSweeps = 400
 	}
 	if o.Clock == nil {
 		o.Clock = time.Now
@@ -272,9 +259,11 @@ type BoundStatus struct {
 	// Tick is the refit the bound was evaluated at (bounds amortize over
 	// BoundEvery refits, so a verdict may carry an earlier tick's bound).
 	Tick int `json:"tick"`
-	// Bound is the computed expected error bound; StdErr its Monte-Carlo
-	// standard error; Sweeps the Gibbs sweeps spent.
-	Bound  float64 `json:"bound"`
+	// Bound is the computed expected error bound.
+	Bound float64 `json:"bound"`
+	// StdErr and Sweeps described the sampled bound this monitor once
+	// computed. They are never written now and stay only so that older
+	// spills still decode.
 	StdErr float64 `json:"stdErr,omitempty"`
 	Sweeps int     `json:"sweeps,omitempty"`
 	// Observed is the disagreement rate at the evaluation tick and Ratio
@@ -584,32 +573,31 @@ func (m *Monitor) observeDrift(r Refit, v *Verdict) *DriftStatus {
 	return st
 }
 
-// evaluateBound runs the paper's error bound on the refit's fitted
-// parameters under the configured compute budget. The generator is
-// re-derived from BoundSeed and the tick, so evaluations are independent
-// of each other and of everything else in the process.
+// boundBins is the lattice resolution of the monitor's bound: every
+// distinct dependency column on 4,096 bins over ±60 logits.
+const boundBins = 1 << 12
+
+// ErrorBound computes the bound the monitor tracks for a fitted dataset:
+// the paper's Eq. (3) by the deterministic lattice convolution over every
+// distinct dependency column, so the same refit always yields the same
+// bound and no generator is consulted.
+func ErrorBound(ctx context.Context, ds *claims.Dataset, p *model.Params) (bound.Result, error) {
+	return bound.ForDatasetContext(ctx, ds, p, bound.DatasetOptions{
+		Method:      bound.MethodConvolution,
+		Convolution: bound.ConvolutionOptions{Bins: boundBins},
+	}, nil)
+}
+
+// evaluateBound compares ErrorBound on the refit's fitted parameters with
+// the observed disagreement rate.
 func (m *Monitor) evaluateBound(ctx context.Context, r Refit, observed float64) *BoundStatus {
-	o := m.opts
-	rng := randutil.New(o.BoundSeed ^ (int64(m.tick)+1)*0x6A09E667F3BCC909)
-	res, err := bound.ForDatasetContext(ctx, r.Dataset, r.Result.Params, bound.DatasetOptions{
-		Method: bound.MethodApprox,
-		Approx: bound.ApproxOptions{
-			BurnIn:     o.BoundSweeps / 4,
-			MaxSweeps:  o.BoundSweeps,
-			CheckEvery: o.BoundSweeps / 4,
-			Tol:        1e-3,
-		},
-		MaxColumns: o.BoundMaxColumns,
-		Workers:    o.Workers,
-	}, rng)
+	res, err := ErrorBound(ctx, r.Dataset, r.Result.Params)
 	if err != nil {
 		return nil
 	}
 	bs := &BoundStatus{
 		Tick:     m.tick,
 		Bound:    res.Err,
-		StdErr:   res.StdErr,
-		Sweeps:   res.Sweeps,
 		Observed: observed,
 		Exceeded: observed > res.Err,
 	}

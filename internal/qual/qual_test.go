@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"depsense/internal/bound"
 	"depsense/internal/claims"
 	"depsense/internal/core"
 	"depsense/internal/factfind"
@@ -238,21 +239,21 @@ func TestMonitorLiveModeVoting(t *testing.T) {
 }
 
 // TestMonitorBoundTracking: the bound evaluates on schedule, re-attaches to
-// verdicts between evaluations, and is byte-deterministic at any Workers
-// value.
+// verdicts between evaluations, equals the deterministic all-columns
+// convolution bound of the refit, and is byte-identical across runs.
 func TestMonitorBoundTracking(t *testing.T) {
 	ds := testDataset(t)
 	ctx := context.Background()
-	run := func(workers int) []*Verdict {
+	refit := testRefit(ds, []float64{0.9, 0.8, 0.85})
+	run := func() []*Verdict {
 		m := NewMonitor(Options{
 			Window: 8, MinObs: 4,
-			BoundEvery: 2, BoundSeed: 11, BoundMaxColumns: 4, BoundSweeps: 64,
-			Workers: workers,
-			Truth:   func(int) (bool, bool) { return true, true },
+			BoundEvery: 2,
+			Truth:      func(int) (bool, bool) { return true, true },
 		})
 		var out []*Verdict
 		for tick := 0; tick < 5; tick++ {
-			v, err := m.ObserveRefit(ctx, testRefit(ds, []float64{0.9, 0.8, 0.85}))
+			v, err := m.ObserveRefit(ctx, refit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,7 +262,7 @@ func TestMonitorBoundTracking(t *testing.T) {
 		return out
 	}
 
-	vs := run(1)
+	vs := run()
 	if vs[0].Bound == nil || vs[0].Bound.Tick != 0 {
 		t.Fatalf("tick 0 bound = %+v, want evaluation at tick 0", vs[0].Bound)
 	}
@@ -271,23 +272,30 @@ func TestMonitorBoundTracking(t *testing.T) {
 	if vs[2].Bound == nil || vs[2].Bound.Tick != 2 {
 		t.Fatalf("tick 2 bound = %+v, want fresh evaluation", vs[2].Bound)
 	}
+	want, err := bound.ForDataset(ds, refit.Result.Params, bound.DatasetOptions{
+		Method:      bound.MethodConvolution,
+		Convolution: bound.ConvolutionOptions{Bins: 4096},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	b := vs[4].Bound
-	if b.Bound <= 0 || b.Sweeps <= 0 {
-		t.Fatalf("bound = %+v, want positive bound and sweeps", b)
+	if b.Bound <= 0 || b.Bound != want.Err || b.StdErr != 0 || b.Sweeps != 0 {
+		t.Fatalf("bound = %+v, want the convolution bound %v with no sampling fields", b, want.Err)
 	}
 	if b.Exceeded != (b.Observed > b.Bound) {
 		t.Fatalf("exceeded = %v with observed %v bound %v", b.Exceeded, b.Observed, b.Bound)
 	}
 
-	var w1, w4 bytes.Buffer
-	if err := Write(&w1, vs...); err != nil {
+	var first, second bytes.Buffer
+	if err := Write(&first, vs...); err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(&w4, run(4)...); err != nil {
+	if err := Write(&second, run()...); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(w1.Bytes(), w4.Bytes()) {
-		t.Fatalf("verdict bytes differ between Workers 1 and 4:\n%s\n---\n%s", w1.Bytes(), w4.Bytes())
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("verdict bytes differ between runs:\n%s\n---\n%s", first.Bytes(), second.Bytes())
 	}
 }
 
@@ -309,9 +317,8 @@ func streamVerdicts(t *testing.T, workers int) []*Verdict {
 	}
 	m := NewMonitor(Options{
 		Window: 8, MinObs: 3,
-		BoundEvery: 3, BoundSeed: 17, BoundMaxColumns: 4, BoundSweeps: 64,
-		Workers: workers,
-		Truth:   truth,
+		BoundEvery: 3,
+		Truth:      truth,
 	})
 	var verdicts []*Verdict
 	est := stream.New(stream.Options{
@@ -447,7 +454,6 @@ func flipStreamAlarms(t *testing.T, flip bool, workers int) (*twittersim.World, 
 		Window: 8, MinObs: 6,
 		DriftDelta: 0.03, DriftLambda: 0.4,
 		BoundEvery: -1,
-		Workers:    workers,
 	})
 	est := stream.New(stream.Options{
 		EM: core.Options{Seed: 5, Workers: workers},
