@@ -1,9 +1,8 @@
 package depsense
 
 // Ablation benchmarks for the design choices DESIGN.md calls out: EM-Ext's
-// dependent-channel mode, M-step smoothing, initialization strategy, the
-// Gibbs chain length behind the approximate bound, and the Apollo
-// clustering threshold. Each reports its quality metric via
+// dependent-channel mode, M-step smoothing, the Gibbs chain length behind
+// the approximate bound, and the Apollo clustering threshold. Each reports its quality metric via
 // b.ReportMetric so a -bench run doubles as an ablation table.
 
 import (
@@ -42,7 +41,7 @@ func BenchmarkAblationDepMode(b *testing.B) {
 					b.Fatal(err)
 				}
 				res, err := core.Run(w.Dataset, core.VariantExt, core.Options{
-					Seed: int64(i), DepMode: mode.mode,
+					DepMode: mode.mode,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -77,46 +76,7 @@ func BenchmarkAblationSmoothing(b *testing.B) {
 					b.Fatal(err)
 				}
 				res, err := core.Run(w.Dataset, core.VariantExt, core.Options{
-					Seed: int64(i), Smoothing: smooth,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cl, err := stats.Classify(res.Decisions(0.5), w.Truth)
-				if err != nil {
-					b.Fatal(err)
-				}
-				acc.Add(cl.Accuracy)
-			}
-			b.ReportMetric(acc.Mean(), "acc")
-		})
-	}
-}
-
-// BenchmarkAblationInit compares EM-Ext initialization strategies,
-// including the literal "random probability" of Algorithm 2, which is
-// subject to label switching.
-func BenchmarkAblationInit(b *testing.B) {
-	cfg := synthetic.EstimatorConfig()
-	for _, init := range []struct {
-		name string
-		mode core.InitMode
-	}{
-		{"staged", core.InitStaged},
-		{"vote", core.InitVote},
-		{"informed", core.InitInformed},
-		{"random", core.InitRandom},
-	} {
-		init := init
-		b.Run(init.name, func(b *testing.B) {
-			var acc stats.Series
-			for i := 0; i < b.N; i++ {
-				w, err := synthetic.Generate(cfg, randutil.New(int64(500+i)))
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := core.Run(w.Dataset, core.VariantExt, core.Options{
-					Seed: int64(i), InitMode: init.mode, DepMode: core.DepModeJoint,
+					Smoothing: smooth,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -186,7 +146,7 @@ func BenchmarkAblationClusterThreshold(b *testing.B) {
 				}
 				out, err := apollo.Run(apollo.Input{
 					NumSources: sc.Sources, Messages: msgs, Graph: w.Graph,
-				}, &core.EMExt{Opts: core.Options{Seed: int64(i)}}, apollo.Options{
+				}, &core.EMExt{}, apollo.Options{
 					TopK:      100,
 					Clusterer: &cluster.Leader{Threshold: th},
 				})

@@ -156,9 +156,9 @@ func benchEstimatorPoint(b *testing.B, cfg synthetic.Config) {
 			b.Fatal(err)
 		}
 		for _, alg := range []factfind.FactFinder{
-			&core.EMExt{Opts: core.Options{Seed: int64(i)}},
-			&baselines.EM{Opts: core.Options{Seed: int64(i)}},
-			&baselines.EMSocial{Opts: core.Options{Seed: int64(i)}},
+			&core.EMExt{},
+			&baselines.EM{},
+			&baselines.EMSocial{},
 		} {
 			res, err := alg.Run(w.Dataset)
 			if err != nil {
@@ -258,7 +258,7 @@ func BenchmarkFig11Empirical(b *testing.B) {
 					NumSources: sc.Sources,
 					Messages:   msgs,
 					Graph:      w.Graph,
-				}, &core.EMExt{Opts: core.Options{Seed: int64(i)}}, apollo.Options{TopK: 100})
+				}, &core.EMExt{}, apollo.Options{TopK: 100})
 				if err != nil {
 					b.Fatal(err)
 				}

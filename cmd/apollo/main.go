@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	apollo -in tweets.json [-alg EM-Ext] [-topk 20] [-seed 1] [-trace run.jsonl]
+//	apollo -in tweets.json [-alg EM-Ext] [-topk 20] [-trace run.jsonl]
 //
 // With -trace, the run's full trace — pipeline stage timings, estimator
 // iteration events, and convergence diagnostics — is written as JSONL,
@@ -28,7 +28,6 @@ import (
 	"depsense/internal/baselines"
 	"depsense/internal/core"
 	"depsense/internal/depgraph"
-	"depsense/internal/factfind"
 	"depsense/internal/grader"
 	"depsense/internal/jsonl"
 	reportpkg "depsense/internal/report"
@@ -59,11 +58,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	var (
 		input    = fs.String("in", "", "input file (required)")
 		format   = fs.String("format", "sim", "input format: sim (ssgen tweet stream) or twitter-json (Twitter API v1.1 archive)")
-		alg      = fs.String("alg", "EM-Ext", "fact-finder: "+strings.Join(algNames(), ", "))
+		alg      = fs.String("alg", "EM-Ext", "fact-finder: "+strings.Join(baselines.ExtendedNames(), ", "))
 		topK     = fs.Int("topk", 20, "ranked assertions to print")
 		report   = fs.String("report", "", "also write an HTML report to this file")
-		seed     = fs.Int64("seed", 1, "random seed")
-		workers  = fs.Int("workers", 1, "estimator parallelism (EM block sharding and restart fan-out); results are identical at any value, 0 = GOMAXPROCS")
+		workers  = fs.Int("workers", 1, "estimator parallelism (EM block sharding); results are identical at any value, 0 = GOMAXPROCS")
 		traceOut = fs.String("trace", "", "write the run trace (stages, iteration events, convergence diagnostics) as JSONL to this file; inspect with ssaudit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -72,9 +70,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *input == "" {
 		return fmt.Errorf("-in is required")
 	}
-	finder := pickAlg(*alg, core.Options{Seed: *seed, Workers: *workers})
+	finder := baselines.ExtendedByName(*alg, core.Options{Workers: *workers})
 	if finder == nil {
-		return fmt.Errorf("unknown algorithm %q; known: %s", *alg, strings.Join(algNames(), ", "))
+		return fmt.Errorf("unknown algorithm %q; known: %s", *alg, strings.Join(baselines.ExtendedNames(), ", "))
 	}
 
 	var (
@@ -123,7 +121,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *traceOut != "" {
 		tb = trace.NewBuilder(*input, "apollo", nil)
 		tb.SetAttr("algorithm", finder.Name())
-		tb.SetAttr("seed", fmt.Sprint(*seed))
 		ctx = runctx.WithHook(ctx, tb.Hook())
 	}
 	pipe, err := apollo.RunContext(ctx, in, finder, apollo.Options{TopK: *topK})
@@ -192,23 +189,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			label = " [" + labels[c].String() + "]"
 		}
 		fmt.Fprintf(out, "%3d. p=%.4f%s %s\n", rank+1, pipe.Result.Posterior[c], label, pipe.RepresentativeText[c])
-	}
-	return nil
-}
-
-func algNames() []string {
-	names := make([]string, 0, 7)
-	for _, a := range baselines.All(0) {
-		names = append(names, a.Name())
-	}
-	return names
-}
-
-func pickAlg(name string, opts core.Options) factfind.FactFinder {
-	for _, a := range baselines.AllOpts(opts) {
-		if strings.EqualFold(a.Name(), name) {
-			return a
-		}
 	}
 	return nil
 }

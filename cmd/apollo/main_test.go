@@ -68,6 +68,19 @@ func TestPipelineWithoutKinds(t *testing.T) {
 	}
 }
 
+// TestExtendedRoster: -alg resolves against the same nine-algorithm roster
+// ssserve serves, so the Pasternack & Roth extensions run here too.
+func TestExtendedRoster(t *testing.T) {
+	path := writeTweetFile(t, true)
+	var sb strings.Builder
+	if err := run(context.Background(), []string{"-in", path, "-alg", "PooledInvestment", "-topk", "3"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "pipeline: PooledInvestment") {
+		t.Fatalf("missing header:\n%s", sb.String())
+	}
+}
+
 func TestValidation(t *testing.T) {
 	var sb strings.Builder
 	if err := run(context.Background(), []string{}, &sb); err == nil {

@@ -13,8 +13,8 @@
 //
 // For every trace it prints the header (id, workload, status, attrs), the
 // pipeline stage timings, and each algorithm run's convergence diagnostics:
-// log-likelihood trajectory and monotonicity, plateau onset, per-restart
-// comparison, and the split-chain R-hat verdict for multi-chain Gibbs runs;
+// log-likelihood trajectory and monotonicity, plateau onset, and the
+// split-chain R-hat verdict for multi-chain Gibbs runs;
 // across all traces it reports status and stop-reason breakdowns. For every
 // quality spill it prints the run header (ticks, dataset growth), the latest
 // verdict's calibration summary (ECE, disagreement, implied error), drift
@@ -232,10 +232,6 @@ func printRun(out io.Writer, traceID string, run *trace.Run, d trace.RunDiag, rh
 		if d.PlateauAt > 0 {
 			fmt.Fprintf(out, "    plateau from iteration %d of %d\n", d.PlateauAt, d.Iterations)
 		}
-	}
-	if d.HasRestarts {
-		fmt.Fprintf(out, "    restarts: best chain %d (ll=%g), spread %g\n",
-			d.RestartBestChain, d.RestartBestLL, d.RestartSpread)
 	}
 	if d.HasRHat {
 		if d.RHat <= rhatThreshold {

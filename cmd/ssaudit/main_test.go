@@ -25,21 +25,20 @@ func testClock() func() time.Time {
 	}
 }
 
-// emTrace builds a healthy EM-style trace: monotone log-likelihood, two
-// restarts, converged.
+// emTrace builds a healthy EM-style trace: one chain, monotone
+// log-likelihood, converged.
 func emTrace(id string) *trace.Trace {
 	b := trace.NewBuilder(id, "apollo", testClock())
 	b.SetAttr("algorithm", "EM-Ext")
 	b.Stage("fit", 5*time.Millisecond)
 	hook := b.Hook()
-	for chain, lls := range [][]float64{{-90, -60, -50}, {-95, -70, -65}} {
-		for i, ll := range lls {
-			hook(runctx.Iteration{
-				Algorithm: "EM-Ext", N: i + 1, Chain: chain,
-				LogLikelihood: ll, HasLL: true,
-				Done: i == len(lls)-1, Stopped: runctx.StopConverged,
-			})
-		}
+	lls := []float64{-90, -60, -50}
+	for i, ll := range lls {
+		hook(runctx.Iteration{
+			Algorithm: "EM-Ext", N: i + 1,
+			LogLikelihood: ll, HasLL: true,
+			Done: i == len(lls)-1, Stopped: runctx.StopConverged,
+		})
 	}
 	return b.Finish(trace.StatusOK, "")
 }
@@ -83,9 +82,8 @@ func TestRenderHealthyTrace(t *testing.T) {
 		"trace run-1 (apollo) status=ok",
 		"attrs: algorithm=EM-Ext",
 		"stages: fit=5ms",
-		"run EM-Ext: chains=2 iterations=3 stopped=converged",
+		"run EM-Ext: chains=1 iterations=3 stopped=converged",
 		"log-likelihood -90 -> -50, monotone",
-		"restarts: best chain 0 (ll=-50), spread 15",
 		"=== 1 trace(s) ok=1 | stop reasons: converged=1",
 	} {
 		if !strings.Contains(got, want) {

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	ssingest [-scenario Ukraine] [-scale 20] [-seed 1] [-em-seed 1]
+//	ssingest [-scenario Ukraine] [-scale 20] [-seed 1]
 //	         [-batch 64] [-interval 0] [-workers 1] [-topk 100]
 //	         [-data dir] [-snapshot-every 16] [-addr :8090] [-once]
 //	         [-trace-buffer 64] [-trace-dir dir]
@@ -61,7 +61,6 @@ func run(args []string) error {
 		scenario  = fs.String("scenario", "Ukraine", "twittersim preset scenario feeding the firehose")
 		scale     = fs.Int("scale", 20, "scenario downscale divisor (larger = smaller stream)")
 		seed      = fs.Int64("seed", 1, "firehose world seed; same seed + scenario = same stream")
-		emSeed    = fs.Int64("em-seed", 1, "estimator seed")
 		batch     = fs.Int("batch", 64, "accepted tweets per committed batch")
 		interval  = fs.Duration("interval", 0, "paced emission interval (0 = replay at full speed)")
 		workers   = fs.Int("workers", 1, "estimator parallelism; published rankings are identical at any value, 0 = GOMAXPROCS")
@@ -110,7 +109,7 @@ func run(args []string) error {
 	}
 
 	pipe, err := ingest.New(ctx, source, ingest.Options{
-		Stream:        stream.Options{EM: core.Options{Seed: *emSeed, Workers: *workers}},
+		Stream:        stream.Options{EM: core.Options{Workers: *workers}},
 		BatchSize:     *batch,
 		TopK:          *topK,
 		Dir:           *dataDir,

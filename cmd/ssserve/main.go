@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	ssserve [-addr :8080] [-topk 100] [-maxbody 33554432] [-seed 1]
+//	ssserve [-addr :8080] [-topk 100] [-maxbody 33554432]
 //	        [-metrics] [-pprof addr] [-trace-buffer 64] [-trace-dir dir]
 //	        [-cache-size 256] [-cache-ttl 5m] [-max-inflight 0] [-queue-depth 64]
 //
@@ -70,7 +70,6 @@ func run(args []string) error {
 		addr       = fs.String("addr", ":8080", "listen address")
 		topK       = fs.Int("topk", 100, "default ranked output size")
 		maxBody    = fs.Int64("maxbody", 32<<20, "maximum request body bytes")
-		seed       = fs.Int64("seed", 1, "estimator seed")
 		computeTmo = fs.Duration("compute-timeout", 0, "per-request compute budget (0 = unlimited); exceeding it returns 503 with partial progress; also sets the server write timeout to budget+30s (0 = no write timeout)")
 		workers    = fs.Int("workers", 1, "per-request estimator parallelism; results are identical at any value, 0 = GOMAXPROCS")
 		metrics    = fs.Bool("metrics", true, "serve GET /metrics (Prometheus text exposition)")
@@ -97,7 +96,6 @@ func run(args []string) error {
 	handler := httpapi.New(httpapi.Options{
 		MaxBodyBytes:   *maxBody,
 		DefaultTopK:    *topK,
-		Seed:           *seed,
 		ComputeTimeout: *computeTmo,
 		Workers:        *workers,
 		DisableMetrics: !*metrics,

@@ -20,7 +20,7 @@
 //	b := depsense.NewDatasetBuilder(nSources, mAssertions)
 //	b.AddClaim(i, j, dependent)
 //	ds, err := b.Build()
-//	res, err := depsense.NewEMExt(depsense.EMOptions{Seed: 1}).Run(ds)
+//	res, err := depsense.NewEMExt(depsense.EMOptions{}).Run(ds)
 //	ranked := res.Ranking()
 //
 // Every fact-finder also implements RunContext(ctx, ds) for cancellable,
@@ -125,7 +125,7 @@ func NewEMExt(opts EMOptions) *EMExt { return &core.EMExt{Opts: opts} }
 
 // Baselines returns the paper's comparison lineup (Fig. 11), EM-Ext first:
 // EM-Social, EM, Voting, Sums, Average.Log, and TruthFinder.
-func Baselines(seed int64) []FactFinder { return baselines.All(seed) }
+func Baselines() []FactFinder { return baselines.All() }
 
 // ---- Run lifecycle ----------------------------------------------------------
 
@@ -257,8 +257,6 @@ type (
 	Clusterer = cluster.Clusterer
 	// LeaderClusterer is the single-pass inverted-index clusterer.
 	LeaderClusterer = cluster.Leader
-	// MinHashClusterer is the LSH-accelerated clusterer for large streams.
-	MinHashClusterer = cluster.MinHash
 )
 
 // RunPipeline executes the end-to-end fact-finding pipeline: cluster

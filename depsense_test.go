@@ -24,7 +24,7 @@ func TestFacadeManualDataset(t *testing.T) {
 		t.Fatalf("summary: %+v", ds.Summarize())
 	}
 
-	res, err := NewEMExt(EMOptions{Seed: 1}).Run(ds)
+	res, err := NewEMExt(EMOptions{}).Run(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestFacadeEventLog(t *testing.T) {
 }
 
 func TestFacadeBaselineLineup(t *testing.T) {
-	algs := Baselines(1)
+	algs := Baselines()
 	if len(algs) != 7 || algs[0].Name() != "EM-Ext" {
 		t.Fatalf("lineup: %d algorithms, first %q", len(algs), algs[0].Name())
 	}
@@ -100,7 +100,7 @@ func TestFacadePipeline(t *testing.T) {
 		NumSources: scaled.Sources,
 		Messages:   msgs,
 		Graph:      w.Graph,
-	}, NewEMExt(EMOptions{Seed: 1}), PipelineOptions{TopK: 10})
+	}, NewEMExt(EMOptions{}), PipelineOptions{TopK: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestFacadePipeline(t *testing.T) {
 }
 
 func TestFacadeStreaming(t *testing.T) {
-	est := NewStreamEstimator(StreamOptions{EM: EMOptions{Seed: 2}})
+	est := NewStreamEstimator(StreamOptions{})
 	if err := est.ObserveFollow(1, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func ExampleNewEMExt() {
 		fmt.Println("generate:", err)
 		return
 	}
-	res, err := depsense.NewEMExt(depsense.EMOptions{Seed: 1}).Run(world.Dataset)
+	res, err := depsense.NewEMExt(depsense.EMOptions{}).Run(world.Dataset)
 	if err != nil {
 		fmt.Println("run:", err)
 		return

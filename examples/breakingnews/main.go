@@ -46,7 +46,7 @@ func run() error {
 	const topK = 100
 	fmt.Printf("top-%d graded accuracy, #True/(#True+#False+#Opinion):\n", topK)
 	var best *apollo.Output
-	for _, alg := range baselines.All(1) {
+	for _, alg := range baselines.All() {
 		out, err := apollo.Run(input, alg, apollo.Options{TopK: topK})
 		if err != nil {
 			return fmt.Errorf("%s: %w", alg.Name(), err)

@@ -69,7 +69,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			res, err := (&core.EMExt{Opts: core.Options{Seed: int64(r)}}).Run(w.Dataset)
+			res, err := (&core.EMExt{}).Run(w.Dataset)
 			if err != nil {
 				return err
 			}

@@ -94,7 +94,7 @@ func run() error {
 			fmt.Printf("  iter %2d  log-likelihood=%.2f  (%s)\n", it.N, it.LogLikelihood, it.Elapsed.Round(10*time.Microsecond))
 		}
 	})
-	est := &core.EMExt{Opts: core.Options{Seed: 42}}
+	est := &core.EMExt{}
 	res, err := est.RunContext(ctx, ds)
 	if err != nil {
 		return err

@@ -50,7 +50,7 @@ func run() error {
 	fmt.Printf("ingested %d tweets from %d accounts, %d retweet edges\n",
 		len(input.Messages), input.NumSources, input.Graph.NumEdges())
 
-	finder := &core.EMExt{Opts: core.Options{Seed: 3}}
+	finder := &core.EMExt{}
 	out, err := apollo.Run(input, finder, apollo.Options{TopK: 10})
 	if err != nil {
 		return err

@@ -21,7 +21,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"depsense/internal/core"
 	"depsense/internal/grader"
 	"depsense/internal/randutil"
 	"depsense/internal/runctx"
@@ -45,7 +44,7 @@ func run(ctx context.Context) error {
 	}
 	fmt.Printf("stream: %+v\n\n", world.Summarize())
 
-	est := stream.New(stream.Options{EM: core.Options{Seed: 7}})
+	est := stream.New(stream.Options{})
 	// The follow graph is observed up front (it comes from the account
 	// relationships, not the claim stream).
 	for i := 0; i < world.Graph.N(); i++ {

@@ -109,7 +109,7 @@ func run() error {
 	}
 	fmt.Println("\ncommute season:", seasonDS.Summarize())
 
-	res, err := (&core.EMExt{Opts: core.Options{Seed: 1}}).Run(seasonDS)
+	res, err := (&core.EMExt{}).Run(seasonDS)
 	if err != nil {
 		return err
 	}

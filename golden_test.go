@@ -40,7 +40,7 @@ func computeGolden(workers int) (*goldenFixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := NewEMExt(EMOptions{Seed: 9, Workers: workers}).Run(w.Dataset)
+	res, err := NewEMExt(EMOptions{Workers: workers}).Run(w.Dataset)
 	if err != nil {
 		return nil, err
 	}

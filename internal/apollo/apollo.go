@@ -42,9 +42,8 @@ type Input struct {
 
 // Options tunes the pipeline.
 type Options struct {
-	// Clusterer groups tweets into assertions (cluster.Leader or
-	// cluster.MinHash); nil selects a Leader clusterer with default
-	// settings.
+	// Clusterer groups tweets into assertions; nil selects a
+	// cluster.Leader with default settings.
 	Clusterer cluster.Clusterer
 	// TopK is the size of the ranked output (default 100, the paper's
 	// evaluation cut-off).

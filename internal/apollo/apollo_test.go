@@ -111,7 +111,7 @@ func TestPipelineWithSimulatedStream(t *testing.T) {
 	in := Input{NumSources: sc.Sources, Messages: msgs, Graph: w.Graph}
 
 	for _, alg := range []factfind.FactFinder{
-		&core.EMExt{Opts: core.Options{Seed: 1}},
+		&core.EMExt{},
 		&baselines.Voting{},
 	} {
 		out, err := Run(in, alg, Options{TopK: 25})

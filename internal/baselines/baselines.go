@@ -60,9 +60,9 @@ func (e *EMSocial) RunContext(ctx context.Context, ds *claims.Dataset) (*factfin
 }
 
 // lineup is the single declaration of the algorithm roster: canonical name
-// plus a constructor building exactly one finder. Everything else —
-// All/Extended slices, the name list the HTTP API advertises, and the
-// by-name lookup serving each request — derives from it, so the roster
+// plus a constructor building exactly one finder. Everything else — the
+// All slice, the name list the HTTP API advertises, and the by-name lookup
+// serving each request and apollo's -alg — derives from it, so the roster
 // cannot drift between surfaces. The first allCount entries are the
 // paper's Fig. 11 lineup in the paper's order; the remainder are the
 // Pasternack & Roth extensions.
@@ -85,36 +85,12 @@ var lineup = []struct {
 const allCount = 7
 
 // All returns the full algorithm lineup of the empirical evaluation
-// (Fig. 11), in the paper's order: EM-Ext first, then the baselines. Every
-// algorithm is seeded from the same value for reproducibility.
-func All(seed int64) []factfind.FactFinder {
-	return AllOpts(core.Options{Seed: seed})
-}
-
-// AllOpts is All with full control over the shared EM options — callers use
-// it to thread Workers (and any other execution tuning) into every
-// model-based algorithm in the lineup. The heuristic fact-finders take no
-// options.
-func AllOpts(opts core.Options) []factfind.FactFinder {
+// (Fig. 11), in the paper's order: EM-Ext first, then the baselines, every
+// EM variant with default options.
+func All() []factfind.FactFinder {
 	out := make([]factfind.FactFinder, 0, allCount)
 	for _, e := range lineup[:allCount] {
-		out = append(out, e.make(opts))
-	}
-	return out
-}
-
-// Extended returns All plus the additional Pasternack & Roth fact-finders
-// implemented beyond the paper's lineup (Investment, PooledInvestment),
-// useful for broader comparisons.
-func Extended(seed int64) []factfind.FactFinder {
-	return ExtendedOpts(core.Options{Seed: seed})
-}
-
-// ExtendedOpts is Extended with full control over the shared EM options.
-func ExtendedOpts(opts core.Options) []factfind.FactFinder {
-	out := make([]factfind.FactFinder, 0, len(lineup))
-	for _, e := range lineup {
-		out = append(out, e.make(opts))
+		out = append(out, e.make(core.Options{}))
 	}
 	return out
 }

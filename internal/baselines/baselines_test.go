@@ -27,7 +27,7 @@ func handcrafted(t *testing.T) *claims.Dataset {
 }
 
 func TestAllLineup(t *testing.T) {
-	algs := All(1)
+	algs := All()
 	wantNames := []string{"EM-Ext", "EM-Social", "EM", "Voting", "Sums", "Average.Log", "Truth-Finder"}
 	if len(algs) != len(wantNames) {
 		t.Fatalf("lineup has %d algorithms", len(algs))
@@ -45,7 +45,7 @@ func TestAllRunOnSynthetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alg := range All(1) {
+	for _, alg := range All() {
 		res, err := alg.Run(w.Dataset)
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
@@ -272,7 +272,7 @@ func TestInvestmentOnEmptyDataset(t *testing.T) {
 }
 
 func TestExtendedLineup(t *testing.T) {
-	algs := Extended(1)
+	algs := extended()
 	if len(algs) != 9 {
 		t.Fatalf("extended lineup has %d algorithms", len(algs))
 	}

@@ -34,7 +34,7 @@ func TestAllFindersPreCancelled(t *testing.T) {
 	ds := cancelDataset(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, f := range Extended(1) {
+	for _, f := range extended() {
 		res, err := f.RunContext(ctx, ds)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v", f.Name(), err)
@@ -104,7 +104,7 @@ func TestHeuristicHookLabels(t *testing.T) {
 	ds := cancelDataset(t)
 	// The iterative heuristics (Voting is single-pass and fires no
 	// per-round hooks).
-	for _, f := range Extended(1)[4:] {
+	for _, f := range extended()[4:] {
 		var labels []string
 		ctx := runctx.WithHook(context.Background(), func(it runctx.Iteration) {
 			labels = append(labels, it.Algorithm)

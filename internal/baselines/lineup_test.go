@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"depsense/internal/core"
+	"depsense/internal/factfind"
 )
 
 // TestLineupNamesMatchFinders: the table's canonical names must be exactly
@@ -11,23 +12,32 @@ import (
 // advertised name list both depend on it.
 func TestLineupNamesMatchFinders(t *testing.T) {
 	names := ExtendedNames()
-	finders := ExtendedOpts(core.Options{Seed: 1})
-	if len(names) != len(finders) {
-		t.Fatalf("%d names, %d finders", len(names), len(finders))
+	if len(names) != len(lineup) {
+		t.Fatalf("%d names, %d lineup entries", len(names), len(lineup))
 	}
-	for i, f := range finders {
-		if f.Name() != names[i] {
+	for i, e := range lineup {
+		if f := e.make(core.Options{}); f.Name() != names[i] {
 			t.Errorf("lineup[%d]: name %q but finder reports %q", i, names[i], f.Name())
 		}
 	}
-	if len(AllOpts(core.Options{})) != allCount {
-		t.Fatalf("AllOpts length %d, want %d", len(AllOpts(core.Options{})), allCount)
+	if len(All()) != allCount {
+		t.Fatalf("All length %d, want %d", len(All()), allCount)
 	}
+}
+
+// extended constructs the whole nine-algorithm roster through the by-name
+// lookup, in lineup order.
+func extended() []factfind.FactFinder {
+	var out []factfind.FactFinder
+	for _, name := range ExtendedNames() {
+		out = append(out, ExtendedByName(name, core.Options{}))
+	}
+	return out
 }
 
 func TestExtendedByName(t *testing.T) {
 	for _, name := range ExtendedNames() {
-		f := ExtendedByName(name, core.Options{Seed: 1})
+		f := ExtendedByName(name, core.Options{})
 		if f == nil {
 			t.Fatalf("ExtendedByName(%q) = nil", name)
 		}
@@ -47,7 +57,7 @@ func TestExtendedByName(t *testing.T) {
 // TestExtendedByNameAllocs locks in the point of the per-request fix: one
 // lookup constructs one finder, not the whole nine-estimator roster.
 func TestExtendedByNameAllocs(t *testing.T) {
-	opts := core.Options{Seed: 1, Workers: 4}
+	opts := core.Options{Workers: 4}
 	allocs := testing.AllocsPerRun(200, func() {
 		if ExtendedByName("EM-Ext", opts) == nil {
 			t.Fatal("lookup failed")
@@ -58,24 +68,14 @@ func TestExtendedByNameAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkExtendedByName vs BenchmarkExtendedOpts documents the
-// allocation drop from constructing only the selected finder.
+// BenchmarkExtendedByName measures one by-name lookup, which constructs
+// only the selected finder.
 func BenchmarkExtendedByName(b *testing.B) {
-	opts := core.Options{Seed: 1}
+	opts := core.Options{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if ExtendedByName("Truth-Finder", opts) == nil {
 			b.Fatal("lookup failed")
-		}
-	}
-}
-
-func BenchmarkExtendedOpts(b *testing.B) {
-	opts := core.Options{Seed: 1}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if len(ExtendedOpts(opts)) != len(lineup) {
-			b.Fatal("bad lineup")
 		}
 	}
 }

@@ -10,6 +10,14 @@ import (
 	"strings"
 )
 
+// Clusterer groups tokenized documents into assertions; the Apollo
+// pipeline accepts any implementation.
+type Clusterer interface {
+	Cluster(docs [][]string) Assignment
+}
+
+var _ Clusterer = (*Leader)(nil)
+
 // Tokenize normalizes tweet text into a deduplicated token set: lowercase,
 // punctuation-stripped, with retweet markers ("rt"), @-mentions, URLs, and
 // common stopwords removed. These are exactly the elements that vary

@@ -36,24 +36,3 @@ func BenchmarkTokenize(b *testing.B) {
 		Tokenize(tweet)
 	}
 }
-
-// BenchmarkMinHashCluster measures the LSH clusterer on the same streams as
-// BenchmarkLeaderCluster.
-func BenchmarkMinHashCluster(b *testing.B) {
-	for _, scale := range []int{40, 10, 4} {
-		sc := twittersim.Small("Paris Attack", scale)
-		w, err := twittersim.Generate(sc, randutil.New(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		docs := make([][]string, len(w.Tweets))
-		for i, t := range w.Tweets {
-			docs[i] = Tokenize(t.Text)
-		}
-		b.Run(fmt.Sprintf("tweets=%d", len(docs)), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				(&MinHash{}).Cluster(docs)
-			}
-		})
-	}
-}

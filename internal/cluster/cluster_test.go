@@ -150,76 +150,7 @@ func TestMaxPostingsStopsHubTokens(t *testing.T) {
 	}
 }
 
-func TestMinHashMatchesLeaderOnRetweets(t *testing.T) {
-	original := "witness3 reported explosion near bridge7 #paris"
-	retweet := "rt @user55: witness3 reported explosion near bridge7 #paris"
-	other := "official9 denied outage near campus2 #paris"
-	docs := [][]string{Tokenize(original), Tokenize(retweet), Tokenize(other)}
-	a := (&MinHash{}).Cluster(docs)
-	if a.Cluster[0] != a.Cluster[1] {
-		t.Fatal("retweet not clustered with its original")
-	}
-	if a.Cluster[2] == a.Cluster[0] {
-		t.Fatal("unrelated tweet merged")
-	}
-}
-
-func TestMinHashAgreementWithLeader(t *testing.T) {
-	sc := twittersimSmall(t)
-	leader := (&Leader{}).Cluster(sc)
-	minhash := (&MinHash{}).Cluster(sc)
-	// Pairwise agreement: two docs co-clustered under one method should
-	// mostly be co-clustered under the other. Sample pairs within leader
-	// clusters.
-	agree, total := 0, 0
-	byCluster := map[int][]int{}
-	for d, c := range leader.Cluster {
-		byCluster[c] = append(byCluster[c], d)
-	}
-	for _, members := range byCluster {
-		for k := 1; k < len(members); k++ {
-			total++
-			if minhash.Cluster[members[0]] == minhash.Cluster[members[k]] {
-				agree++
-			}
-		}
-	}
-	if total == 0 {
-		t.Skip("no multi-document clusters")
-	}
-	rate := float64(agree) / float64(total)
-	if rate < 0.9 {
-		t.Fatalf("minhash co-clusters only %.2f of leader pairs", rate)
-	}
-}
-
-func TestMinHashDeterministic(t *testing.T) {
-	docs := twittersimSmall(t)
-	a := (&MinHash{Seed: 5}).Cluster(docs)
-	b := (&MinHash{Seed: 5}).Cluster(docs)
-	for d := range a.Cluster {
-		if a.Cluster[d] != b.Cluster[d] {
-			t.Fatal("same seed, different clustering")
-		}
-	}
-}
-
-func TestMinHashEmptyDocs(t *testing.T) {
-	a := (&MinHash{}).Cluster([][]string{nil, {"word"}, nil})
-	if len(a.Cluster) != 3 || a.NumClusters < 2 {
-		t.Fatalf("assignment = %+v", a)
-	}
-}
-
-func TestMinHashBadBandsFallsBack(t *testing.T) {
-	// Hashes not divisible by Bands must not panic.
-	a := (&MinHash{Hashes: 10, Bands: 16}).Cluster([][]string{{"a", "b"}, {"a", "b"}})
-	if a.Cluster[0] != a.Cluster[1] {
-		t.Fatal("identical docs split")
-	}
-}
-
-// twittersimSmall tokenizes a small simulated stream for cross-method tests.
+// twittersimSmall tokenizes a small simulated stream.
 func twittersimSmall(t *testing.T) [][]string {
 	t.Helper()
 	sc := twittersim.Small("Ukraine", 20)

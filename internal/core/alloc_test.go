@@ -15,7 +15,7 @@ import (
 // allocs/op > 0.
 func TestWarmRefitKernelAllocFree(t *testing.T) {
 	w := genWorld(t, 40, 200, 91)
-	res, err := Run(w.Dataset, VariantExt, Options{Seed: 3, DepMode: DepModeJoint})
+	res, err := Run(w.Dataset, VariantExt, Options{DepMode: DepModeJoint})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestWarmFitAllocsSizeIndependent(t *testing.T) {
 	measure := func(n, m int, seed int64) float64 {
 		t.Helper()
 		w := genWorld(t, n, m, seed)
-		res, err := Run(w.Dataset, VariantExt, Options{Seed: 5, DepMode: DepModeJoint})
+		res, err := Run(w.Dataset, VariantExt, Options{DepMode: DepModeJoint})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestPosteriorOptsScratchReuse(t *testing.T) {
 	measure := func(n, m int, seed int64) float64 {
 		t.Helper()
 		w := genWorld(t, n, m, seed)
-		res, err := Run(w.Dataset, VariantExt, Options{Seed: 5, DepMode: DepModeJoint})
+		res, err := Run(w.Dataset, VariantExt, Options{DepMode: DepModeJoint})
 		if err != nil {
 			t.Fatal(err)
 		}

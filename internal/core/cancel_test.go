@@ -33,7 +33,7 @@ func TestRunCtxCancelMidRun(t *testing.T) {
 	for _, variant := range []Variant{VariantExt, VariantIndependent, VariantSocial} {
 		run := func() (*factfind.Result, error) {
 			ctx, final := cancelAfter(t, 3)
-			res, err := RunCtx(ctx, w.Dataset, variant, Options{Seed: 1, DepMode: DepModeJoint})
+			res, err := RunCtx(ctx, w.Dataset, variant, Options{DepMode: DepModeJoint})
 			if final.Stopped != runctx.StopCancelled {
 				t.Fatalf("%v: final hook stopped = %q", variant, final.Stopped)
 			}
@@ -80,7 +80,7 @@ func TestRunCtxDeadlineMidRun(t *testing.T) {
 	// make convergence unreachable so only the deadline can stop it.
 	ctx = runctx.WithHook(ctx, func(runctx.Iteration) { time.Sleep(2 * time.Millisecond) })
 	res, err := RunCtx(ctx, w.Dataset, VariantExt, Options{
-		Seed: 1, DepMode: DepModeJoint, Tol: 1e-300, MaxIters: 1_000_000,
+		DepMode: DepModeJoint, Tol: 1e-300, MaxIters: 1_000_000,
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v", err)
@@ -97,7 +97,7 @@ func TestRunCtxPreCancelled(t *testing.T) {
 	w := genWorld(t, 8, 20, 5)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunCtx(ctx, w.Dataset, VariantExt, Options{Seed: 1})
+	res, err := RunCtx(ctx, w.Dataset, VariantExt, Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -109,7 +109,7 @@ func TestRunCtxPreCancelled(t *testing.T) {
 func TestRunCtxStoppedReasons(t *testing.T) {
 	w := genWorld(t, 10, 30, 99)
 
-	res, err := Run(w.Dataset, VariantExt, Options{Seed: 7})
+	res, err := Run(w.Dataset, VariantExt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestRunCtxStoppedReasons(t *testing.T) {
 		t.Fatalf("converged run: Converged=%v Stopped=%q", res.Converged, res.Stopped)
 	}
 
-	res, err = Run(w.Dataset, VariantExt, Options{Seed: 7, MaxIters: 2, Tol: 1e-300, DepMode: DepModeJoint})
+	res, err = Run(w.Dataset, VariantExt, Options{MaxIters: 2, Tol: 1e-300, DepMode: DepModeJoint})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestRunCtxHookObservesLogLikelihood(t *testing.T) {
 	ctx := runctx.WithHook(context.Background(), func(it runctx.Iteration) {
 		iters = append(iters, it)
 	})
-	res, err := RunCtx(ctx, w.Dataset, VariantIndependent, Options{Seed: 3})
+	res, err := RunCtx(ctx, w.Dataset, VariantIndependent, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

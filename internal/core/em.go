@@ -24,7 +24,6 @@ import (
 	"depsense/internal/factfind"
 	"depsense/internal/model"
 	"depsense/internal/parallel"
-	"depsense/internal/randutil"
 	"depsense/internal/runctx"
 )
 
@@ -67,42 +66,28 @@ type Options struct {
 	// Tol declares convergence when no parameter moves more than Tol
 	// between iterations (default 1e-6).
 	Tol float64
-	// Seed drives the random initialization (Algorithm 2 line 1).
+	// Deprecated: no effect. EM starts from vote initialization or Init,
+	// neither of which reads randomness.
 	Seed int64
-	// Init overrides random initialization with explicit parameters. The
+	// Init overrides vote initialization with explicit parameters. The
 	// parameter set is copied; the caller's value is not mutated.
 	Init *model.Params
-	// Restarts > 1 runs EM from that many random initializations and keeps
-	// the result with the highest data log-likelihood (default 1).
-	Restarts int
-	// InitMode selects the initialization strategy when Init is nil.
-	InitMode InitMode
 	// Smoothing is the strength (in pseudo-observations) of the M-step's
 	// empirical-Bayes shrinkage for the independent channel (a_i, b_i):
 	// each per-source estimate is pulled toward the pooled all-source
-	// estimate of the same channel. Negative disables all smoothing (the
+	// estimate of the same channel. The dependent channel (f_i, g_i) is
+	// shrunk with depSmoothing. Negative disables all smoothing (the
 	// paper's raw M-step); zero selects the default (2).
 	Smoothing float64
-	// DepSmoothing is the same for the dependent channel (f_i, g_i), which
-	// typically rests on far fewer pairs per source — on Twitter-sparse
-	// data a couple — so it defaults stronger (8). A source with only a
-	// handful of dependent pairs then keeps essentially the pooled
-	// channel, while sources with dozens (dense simulation data) retain
-	// per-source resolution. Zero selects the default; it is ignored when
-	// Smoothing is negative.
-	DepSmoothing float64
 	// DepMode controls how VariantExt fits the dependent channel; see
 	// DepMode. Zero selects DepModeAuto.
 	DepMode DepMode
-	// DenseThreshold is the dependent-pairs-per-source level above which
-	// DepModeAuto selects the joint fit (default 5).
-	DenseThreshold float64
 	// Workers bounds the run's parallelism: the E-step and M-step shard
-	// across fixed-size blocks of assertions/sources, and independent
-	// restarts run concurrently, on up to Workers goroutines. Results are
-	// bit-for-bit identical for every Workers value because the block
-	// decomposition and all reduction orders are fixed (see DESIGN.md,
-	// "Deterministic parallel execution"). 0 or 1 runs serial.
+	// across fixed-size blocks of assertions/sources on up to Workers
+	// goroutines. Results are bit-for-bit identical for every Workers
+	// value because the block decomposition and all reduction orders are
+	// fixed (see DESIGN.md, "Deterministic parallel execution"). 0 or 1
+	// runs serial.
 	Workers int
 	// Kernel selects the hot-path implementation; the zero value is the
 	// production sparse kernel. Both kernels are bit-identical (see Kernel
@@ -110,10 +95,23 @@ type Options struct {
 	// oracle and benchmark baseline.
 	Kernel Kernel
 	// Scratch, when non-nil, supplies preallocated kernel buffers reused
-	// across fits (see Scratch). It must not be shared by concurrent runs;
-	// the concurrent-restarts path ignores it. Nil allocates internally.
+	// across fits (see Scratch). It must not be shared by concurrent runs.
+	// Nil allocates internally.
 	Scratch *Scratch
 }
+
+const (
+	// depSmoothing is Smoothing's counterpart for the dependent channel
+	// (f_i, g_i), which typically rests on far fewer pairs per source — on
+	// Twitter-sparse data a couple — so it is stronger. A source with only
+	// a handful of dependent pairs then keeps essentially the pooled
+	// channel, while sources with dozens (dense simulation data) retain
+	// per-source resolution. Negative Smoothing disables it too.
+	depSmoothing = 8
+	// denseThreshold is the dependent-pairs-per-source level at or above
+	// which DepModeAuto selects the joint fit.
+	denseThreshold = 5
+)
 
 // DepMode selects EM-Ext's strategy for the dependent channel (f_i, g_i).
 //
@@ -133,49 +131,14 @@ type DepMode int
 // Dependent-channel fitting modes.
 const (
 	// DepModeAuto (default) picks DepModeJoint when the dataset has at
-	// least DenseThreshold dependent pairs per source, DepModePlugin
+	// least denseThreshold (5) dependent pairs per source, DepModePlugin
 	// otherwise.
 	DepModeAuto DepMode = iota
-	// DepModeJoint runs the full joint EM over all of θ (Algorithm 2),
-	// staged from the independent fit.
+	// DepModeJoint runs the full joint EM over all of θ (Algorithm 2).
 	DepModeJoint
 	// DepModePlugin fits EM-Social, then plugs in a single pooled
 	// (f, g) estimate and re-scores with one E-step.
 	DepModePlugin
-)
-
-// InitMode selects how EM is initialized when no explicit parameters are
-// given.
-type InitMode int
-
-// Initialization strategies.
-const (
-	// InitDefault resolves to InitVote for every variant. (EM-Ext's joint
-	// mode used InitStaged until the dependent-channel smoothing landed;
-	// with it, vote initialization matches or beats staging on every
-	// simulated regime — see BenchmarkAblationInit.)
-	InitDefault InitMode = iota
-	// InitVote seeds the posteriors with each assertion's smoothed support
-	// fraction and derives θ from an immediate M-step. Anchoring "more
-	// support ⇒ more credible" places EM in the basin where sources are
-	// better than chance, resolving the likelihood's global label-swap
-	// symmetry; restarts perturb the seed posteriors. This is the standard
-	// initialization for truth-discovery EM.
-	InitVote
-	// InitStaged is coarse-to-fine: first fit the independent-source model
-	// (vote-initialized), then refine with the full dependency-aware
-	// likelihood starting from the coarse solution with both channels
-	// initialized to the independent one. This avoids the poor local
-	// optima the 4-parameters-per-source landscape exhibits under
-	// data-blind starts. Used by EM-Ext's joint mode (see DepMode).
-	InitStaged
-	// InitInformed draws random parameters with true-claim probabilities
-	// above false-claim probabilities (label-identified but data-blind).
-	InitInformed
-	// InitRandom draws parameters fully at random ("initialize parameter
-	// set θ with random probability", Algorithm 2 line 1, taken literally).
-	// Subject to label switching; useful for studying the symmetry.
-	InitRandom
 )
 
 func (o Options) normalized() Options {
@@ -185,20 +148,10 @@ func (o Options) normalized() Options {
 	if o.Tol <= 0 {
 		o.Tol = 1e-6
 	}
-	if o.Restarts <= 0 {
-		o.Restarts = 1
-	}
 	if o.Smoothing == 0 {
 		o.Smoothing = 2
 	} else if o.Smoothing < 0 {
 		o.Smoothing = 0
-		o.DepSmoothing = 0
-		return o
-	}
-	if o.DepSmoothing == 0 {
-		o.DepSmoothing = 8
-	} else if o.DepSmoothing < 0 {
-		o.DepSmoothing = 0
 	}
 	return o
 }
@@ -236,11 +189,13 @@ func Run(ds *claims.Dataset, variant Variant, opts Options) (*factfind.Result, e
 }
 
 // RunCtx executes the EM engine for the given variant under a run-context.
-// Cancellation is checked once per E/M iteration; on cancellation it returns
-// the context's error together with the partial result of the interrupted
-// restart (posteriors from the last completed E-step, Stopped set from the
-// context error). Any runctx hook on ctx fires after every iteration with
-// the current log-likelihood.
+// EM starts from Options.Init when set, otherwise from vote initialization
+// (see votePosteriors); neither reads randomness, so a run is a function of
+// the dataset and options alone. Cancellation is checked once per E/M
+// iteration; on cancellation it returns the context's error together with
+// the partial result (posteriors from the last completed E-step, Stopped
+// set from the context error). Any runctx hook on ctx fires after every
+// iteration with the current log-likelihood.
 func RunCtx(ctx context.Context, ds *claims.Dataset, variant Variant, opts Options) (*factfind.Result, error) {
 	opts = opts.normalized()
 	if ds.N() == 0 || ds.M() == 0 {
@@ -257,126 +212,12 @@ func RunCtx(ctx context.Context, ds *claims.Dataset, variant Variant, opts Optio
 			return nil, fmt.Errorf("%w: init has %d sources, dataset %d",
 				ErrParamsShape, opts.Init.NumSources(), ds.N())
 		}
+		return runOnce(ctx, ds, variant, opts.Init.Clone(), nil, opts)
 	}
-
-	if variant == VariantExt && opts.Init == nil &&
-		(opts.InitMode == InitDefault || opts.InitMode == InitStaged) {
-		if depMode(ds, opts) == DepModePlugin {
-			return runPlugin(ctx, ds, opts)
-		}
+	if variant == VariantExt && depMode(ds, opts) == DepModePlugin {
+		return runPlugin(ctx, ds, opts)
 	}
-
-	mode := opts.InitMode
-	if mode == InitDefault {
-		mode = InitVote
-	}
-
-	if opts.Init == nil && opts.Restarts > 1 && opts.Workers > 1 {
-		return runRestartsParallel(ctx, ds, variant, mode, opts)
-	}
-
-	var best *factfind.Result
-	for r := 0; r < opts.Restarts; r++ {
-		res, err := runRestart(ctx, ds, variant, mode, opts, r)
-		if err != nil {
-			// Cancellation mid-restart: surface the interrupted restart's
-			// partial state rather than silently keeping an earlier best —
-			// partial results must be deterministic functions of where the
-			// run stopped.
-			return res, err
-		}
-		if best == nil || res.LogLikelihood > best.LogLikelihood {
-			best = res
-		}
-		if opts.Init != nil {
-			break // explicit init: restarts would all be identical
-		}
-	}
-	return best, nil
-}
-
-// runRestart executes restart r: initialization derived from r's seed, then
-// one EM run. Every restart is a deterministic function of (opts, r) alone,
-// which is what allows the parallel path to run them concurrently and still
-// match the serial path bit for bit.
-func runRestart(ctx context.Context, ds *claims.Dataset, variant Variant, mode InitMode, opts Options, r int) (*factfind.Result, error) {
-	rng := randutil.New(opts.Seed + int64(r)*7919)
-	var init *model.Params
-	var seedPost []float64
-	switch {
-	case opts.Init != nil:
-		init = opts.Init.Clone()
-	case mode == InitStaged:
-		coarseOpts := opts
-		coarseOpts.Init = nil
-		coarseOpts.InitMode = InitVote
-		coarseOpts.Restarts = 1
-		coarseOpts.Seed = opts.Seed + int64(r)*7919
-		coarse, err := RunCtx(ctx, ds, VariantIndependent, coarseOpts)
-		if err != nil {
-			if runctx.Reason(err) != "" {
-				return coarse, err
-			}
-			return nil, fmt.Errorf("core: staged init: %w", err)
-		}
-		init = coarse.Params.Clone()
-		for i := range init.Sources {
-			s := &init.Sources[i]
-			s.F, s.G = s.A, s.B
-		}
-	case mode == InitInformed:
-		init = model.InformedInitParams(rng, ds.N())
-	case mode == InitRandom:
-		init = model.RandomParams(rng, ds.N())
-	default: // InitVote
-		init = model.NewParams(ds.N(), 0.5)
-		seedPost = votePosteriors(ds, rng, r > 0)
-	}
-	return runOnce(ctx, ds, variant, init, seedPost, opts, r)
-}
-
-// runRestartsParallel fans the restarts out over the worker budget. Each
-// restart is deterministic given its index, the best-of selection scans the
-// completed slots in restart order with the same strictly-greater rule as
-// the serial loop, and on cancellation the lowest-indexed interrupted
-// restart's partial state is surfaced — the restart the serial loop would
-// have been inside. Hooks are serialized because concurrent restarts emit
-// concurrently.
-func runRestartsParallel(ctx context.Context, ds *claims.Dataset, variant Variant, mode InitMode, opts Options) (*factfind.Result, error) {
-	type slot struct {
-		res *factfind.Result
-		err error
-	}
-	slots := make([]slot, opts.Restarts)
-	// A Scratch is exclusive to one running fit; concurrent restarts each
-	// allocate their own.
-	opts.Scratch = nil
-	sctx := runctx.WithSerializedHook(ctx)
-	poolErr := parallel.ForEachCtx(ctx, opts.Restarts, opts.Workers, func(r int) error {
-		slots[r].res, slots[r].err = runRestart(sctx, ds, variant, mode, opts, r)
-		return nil
-	})
-	for r := range slots {
-		if slots[r].err != nil {
-			return slots[r].res, slots[r].err
-		}
-		if slots[r].res == nil {
-			// Cancellation stopped dispatch before restart r ran. The serial
-			// loop would have entered it and returned its initial partial
-			// state from the first iteration checkpoint; reproduce that.
-			return runRestart(sctx, ds, variant, mode, opts, r)
-		}
-	}
-	if poolErr != nil {
-		return nil, poolErr
-	}
-	var best *factfind.Result
-	for r := range slots {
-		if best == nil || slots[r].res.LogLikelihood > best.LogLikelihood {
-			best = slots[r].res
-		}
-	}
-	return best, nil
+	return runOnce(ctx, ds, variant, model.NewParams(ds.N(), 0.5), votePosteriors(ds), opts)
 }
 
 // votePosteriors seeds per-assertion posteriors from support counts in a
@@ -385,9 +226,11 @@ func runRestartsParallel(ctx context.Context, ds *claims.Dataset, variant Varian
 // assertion) and sparse Twitter-scale ones (one or two claims per
 // assertion) alike. Normalizing by the number of sources instead collapses
 // every seed toward zero on sparse data and strands EM in a degenerate
-// "everything is false" basin. When perturb is set (restart runs after the
-// first), uniform noise moves the seed so restarts explore different basins.
-func votePosteriors(ds *claims.Dataset, rng interface{ Float64() float64 }, perturb bool) []float64 {
+// "everything is false" basin. Anchoring "more support ⇒ more credible"
+// places EM in the basin where sources are better than chance, resolving
+// the likelihood's global label-swap symmetry; this is the standard
+// initialization for truth-discovery EM (DESIGN.md, "EM initialization").
+func votePosteriors(ds *claims.Dataset) []float64 {
 	post := make([]float64, ds.M())
 	mean := 0.0
 	for j := 0; j < ds.M(); j++ {
@@ -399,11 +242,7 @@ func votePosteriors(ds *claims.Dataset, rng interface{ Float64() float64 }, pert
 	}
 	for j := range post {
 		count := float64(len(ds.Claimants(j)))
-		p := (count + 0.25) / (count + mean + 0.5)
-		if perturb {
-			p += 0.3 * (rng.Float64() - 0.5)
-		}
-		post[j] = model.ClampProb(p)
+		post[j] = model.ClampProb((count + 0.25) / (count + mean + 0.5))
 	}
 	return post
 }
@@ -439,22 +278,25 @@ func newEngine(ds *claims.Dataset, variant Variant, opts Options) *engine {
 		s = NewScratch()
 	}
 	s.grow(ds.N(), ds.M())
+	smoothDep := 0.0
+	if opts.Smoothing > 0 {
+		smoothDep = depSmoothing
+	}
 	return &engine{
 		ds:        ds,
 		sv:        ds.Sparse(),
 		variant:   variant,
 		kernel:    opts.Kernel,
 		smooth:    opts.Smoothing,
-		smoothDep: opts.DepSmoothing,
+		smoothDep: smoothDep,
 		workers:   opts.Workers,
 		Scratch:   s,
 	}
 }
 
-// runOnce executes one EM run. restart is the 0-based restart index, fired
-// through the hook as Iteration.Chain so observers (trace recorders) can
-// attribute records to their restart under parallel fan-out.
-func runOnce(ctx context.Context, ds *claims.Dataset, variant Variant, params *model.Params, seedPost []float64, opts Options, restart int) (*factfind.Result, error) {
+// runOnce executes one EM run from params, or — when seedPost is set —
+// from the parameters one M-step derives from those seed posteriors.
+func runOnce(ctx context.Context, ds *claims.Dataset, variant Variant, params *model.Params, seedPost []float64, opts Options) (*factfind.Result, error) {
 	eng := newEngine(ds, variant, opts)
 	params.Clamp()
 	if seedPost != nil {
@@ -495,7 +337,7 @@ func runOnce(ctx context.Context, ds *claims.Dataset, variant Variant, params *m
 			iter--
 			stopped := runctx.Reason(err)
 			hook.Emit(runctx.Iteration{
-				Algorithm: variant.String(), N: iter, Chain: restart,
+				Algorithm: variant.String(), N: iter,
 				LogLikelihood: ll, HasLL: iter > 0,
 				Elapsed: time.Since(start), Done: true, Stopped: stopped,
 			})
@@ -508,7 +350,7 @@ func runOnce(ctx context.Context, ds *claims.Dataset, variant Variant, params *m
 			converged = true
 		}
 		it := runctx.Iteration{
-			Algorithm: variant.String(), N: iter, Chain: restart,
+			Algorithm: variant.String(), N: iter,
 			LogLikelihood: ll, HasLL: true,
 			Elapsed: time.Since(start), Done: converged,
 		}
@@ -527,7 +369,7 @@ func runOnce(ctx context.Context, ds *claims.Dataset, variant Variant, params *m
 	ll = eng.eStep(params)
 	if !converged {
 		hook.Emit(runctx.Iteration{
-			Algorithm: variant.String(), N: opts.MaxIters, Chain: restart,
+			Algorithm: variant.String(), N: opts.MaxIters,
 			LogLikelihood: ll, HasLL: true,
 			Elapsed: time.Since(start), Done: true, Stopped: runctx.StopIterationCap,
 		})

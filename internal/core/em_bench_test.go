@@ -20,7 +20,7 @@ func BenchmarkEMExt(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("n=%d_m=%d", size.n, size.m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(w.Dataset, VariantExt, Options{Seed: int64(i)}); err != nil {
+				if _, err := Run(w.Dataset, VariantExt, Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -44,31 +44,7 @@ func BenchmarkEMExtWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, err := Run(w.Dataset, VariantExt, Options{
-					Seed: 1, MaxIters: 3, Tol: 1e-300, Workers: workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkEMExtRestartsWorkers measures the restart fan-out: independent
-// EM runs on concurrent goroutines, reduced in restart order.
-func BenchmarkEMExtRestartsWorkers(b *testing.B) {
-	cfg := synthetic.EstimatorConfig()
-	cfg.Sources = 50
-	cfg.Assertions = 200
-	w, err := synthetic.Generate(cfg, randutil.New(3))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := Run(w.Dataset, VariantExt, Options{
-					Seed: 1, Restarts: 4, MaxIters: 20, Workers: workers,
+					MaxIters: 3, Tol: 1e-300, Workers: workers,
 				})
 				if err != nil {
 					b.Fatal(err)

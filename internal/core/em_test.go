@@ -2,14 +2,17 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"depsense/internal/claims"
+	"depsense/internal/depgraph"
 	"depsense/internal/model"
 	"depsense/internal/randutil"
 	"depsense/internal/stats"
 	"depsense/internal/synthetic"
+	"depsense/internal/twittersim"
 )
 
 func TestVariantString(t *testing.T) {
@@ -55,7 +58,7 @@ func TestRunValidation(t *testing.T) {
 func TestPosteriorsAreProbabilities(t *testing.T) {
 	w := genWorld(t, 12, 40, 321)
 	for _, v := range []Variant{VariantExt, VariantIndependent, VariantSocial} {
-		res, err := Run(w.Dataset, v, Options{Seed: 1})
+		res, err := Run(w.Dataset, v, Options{})
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
@@ -73,23 +76,71 @@ func TestPosteriorsAreProbabilities(t *testing.T) {
 	}
 }
 
-func TestDeterministicGivenSeed(t *testing.T) {
+// TestRepeatedRunsIdentical: EM reads no randomness, so two runs on the
+// same dataset with the same options agree bit for bit.
+func TestRepeatedRunsIdentical(t *testing.T) {
 	w := genWorld(t, 10, 30, 99)
-	a, err := Run(w.Dataset, VariantExt, Options{Seed: 7})
+	a, err := Run(w.Dataset, VariantExt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(w.Dataset, VariantExt, Options{Seed: 7})
+	b, err := Run(w.Dataset, VariantExt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for j := range a.Posterior {
 		if a.Posterior[j] != b.Posterior[j] {
-			t.Fatal("same seed, different posteriors")
+			t.Fatal("repeated run, different posteriors")
 		}
 	}
 	if a.LogLikelihood != b.LogLikelihood {
-		t.Fatal("same seed, different likelihood")
+		t.Fatal("repeated run, different likelihood")
+	}
+}
+
+// TestSeedHasNoEffect pins the deprecated Options.Seed as a no-op: EM
+// starts from vote initialization, so every variant, dependent-channel
+// mode and worker count gives bit-identical results at any seed, on a
+// dense synthetic dataset (where DepModeAuto picks the joint fit) and a
+// sparse twittersim-derived one (where it picks the plug-in).
+func TestSeedHasNoEffect(t *testing.T) {
+	tw, err := twittersim.Generate(twittersim.Small("Ukraine", 60), randutil.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse, err := depgraph.BuildDataset(tw.Graph, tw.Events(), len(tw.Kinds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	datasets := []struct {
+		name string
+		ds   *claims.Dataset
+		auto DepMode
+	}{
+		{"dense", genWorld(t, 25, 80, 41).Dataset, DepModeJoint},
+		{"sparse", sparse, DepModePlugin},
+	}
+	for _, d := range datasets {
+		if got := depMode(d.ds, Options{}); got != d.auto {
+			t.Fatalf("%s: DepModeAuto resolves to %d, want %d", d.name, got, d.auto)
+		}
+		for _, v := range []Variant{VariantExt, VariantIndependent, VariantSocial} {
+			for _, mode := range []DepMode{DepModeAuto, DepModeJoint, DepModePlugin} {
+				for _, workers := range []int{1, 3} {
+					t.Run(fmt.Sprintf("%s/%v/mode%d/w%d", d.name, v, mode, workers), func(t *testing.T) {
+						a, err := Run(d.ds, v, Options{Seed: 1, DepMode: mode, Workers: workers})
+						if err != nil {
+							t.Fatal(err)
+						}
+						b, err := Run(d.ds, v, Options{Seed: 987654321, DepMode: mode, Workers: workers})
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireBitIdentical(t, a, b)
+					})
+				}
+			}
+		}
 	}
 }
 
@@ -110,7 +161,7 @@ func TestNearPerfectSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(w.Dataset, VariantExt, Options{Seed: 1})
+	res, err := Run(w.Dataset, VariantExt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +184,7 @@ func TestEMExtRecoversParameters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(w.Dataset, VariantExt, Options{Seed: 3})
+	res, err := Run(w.Dataset, VariantExt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +208,9 @@ func TestVariantsDivergeOnDependentData(t *testing.T) {
 	if w.Dataset.NumDependentClaims() == 0 {
 		t.Fatal("test world has no dependent claims")
 	}
-	resExt, _ := Run(w.Dataset, VariantExt, Options{Seed: 1})
-	resInd, _ := Run(w.Dataset, VariantIndependent, Options{Seed: 1})
-	resSoc, _ := Run(w.Dataset, VariantSocial, Options{Seed: 1})
+	resExt, _ := Run(w.Dataset, VariantExt, Options{})
+	resInd, _ := Run(w.Dataset, VariantIndependent, Options{})
+	resSoc, _ := Run(w.Dataset, VariantSocial, Options{})
 	if samePosteriors(resExt.Posterior, resInd.Posterior) {
 		t.Error("EM-Ext and EM identical on dependent data")
 	}
@@ -181,8 +232,8 @@ func TestVariantsAgreeWithoutDependencies(t *testing.T) {
 	if w.Dataset.NumDependentClaims() != 0 {
 		t.Fatal("all-roots world has dependent claims")
 	}
-	resInd, _ := Run(w.Dataset, VariantIndependent, Options{Seed: 1})
-	resSoc, _ := Run(w.Dataset, VariantSocial, Options{Seed: 1})
+	resInd, _ := Run(w.Dataset, VariantIndependent, Options{})
+	resSoc, _ := Run(w.Dataset, VariantSocial, Options{})
 	for j := range resInd.Posterior {
 		if math.Abs(resInd.Posterior[j]-resSoc.Posterior[j]) > 1e-9 {
 			t.Fatalf("EM vs EM-Social differ at %d without dependencies", j)
@@ -209,14 +260,14 @@ func TestExplicitInitHonored(t *testing.T) {
 
 func TestConvergenceFlag(t *testing.T) {
 	w := genWorld(t, 10, 30, 77)
-	res, err := Run(w.Dataset, VariantExt, Options{Seed: 2, MaxIters: 500, Tol: 1e-8})
+	res, err := Run(w.Dataset, VariantExt, Options{MaxIters: 500, Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Converged {
 		t.Fatal("EM did not converge in 500 iterations")
 	}
-	short, err := Run(w.Dataset, VariantExt, Options{Seed: 2, MaxIters: 1, Tol: 1e-12})
+	short, err := Run(w.Dataset, VariantExt, Options{MaxIters: 1, Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +284,7 @@ func TestLikelihoodMonotone(t *testing.T) {
 	prev := math.Inf(-1)
 	for iters := 1; iters <= 30; iters += 3 {
 		res, err := Run(w.Dataset, VariantExt, Options{
-			Seed: 4, MaxIters: iters, Tol: 1e-15, Smoothing: -1, InitMode: InitVote,
+			MaxIters: iters, Tol: 1e-15, Smoothing: -1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -245,24 +296,9 @@ func TestLikelihoodMonotone(t *testing.T) {
 	}
 }
 
-func TestRestartsPickBestLikelihood(t *testing.T) {
-	w := genWorld(t, 15, 40, 63)
-	single, err := Run(w.Dataset, VariantExt, Options{Seed: 9, InitMode: InitRandom})
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi, err := Run(w.Dataset, VariantExt, Options{Seed: 9, InitMode: InitRandom, Restarts: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if multi.LogLikelihood < single.LogLikelihood-1e-9 {
-		t.Fatalf("restarts returned worse likelihood: %v < %v", multi.LogLikelihood, single.LogLikelihood)
-	}
-}
-
 func TestEMExtImplementsFactFinder(t *testing.T) {
 	w := genWorld(t, 8, 20, 41)
-	e := &EMExt{Opts: Options{Seed: 1}}
+	e := &EMExt{Opts: Options{}}
 	if e.Name() != "EM-Ext" {
 		t.Fatalf("Name = %q", e.Name())
 	}

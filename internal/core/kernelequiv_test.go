@@ -60,7 +60,7 @@ func TestKernelEquivalence(t *testing.T) {
 	for _, tc := range kernelGrid {
 		ds := buildRandomDataset(t, tc.n, tc.m, tc.density, tc.seed)
 		for _, v := range []Variant{VariantExt, VariantIndependent, VariantSocial} {
-			opts := Options{Seed: tc.seed, DepMode: DepModeJoint}
+			opts := Options{DepMode: DepModeJoint}
 			ref, err := Run(ds, v, opts)
 			if err != nil {
 				t.Fatalf("n=%d m=%d %v ref: %v", tc.n, tc.m, v, err)
@@ -86,14 +86,14 @@ func TestKernelEquivalence(t *testing.T) {
 // PosteriorOpts rather than the joint iteration.
 func TestKernelEquivalencePlugin(t *testing.T) {
 	ds := buildRandomDataset(t, 30, 90, 0.04, 11)
-	ref, err := Run(ds, VariantExt, Options{Seed: 9, DepMode: DepModePlugin})
+	ref, err := Run(ds, VariantExt, Options{DepMode: DepModePlugin})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, kernel := range []Kernel{KernelSparse, KernelDense} {
 		for _, workers := range []int{1, 8} {
 			got, err := Run(ds, VariantExt, Options{
-				Seed: 9, DepMode: DepModePlugin, Kernel: kernel, Workers: workers,
+				DepMode: DepModePlugin, Kernel: kernel, Workers: workers,
 			})
 			if err != nil {
 				t.Fatalf("kernel=%v workers=%d: %v", kernel, workers, err)
@@ -103,11 +103,11 @@ func TestKernelEquivalencePlugin(t *testing.T) {
 	}
 }
 
-// TestKernelEquivalenceRestartsAndScratch: restarts (serial and
-// concurrent) and a reused Scratch must not perturb a single bit either.
-func TestKernelEquivalenceRestartsAndScratch(t *testing.T) {
+// TestKernelEquivalenceScratch: a reused Scratch must not perturb a single
+// bit either.
+func TestKernelEquivalenceScratch(t *testing.T) {
 	ds := buildRandomDataset(t, 20, 50, 0.12, 13)
-	ref, err := Run(ds, VariantExt, Options{Seed: 21, Restarts: 3, DepMode: DepModeJoint})
+	ref, err := Run(ds, VariantExt, Options{DepMode: DepModeJoint})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +118,7 @@ func TestKernelEquivalenceRestartsAndScratch(t *testing.T) {
 			// dirty buffers and must still match.
 			for pass := 0; pass < 2; pass++ {
 				got, err := Run(ds, VariantExt, Options{
-					Seed: 21, Restarts: 3, DepMode: DepModeJoint,
-					Kernel: kernel, Workers: workers, Scratch: scratch,
+					DepMode: DepModeJoint, Kernel: kernel, Workers: workers, Scratch: scratch,
 				})
 				if err != nil {
 					t.Fatalf("kernel=%v workers=%d pass=%d: %v", kernel, workers, pass, err)

@@ -90,7 +90,7 @@ func TestEdgeCaseResultsFinite(t *testing.T) {
 	for name, ds := range edgeDatasets(t) {
 		for _, v := range []Variant{VariantExt, VariantIndependent, VariantSocial} {
 			for _, kernel := range []Kernel{KernelSparse, KernelDense} {
-				res, err := Run(ds, v, Options{Seed: 2, Kernel: kernel})
+				res, err := Run(ds, v, Options{Kernel: kernel})
 				if err != nil {
 					t.Fatalf("%s %v %v: %v", name, v, kernel, err)
 				}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"depsense/internal/factfind"
-	"depsense/internal/runctx"
 )
 
 // requireBitIdentical asserts two EM results are equal field by field with
@@ -40,36 +39,18 @@ func requireBitIdentical(t *testing.T, serial, par *factfind.Result) {
 func TestWorkersEquivalenceSingleRun(t *testing.T) {
 	w := genWorld(t, 25, 80, 41)
 	for _, v := range []Variant{VariantExt, VariantIndependent, VariantSocial} {
-		serial, err := Run(w.Dataset, v, Options{Seed: 7})
+		serial, err := Run(w.Dataset, v, Options{})
 		if err != nil {
 			t.Fatalf("%v serial: %v", v, err)
 		}
 		for _, workers := range []int{2, 8} {
-			par, err := Run(w.Dataset, v, Options{Seed: 7, Workers: workers})
+			par, err := Run(w.Dataset, v, Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", v, workers, err)
 			}
 			requireBitIdentical(t, serial, par)
 		}
 	}
-}
-
-// TestWorkersEquivalenceRestarts: the concurrent restart fan-out derives
-// per-restart seeds identically to the serial loop and picks the same
-// winner.
-func TestWorkersEquivalenceRestarts(t *testing.T) {
-	w := genWorld(t, 15, 40, 13)
-	opts := Options{Seed: 3, Restarts: 4}
-	serial, err := Run(w.Dataset, VariantExt, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Workers = 8
-	par, err := Run(w.Dataset, VariantExt, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitIdentical(t, serial, par)
 }
 
 // TestWorkersEquivalenceCancelMidRun: cancelling at a deterministic
@@ -79,7 +60,7 @@ func TestWorkersEquivalenceCancelMidRun(t *testing.T) {
 	w := genWorld(t, 20, 60, 29)
 	run := func(workers int) *factfind.Result {
 		ctx, _ := cancelAfter(t, 3)
-		res, err := RunCtx(ctx, w.Dataset, VariantExt, Options{Seed: 5, Workers: workers})
+		res, err := RunCtx(ctx, w.Dataset, VariantExt, Options{Workers: workers})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d err = %v", workers, err)
 		}
@@ -91,34 +72,4 @@ func TestWorkersEquivalenceCancelMidRun(t *testing.T) {
 	serial := run(1)
 	par := run(8)
 	requireBitIdentical(t, serial, par)
-}
-
-// TestWorkersRestartsCancelValidPartial: cancelling the concurrent restart
-// pool mid-run cannot deterministically pin which restart was interrupted,
-// but the surfaced partial state must still be a valid checkpoint: stopped
-// reason recorded, posteriors well-formed.
-func TestWorkersRestartsCancelValidPartial(t *testing.T) {
-	w := genWorld(t, 20, 60, 37)
-	ctx, final := cancelAfter(t, 2)
-	res, err := RunCtx(ctx, w.Dataset, VariantExt, Options{Seed: 5, Restarts: 4, Workers: 8})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-	if res == nil {
-		t.Fatal("cancelled restart pool returned no partial result")
-	}
-	if res.Stopped != runctx.StopCancelled {
-		t.Fatalf("Stopped = %q, want %q", res.Stopped, runctx.StopCancelled)
-	}
-	if len(res.Posterior) != w.Dataset.M() {
-		t.Fatalf("partial posterior has %d entries, want %d", len(res.Posterior), w.Dataset.M())
-	}
-	for j, p := range res.Posterior {
-		if p < 0 || p > 1 {
-			t.Fatalf("partial posterior[%d] = %v out of [0,1]", j, p)
-		}
-	}
-	if !final.Done || final.Stopped != runctx.StopCancelled {
-		t.Fatalf("final hook iteration = %+v", final)
-	}
 }

@@ -18,11 +18,7 @@ func depMode(ds *claims.Dataset, opts Options) DepMode {
 	if opts.DepMode != DepModeAuto {
 		return opts.DepMode
 	}
-	threshold := opts.DenseThreshold
-	if threshold <= 0 {
-		threshold = 5
-	}
-	if DependentPairsPerSource(ds) >= threshold {
+	if DependentPairsPerSource(ds) >= denseThreshold {
 		return DepModeJoint
 	}
 	return DepModePlugin
@@ -49,9 +45,7 @@ func DependentPairsPerSource(ds *claims.Dataset) float64 {
 func runPlugin(ctx context.Context, ds *claims.Dataset, opts Options) (*factfind.Result, error) {
 	hook := runctx.HookFrom(ctx)
 	start := time.Now() //lint:allow seedsource wall-clock timing for the observability hook Elapsed field, not part of results
-	coarseOpts := opts
-	coarseOpts.InitMode = InitVote
-	coarse, err := RunCtx(ctx, ds, VariantSocial, coarseOpts)
+	coarse, err := RunCtx(ctx, ds, VariantSocial, opts)
 	if err != nil {
 		if runctx.Reason(err) != "" {
 			// Cancelled during the coarse stage: the dependency-blind

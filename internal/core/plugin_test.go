@@ -106,7 +106,7 @@ func TestPooledDependentChannelNoDependents(t *testing.T) {
 
 func TestPosteriorMatchesEMOutput(t *testing.T) {
 	w := genWorld(t, 10, 30, 44)
-	res, err := Run(w.Dataset, VariantExt, Options{Seed: 5, DepMode: DepModeJoint})
+	res, err := Run(w.Dataset, VariantExt, Options{DepMode: DepModeJoint})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestPluginModeRunsOnSparseData(t *testing.T) {
 	if depMode(ds, Options{}) != DepModePlugin {
 		t.Skip("dataset unexpectedly dense")
 	}
-	res, err := Run(ds, VariantExt, Options{Seed: 1})
+	res, err := Run(ds, VariantExt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +203,11 @@ func TestPluginModeRunsOnSparseData(t *testing.T) {
 // different estimators on the same data.
 func TestJointVsPluginDiffer(t *testing.T) {
 	w := genWorld(t, 20, 50, 9)
-	joint, err := Run(w.Dataset, VariantExt, Options{Seed: 2, DepMode: DepModeJoint})
+	joint, err := Run(w.Dataset, VariantExt, Options{DepMode: DepModeJoint})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plug, err := Run(w.Dataset, VariantExt, Options{Seed: 2, DepMode: DepModePlugin})
+	plug, err := Run(w.Dataset, VariantExt, Options{DepMode: DepModePlugin})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // checkResult asserts the structural health of an estimator output.
 func checkResult(t *testing.T, ds *claims.Dataset, variant Variant) {
 	t.Helper()
-	res, err := Run(ds, variant, Options{Seed: 1})
+	res, err := Run(ds, variant, Options{})
 	if err != nil {
 		t.Fatalf("%v: %v", variant, err)
 	}
@@ -161,7 +161,7 @@ func TestRandomDatasetsNeverBreak(t *testing.T) {
 			return false
 		}
 		for _, v := range []Variant{VariantExt, VariantIndependent, VariantSocial} {
-			res, err := Run(ds, v, Options{Seed: seed, MaxIters: 40})
+			res, err := Run(ds, v, Options{MaxIters: 40})
 			if err != nil {
 				return false
 			}

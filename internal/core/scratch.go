@@ -15,12 +15,10 @@ import (
 // serial kernel iteration allocates nothing at all.
 //
 // A Scratch is exclusive to one running fit: it must not be shared by
-// concurrent runs. The concurrent-restarts path (Restarts > 1 with
-// Workers > 1) therefore ignores Options.Scratch and allocates per
-// restart; intra-run E/M-step parallelism is fine, since all workers of
-// one run share one engine by design. Buffers grow monotonically and are
-// fully rewritten by each fit, so reuse across datasets of different
-// shapes is safe.
+// concurrent runs. Intra-run E/M-step parallelism is fine, since all
+// workers of one run share one engine by design. Buffers grow
+// monotonically and are fully rewritten by each fit, so reuse across
+// datasets of different shapes is safe.
 //
 //depsense:scratch
 type Scratch struct {

@@ -71,7 +71,7 @@ func benchHot(c Config, sz benchSizes, rep *BenchReport) error {
 			}},
 			{"fit", func(k core.Kernel) (any, error) {
 				return core.RunCtx(c.Ctx, ds, core.VariantExt, core.Options{
-					Seed: c.Seed, MaxIters: sz.hotIters, Tol: 1e-300,
+					MaxIters: sz.hotIters, Tol: 1e-300,
 					DepMode: core.DepModeJoint, Kernel: k, Workers: 1,
 				})
 			}},

@@ -49,7 +49,7 @@ func benchQual(c Config, sz benchSizes, rep *BenchReport) error {
 		})
 		var obsErr error
 		est := stream.New(stream.Options{
-			EM: core.Options{Seed: c.Seed, Workers: c.Workers},
+			EM: core.Options{Workers: c.Workers},
 			OnRefit: func(ctx context.Context, ev stream.RefitEvent) {
 				t0 := time.Now() //lint:allow seedsource wall-clock timing measurement: this benchmark's output IS monitor overhead
 				_, err := m.ObserveRefit(ctx, qual.Refit{Result: ev.Result, Dataset: ev.Dataset, Edges: ev.Edges})

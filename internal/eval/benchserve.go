@@ -25,7 +25,7 @@ import (
 func benchServe(c Config, sz benchSizes, rep *BenchReport) error {
 	// ---- Open-loop phase: cache + coalescing, unbounded compute. ----
 	reg := obs.NewRegistry()
-	srv := httpapi.New(httpapi.Options{Seed: c.Seed, Workers: 1, Metrics: reg})
+	srv := httpapi.New(httpapi.Options{Workers: 1, Metrics: reg})
 	payloads := make([][]byte, sz.serveUnique)
 	for v := range payloads {
 		b, err := json.Marshal(openLoopPayload(v))
@@ -78,7 +78,6 @@ func benchServe(c Config, sz benchSizes, rep *BenchReport) error {
 	// ---- Saturation burst: one compute slot, no queue, no cache. ----
 	burstReg := obs.NewRegistry()
 	burstSrv := httpapi.New(httpapi.Options{
-		Seed:        c.Seed,
 		Workers:     1,
 		Metrics:     burstReg,
 		CacheSize:   -1, // replay off: every request must compete for the slot

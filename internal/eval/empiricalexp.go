@@ -61,7 +61,7 @@ func Empirical(c Config) (EmpiricalResult, error) {
 			}
 			in := apollo.Input{NumSources: sc.Sources, Messages: msgs, Graph: w.Graph}
 
-			for _, alg := range baselines.All(c.Seed + int64(seed)) {
+			for _, alg := range baselines.All() {
 				pipe, err := apollo.RunContext(c.Ctx, in, alg, apollo.Options{TopK: c.TopK})
 				if err != nil {
 					return EmpiricalResult{}, fmt.Errorf("eval: empirical %s %s: %w", sc.Name, alg.Name(), err)

@@ -86,9 +86,9 @@ func estimatorSweep(label, xName string, xs []float64, cfgs []synthetic.Config, 
 				return fmt.Errorf("eval: %s point %d: %w", label, k, err)
 			}
 			algs := []factfind.FactFinder{
-				&core.EMExt{Opts: core.Options{Seed: int64(r)}},
-				&baselines.EM{Opts: core.Options{Seed: int64(r)}},
-				&baselines.EMSocial{Opts: core.Options{Seed: int64(r)}},
+				&core.EMExt{},
+				&baselines.EM{},
+				&baselines.EMSocial{},
 			}
 			for ai, alg := range algs {
 				res, err := alg.RunContext(c.Ctx, w.Dataset)

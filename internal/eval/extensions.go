@@ -85,7 +85,7 @@ func ExtSybilAttack(c Config) (SybilResult, error) {
 				msgs[i] = apollo.Message{Source: t.Source, Time: int64(t.ID), Text: t.Text}
 			}
 			in := apollo.Input{NumSources: sc.Sources + sc.Sybils, Messages: msgs, Graph: w.Graph}
-			for _, alg := range baselines.All(c.Seed + int64(seed)) {
+			for _, alg := range baselines.All() {
 				pipe, err := apollo.RunContext(c.Ctx, in, alg, apollo.Options{TopK: c.TopK})
 				if err != nil {
 					return SybilResult{}, fmt.Errorf("eval: sybil %s: %w", alg.Name(), err)

@@ -23,7 +23,6 @@ func (s *Server) Flight() *trace.FlightRecorder { return s.flight }
 func (s *Server) newRunTrace(r *http.Request, algorithm string) *trace.Builder {
 	b := trace.NewBuilder("req-"+strconv.FormatUint(s.requestID(r), 10), "factfind", s.clock)
 	b.SetAttr("algorithm", algorithm)
-	b.SetAttr("seed", strconv.FormatInt(s.opts.Seed, 10))
 	return b
 }
 

@@ -122,7 +122,6 @@ func TestDebugRunsEndpoints(t *testing.T) {
 func TestDeadlineRunRecoverablePostMortem(t *testing.T) {
 	dir := t.TempDir()
 	ts := httptest.NewServer(New(Options{
-		Seed:           1,
 		ComputeTimeout: time.Nanosecond,
 		TraceDir:       dir,
 	}))
@@ -170,7 +169,7 @@ func TestDeadlineRunRecoverablePostMortem(t *testing.T) {
 // stripped.
 func TestHTTPTraceDeterminismAcrossWorkers(t *testing.T) {
 	fetch := func(workers int) []byte {
-		ts := httptest.NewServer(New(Options{Seed: 1, Workers: workers}))
+		ts := httptest.NewServer(New(Options{Workers: workers}))
 		defer ts.Close()
 		req := sampleRequest()
 		req.Algorithm = "EM-Ext"
@@ -202,7 +201,7 @@ func TestHTTPTraceDeterminismAcrossWorkers(t *testing.T) {
 // counters keep the full history — memory stays bounded no matter how much
 // traffic the server serves.
 func TestFlightRecorderBounded(t *testing.T) {
-	ts := httptest.NewServer(New(Options{Seed: 1, TraceBuffer: 2}))
+	ts := httptest.NewServer(New(Options{TraceBuffer: 2}))
 	defer ts.Close()
 	const requests = 5
 	for i := 0; i < requests; i++ {
@@ -231,7 +230,7 @@ func TestFlightRecorderBounded(t *testing.T) {
 // surface — factfind writers racing /debug/runs readers — and is the
 // race-detector fixture for the serving path.
 func TestDebugRunsConcurrent(t *testing.T) {
-	srv := New(Options{Seed: 1})
+	srv := New(Options{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	var wg sync.WaitGroup

@@ -57,15 +57,15 @@ type Options struct {
 	// DefaultTopK is the ranked output size when the request does not set
 	// one (default 100).
 	DefaultTopK int
-	// Seed drives the estimators' initialization.
+	// Deprecated: no effect. EM reads no randomness (see core.Options).
 	Seed int64
 	// ComputeTimeout bounds the pipeline compute per request (0 = no
 	// limit). Requests that exceed it get a 503 with the progress the
 	// estimator made before the deadline.
 	ComputeTimeout time.Duration
-	// Workers bounds the intra-request estimator parallelism (EM restart
-	// fan-out). Results are bit-for-bit identical at any value; 0 or 1 runs
-	// serial.
+	// Workers bounds the intra-request estimator parallelism (EM E/M-step
+	// block sharding). Results are bit-for-bit identical at any value; 0 or
+	// 1 runs serial.
 	Workers int
 	// Metrics receives the server's telemetry and backs the /metrics
 	// endpoint; nil creates a private registry (retrievable with

@@ -11,7 +11,7 @@ import (
 )
 
 func newTestServer() *httptest.Server {
-	return httptest.NewServer(New(Options{Seed: 1}))
+	return httptest.NewServer(New(Options{}))
 }
 
 func postJSON(t *testing.T, url string, req Request) (*http.Response, []byte) {
@@ -224,7 +224,7 @@ func TestHealthzMethod(t *testing.T) {
 }
 
 func TestFactFindComputeDeadline(t *testing.T) {
-	ts := httptest.NewServer(New(Options{Seed: 1, ComputeTimeout: time.Nanosecond}))
+	ts := httptest.NewServer(New(Options{ComputeTimeout: time.Nanosecond}))
 	defer ts.Close()
 	req := sampleRequest()
 	req.Algorithm = "EM-Ext"

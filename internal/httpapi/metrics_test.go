@@ -123,7 +123,6 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestMiddlewareAccounting(t *testing.T) {
 	now := time.Unix(0, 0)
 	srv := New(Options{
-		Seed: 1,
 		Clock: func() time.Time {
 			now = now.Add(50 * time.Millisecond)
 			return now
@@ -169,7 +168,7 @@ func TestMiddlewareAccounting(t *testing.T) {
 // histograms are excluded (duration, not determinism).
 func TestMetricsDeterminism(t *testing.T) {
 	run := func(workers int) string {
-		srv := New(Options{Seed: 1, Workers: workers})
+		srv := New(Options{Workers: workers})
 		ts := httptest.NewServer(srv)
 		defer ts.Close()
 		req := sampleRequest()
@@ -198,7 +197,7 @@ func TestMetricsDeterminism(t *testing.T) {
 
 // TestDisableMetrics: the endpoint disappears, telemetry keeps recording.
 func TestDisableMetrics(t *testing.T) {
-	srv := New(Options{Seed: 1, DisableMetrics: true})
+	srv := New(Options{DisableMetrics: true})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -223,7 +222,7 @@ func TestDisableMetrics(t *testing.T) {
 // TestComputeDeadlineStopReasonExported: a 503 deadline response leaves a
 // matching stop-reason counter behind.
 func TestComputeDeadlineStopReasonExported(t *testing.T) {
-	srv := New(Options{Seed: 1, ComputeTimeout: time.Nanosecond})
+	srv := New(Options{ComputeTimeout: time.Nanosecond})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	req := sampleRequest()

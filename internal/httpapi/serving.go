@@ -132,7 +132,7 @@ func (s *Server) canonicalAlgorithm(name string) (string, bool) {
 // plus the server options that shape the result: source space, sorted
 // follow edges, the message stream (order preserved — clustering is
 // order-sensitive), archive payload, lowercased format, canonical
-// algorithm name, resolved topK, and the server's seed and worker count.
+// algorithm name, resolved topK, and the server's worker count.
 // Two requests with the same key are entitled to byte-identical responses
 // (trace id aside).
 func (s *Server) resultKey(req Request, algorithm string, topK int) string {
@@ -151,10 +151,9 @@ func (s *Server) resultKey(req Request, algorithm string, topK int) string {
 		Format    string    `json:"format"`
 		Algorithm string    `json:"algorithm"`
 		TopK      int       `json:"topK"`
-		Seed      int64     `json:"seed"`
 		Workers   int       `json:"workers"`
 	}{req.Sources, follows, req.Messages, req.Archive,
-		strings.ToLower(req.Format), algorithm, topK, s.opts.Seed, s.opts.Workers}
+		strings.ToLower(req.Format), algorithm, topK, s.opts.Workers}
 	b, err := json.Marshal(payload)
 	if err != nil {
 		return "" // unreachable: plain data marshals; "" is never stored
@@ -310,15 +309,14 @@ func (s *Server) computeResult(r *http.Request, req Request, algorithm string, t
 		s.testComputeHook()
 	}
 
-	finder := baselines.ExtendedByName(algorithm, core.Options{Seed: s.opts.Seed, Workers: s.opts.Workers})
+	finder := baselines.ExtendedByName(algorithm, core.Options{Workers: s.opts.Workers})
 	// Estimator telemetry: one metrics exporter plus one trace recorder per
-	// computation, composed with MultiHook and serialized so parallel
-	// compute paths (EM restart fan-out at Workers > 1) never fire them
-	// concurrently — counter values and traces stay identical at any worker
+	// computation, composed with MultiHook. Every fact-finder fires its
+	// hook from one goroutine at any Workers value (EM's sharded E/M steps
+	// fire none), so counter values and traces are identical at any worker
 	// count.
 	tb := s.newRunTrace(r, algorithm)
 	hctx := runctx.WithHook(ctx, runctx.MultiHook(obs.HookExporter(s.reg), tb.Hook()))
-	hctx = runctx.WithSerializedHook(hctx)
 	out, err := apollo.RunContext(hctx, in, finder, apollo.Options{TopK: topK, Clock: s.clock})
 	if out != nil {
 		s.recordStages(out.Stages)

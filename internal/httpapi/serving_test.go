@@ -127,7 +127,7 @@ var traceIDField = regexp.MustCompile(`"traceID":"[^"]*"`)
 func TestCacheHitByteIdentical(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			srv := New(Options{Seed: 1, Workers: workers})
+			srv := New(Options{Workers: workers})
 			ts := httptest.NewServer(srv)
 			defer ts.Close()
 			req := sampleRequest()
@@ -192,7 +192,7 @@ func TestCacheHitByteIdentical(t *testing.T) {
 // exactly once; every caller receives the very same bytes (TraceID
 // included — they shared one run).
 func TestCoalescing(t *testing.T) {
-	srv := New(Options{Seed: 1})
+	srv := New(Options{})
 	var runs atomic.Int32
 	gate := make(chan struct{})
 	srv.testComputeHook = func() {
@@ -277,7 +277,7 @@ func TestCoalescing(t *testing.T) {
 // computations get 429 + Retry-After immediately, and the channel-token
 // accounting drains cleanly once the blocker finishes.
 func TestShedOverCapacity(t *testing.T) {
-	srv := New(Options{Seed: 1, MaxInFlight: 1, QueueDepth: 0})
+	srv := New(Options{MaxInFlight: 1, QueueDepth: 0})
 	gate := make(chan struct{})
 	srv.testComputeHook = func() { <-gate }
 	ts := httptest.NewServer(srv)
@@ -343,7 +343,7 @@ func TestShedOverCapacity(t *testing.T) {
 // TestQueueThenShed: one computation runs, one waits in the depth-1 queue,
 // the third sheds; releasing the runner lets the queued one through.
 func TestQueueThenShed(t *testing.T) {
-	srv := New(Options{Seed: 1, MaxInFlight: 1, QueueDepth: 1})
+	srv := New(Options{MaxInFlight: 1, QueueDepth: 1})
 	gate := make(chan struct{})
 	srv.testComputeHook = func() { <-gate }
 	ts := httptest.NewServer(srv)
@@ -395,7 +395,7 @@ func TestQueueThenShed(t *testing.T) {
 // remaining compute budget cannot cover, requests are rejected up front
 // with 503 — the pipeline never starts.
 func TestDeadlineAdmission(t *testing.T) {
-	srv := New(Options{Seed: 1, ComputeTimeout: 50 * time.Millisecond})
+	srv := New(Options{ComputeTimeout: 50 * time.Millisecond})
 	var ran atomic.Bool
 	srv.testComputeHook = func() { ran.Store(true) }
 	// Teach the histogram an observed fit cost far above the budget.
@@ -432,7 +432,7 @@ func TestDeadlineAdmission(t *testing.T) {
 // TestCacheDisabled: a negative CacheSize turns replay off — identical
 // sequential requests each compute.
 func TestCacheDisabled(t *testing.T) {
-	srv := New(Options{Seed: 1, CacheSize: -1})
+	srv := New(Options{CacheSize: -1})
 	var runs atomic.Int32
 	srv.testComputeHook = func() { runs.Add(1) }
 	ts := httptest.NewServer(srv)

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"depsense/internal/core"
 	"depsense/internal/httpapi"
 	"depsense/internal/qual"
 	"depsense/internal/stream"
@@ -32,7 +31,7 @@ func servePipeline(t *testing.T, quality bool) (*Pipeline, *Server) {
 	t.Helper()
 	_, tweets := testTweets(t, 60, 7)
 	opts := Options{
-		Stream:          stream.Options{EM: core.Options{Seed: 5}},
+		Stream:          stream.Options{},
 		BatchSize:       32,
 		DisableShedding: true,
 	}
@@ -49,7 +48,7 @@ func servePipeline(t *testing.T, quality bool) (*Pipeline, *Server) {
 // opsServers returns the factfind server and a quality-monitored ingest
 // server, both before their first computation.
 func opsServers(t *testing.T) []opsServer {
-	api := httpapi.New(httpapi.Options{Seed: 1})
+	api := httpapi.New(httpapi.Options{})
 	p, srv := servePipeline(t, true)
 	return []opsServer{
 		{"httpapi", api, func(t *testing.T) {
@@ -229,7 +228,7 @@ func TestOpsRoutesDisabled(t *testing.T) {
 		path string
 	}{
 		{"ingest without quality", plain, "/debug/quality"},
-		{"httpapi with metrics disabled", httpapi.New(httpapi.Options{Seed: 1, DisableMetrics: true}), "/metrics"},
+		{"httpapi with metrics disabled", httpapi.New(httpapi.Options{DisableMetrics: true}), "/metrics"},
 	} {
 		rec := httptest.NewRecorder()
 		c.h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, c.path, nil))

@@ -340,7 +340,6 @@ func (p *Pipeline) commit(ctx context.Context, b Batch) (*Published, error) {
 
 	fitStart := p.clock()
 	fitCtx := runctx.WithHook(ctx, runctx.MultiHook(obs.HookExporter(p.reg), tb.Hook()))
-	fitCtx = runctx.WithSerializedHook(fitCtx)
 	res, err := p.est.AddBatchContext(fitCtx, b.Events)
 	fitD := p.clock().Sub(fitStart)
 	tb.Stage("fit", fitD)

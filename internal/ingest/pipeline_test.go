@@ -103,13 +103,13 @@ func runPipeline(t *testing.T, src Source, opts Options) ([]*Published, error) {
 func TestPipelineMatchesDirectEstimator(t *testing.T) {
 	const batchSize, topK = 16, 50
 	_, tweets := testTweets(t, 60, 7)
-	streamOpts := stream.Options{EM: core.Options{Seed: 5}}
+	streamOpts := stream.Options{}
 	wantPost, wantRank, wantTexts := directRun(t, tweets, batchSize, topK, streamOpts)
 
 	var runs [][]*Published
 	for _, workers := range []int{1, 4} {
 		opts := Options{
-			Stream:          stream.Options{EM: core.Options{Seed: 5, Workers: workers}},
+			Stream:          stream.Options{EM: core.Options{Workers: workers}},
 			BatchSize:       batchSize,
 			TopK:            topK,
 			DisableShedding: true,
@@ -165,7 +165,7 @@ func TestPipelineKillAndRestartMatchesUninterrupted(t *testing.T) {
 	world, _ := testTweets(t, 60, 7)
 	base := func(dir string) Options {
 		return Options{
-			Stream:          stream.Options{EM: core.Options{Seed: 3}},
+			Stream:          stream.Options{},
 			BatchSize:       batchSize,
 			SnapshotEvery:   snapEvery,
 			TopK:            topK,
@@ -253,7 +253,7 @@ func TestPipelineRecoversTornLog(t *testing.T) {
 	world, _ := testTweets(t, 60, 7)
 	dir := t.TempDir()
 	opts := Options{
-		Stream:          stream.Options{EM: core.Options{Seed: 3}},
+		Stream:          stream.Options{},
 		BatchSize:       16,
 		SnapshotEvery:   1000, // no periodic snapshots: the log carries everything
 		DisableShedding: true,
@@ -395,7 +395,7 @@ func TestPipelineQueueAndBatchTelemetry(t *testing.T) {
 	reg := obs.NewRegistry()
 	_, tweets := testTweets(t, 60, 7)
 	opts := Options{
-		Stream:          stream.Options{EM: core.Options{Seed: 5}},
+		Stream:          stream.Options{},
 		BatchSize:       32,
 		DisableShedding: true,
 		Metrics:         reg,

@@ -81,7 +81,7 @@ func runQualityPipeline(t *testing.T, tweets []Tweet, workers int, dir string) (
 	t.Helper()
 	var pubs []*Published
 	opts := Options{
-		Stream:          stream.Options{EM: core.Options{Seed: 5, Workers: workers}},
+		Stream:          stream.Options{EM: core.Options{Workers: workers}},
 		BatchSize:       qualBatch,
 		DisableShedding: true,
 		TraceDir:        dir,
@@ -276,7 +276,7 @@ func TestServerQualityEndpoints(t *testing.T) {
 	// Quality disabled: explicit absence, not zeros.
 	_, plainTweets := testTweets(t, 60, 7)
 	plain, err := New(context.Background(), &SliceSource{Tweets: plainTweets}, Options{
-		Stream:          stream.Options{EM: core.Options{Seed: 5}},
+		Stream:          stream.Options{},
 		BatchSize:       32,
 		DisableShedding: true,
 	})

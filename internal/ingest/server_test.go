@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"depsense/internal/core"
 	"depsense/internal/httpapi"
 	"depsense/internal/stream"
 	"depsense/internal/trace"
@@ -20,7 +19,7 @@ func servedPipeline(t *testing.T) (*Pipeline, *Server) {
 	t.Helper()
 	_, tweets := testTweets(t, 60, 7)
 	p, err := New(context.Background(), &SliceSource{Tweets: tweets}, Options{
-		Stream:          stream.Options{EM: core.Options{Seed: 5}},
+		Stream:          stream.Options{},
 		BatchSize:       32,
 		DisableShedding: true,
 		Dir:             t.TempDir(),
@@ -194,7 +193,7 @@ func TestServerStatuszSnapshotAgeClock(t *testing.T) {
 
 	_, tweets := testTweets(t, 60, 7)
 	p, err := New(context.Background(), &SliceSource{Tweets: tweets}, Options{
-		Stream:          stream.Options{EM: core.Options{Seed: 5}},
+		Stream:          stream.Options{},
 		BatchSize:       32,
 		DisableShedding: true,
 		Dir:             t.TempDir(),

@@ -160,25 +160,6 @@ func (p *Params) MaxAbsDiff(q *Params) float64 {
 	return d
 }
 
-// RandomParams draws an initial parameter set uniformly at random, the
-// initialization step of Algorithm 2 ("Initialize parameter set θ with
-// random probability"). Reliability-ordered draws (A > B, F > G is NOT
-// forced) keep the initializer fully uninformative; the EM label-switching
-// ambiguity is resolved downstream by InitBias when requested.
-func RandomParams(rng *rand.Rand, n int) *Params {
-	p := NewParams(n, rng.Float64())
-	for i := range p.Sources {
-		p.Sources[i] = SourceParams{
-			A: rng.Float64(),
-			B: rng.Float64(),
-			F: rng.Float64(),
-			G: rng.Float64(),
-		}
-	}
-	p.Clamp()
-	return p
-}
-
 // InformedInitParams draws a random but label-identified initialization:
 // each source's true-claim probabilities (A, F) are drawn above its
 // false-claim probabilities (B, G). Truth-discovery EM has a global

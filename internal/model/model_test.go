@@ -140,16 +140,6 @@ func TestClampProbRange(t *testing.T) {
 	}
 }
 
-func TestRandomParamsValid(t *testing.T) {
-	rng := randutil.New(1)
-	for i := 0; i < 20; i++ {
-		p := RandomParams(rng, 5)
-		if err := p.Validate(); err != nil {
-			t.Fatalf("RandomParams invalid: %v", err)
-		}
-	}
-}
-
 func TestInformedInitOrdering(t *testing.T) {
 	rng := randutil.New(2)
 	for i := 0; i < 50; i++ {

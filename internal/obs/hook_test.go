@@ -106,7 +106,7 @@ func TestHookExporterLiveRun(t *testing.T) {
 	}
 	reg := NewRegistry()
 	ctx := runctx.WithHook(context.Background(), HookExporter(reg))
-	res, err := core.RunCtx(ctx, w.Dataset, core.VariantExt, core.Options{Seed: 1})
+	res, err := core.RunCtx(ctx, w.Dataset, core.VariantExt, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -322,7 +322,7 @@ func streamVerdicts(t *testing.T, workers int) []*Verdict {
 	})
 	var verdicts []*Verdict
 	est := stream.New(stream.Options{
-		EM: core.Options{Seed: 5, Workers: workers},
+		EM: core.Options{Workers: workers},
 		OnRefit: func(ctx context.Context, ev stream.RefitEvent) {
 			v, err := m.ObserveRefit(ctx, Refit{Result: ev.Result, Dataset: ev.Dataset, Edges: ev.Edges})
 			if err != nil {
@@ -456,7 +456,7 @@ func flipStreamAlarms(t *testing.T, flip bool, workers int) (*twittersim.World, 
 		BoundEvery: -1,
 	})
 	est := stream.New(stream.Options{
-		EM: core.Options{Seed: 5, Workers: workers},
+		EM: core.Options{Workers: workers},
 		OnRefit: func(ctx context.Context, ev stream.RefitEvent) {
 			if _, err := m.ObserveRefit(ctx, Refit{Result: ev.Result, Dataset: ev.Dataset, Edges: ev.Edges}); err != nil {
 				t.Errorf("observe refit %d: %v", ev.Fit, err)

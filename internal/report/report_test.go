@@ -28,7 +28,7 @@ func pipelineOutput(t *testing.T) (*apollo.Output, string) {
 		NumSources: sc.Sources,
 		Messages:   msgs,
 		Graph:      w.Graph,
-	}, &core.EMExt{Opts: core.Options{Seed: 1}}, apollo.Options{TopK: 10})
+	}, &core.EMExt{}, apollo.Options{TopK: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,9 +50,9 @@ type Iteration struct {
 	Algorithm string
 	// N is the 1-based iteration / round / checkpoint number.
 	N int
-	// Chain is the 0-based index of the restart / Gibbs chain firing this
-	// record, when the computation fans out over several (EM restart pools,
-	// multi-chain bound approximation); 0 for serial single-run layers.
+	// Chain is the 0-based index of the Gibbs chain firing this record,
+	// when the bound approximation fans out over several; 0 for serial
+	// single-run layers, EM included.
 	Chain int
 	// LogLikelihood is the current data log-likelihood for model-based
 	// estimators. HasLL distinguishes "no log-likelihood" (heuristics,
@@ -165,8 +165,8 @@ func HookFrom(ctx context.Context) Hook {
 }
 
 // WithSerializedHook returns a context whose hook chain (if any) is
-// replaced by a mutex-guarded equivalent. Parallel compute paths — EM
-// restarts, exact-bound blocks, Gibbs chains running concurrently — wrap
+// replaced by a mutex-guarded equivalent. Parallel compute paths —
+// exact-bound blocks, Gibbs chains running concurrently — wrap
 // their context with this before fanning out, so user hooks written for the
 // serial contract never observe two concurrent calls.
 func WithSerializedHook(ctx context.Context) context.Context {

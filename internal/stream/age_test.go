@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"depsense/internal/core"
 	"depsense/internal/depgraph"
 	"depsense/internal/obs"
 )
@@ -27,7 +26,6 @@ func TestLastRefitAgeGauge(t *testing.T) {
 	now := time.Unix(1700000000, 0)
 	reg := obs.NewRegistry()
 	e := New(Options{
-		EM:      core.Options{Seed: 3},
 		Metrics: reg,
 		Clock:   func() time.Time { return now },
 	})

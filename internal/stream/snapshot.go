@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"depsense/internal/depgraph"
@@ -35,7 +36,7 @@ func (e *Estimator) Snapshot() *Snapshot {
 	snap := &Snapshot{
 		Sources:    e.numSrc,
 		Assertions: e.numAssert,
-		Events:     append([]depgraph.Event(nil), e.events...),
+		Events:     slices.Clone(e.events),
 		Fits:       e.fits,
 		WarmFits:   e.warmFits,
 		ColdFits:   e.coldFits,
@@ -45,16 +46,19 @@ func (e *Estimator) Snapshot() *Snapshot {
 			snap.Follows = append(snap.Follows, [2]int{i, anc})
 		}
 	}
-	sort.Slice(snap.Follows, func(a, b int) bool {
-		if snap.Follows[a][0] != snap.Follows[b][0] {
-			return snap.Follows[a][0] < snap.Follows[b][0]
-		}
-		return snap.Follows[a][1] < snap.Follows[b][1]
-	})
+	sort.Slice(snap.Follows, func(a, b int) bool { return followLess(snap.Follows[a], snap.Follows[b]) })
 	if e.params != nil {
 		snap.Params = e.params.Clone()
 	}
 	return snap
+}
+
+// followLess orders follow edges by follower, then followee.
+func followLess(a, b [2]int) bool {
+	if a[0] != b[0] {
+		return a[0] < b[0]
+	}
+	return a[1] < b[1]
 }
 
 // Restore rebuilds an estimator from a snapshot under opts (the runtime
@@ -63,6 +67,14 @@ func (e *Estimator) Snapshot() *Snapshot {
 // first AddBatch, which warm-starts from the snapshot's parameters over the
 // snapshot's accumulated events plus the new batch — exactly as the
 // uninterrupted estimator would have.
+//
+// Restore refuses, before allocating anything, a snapshot that Snapshot
+// could not have written: an id space larger than one past the largest id
+// its events, follows and parameters reference (the estimator grows its id
+// spaces only from those), follows that are not sorted, unique and
+// irreflexive, or invalid parameters. A damaged count therefore cannot
+// size an allocation, and an accepted snapshot re-serializes to the same
+// bytes.
 func Restore(snap *Snapshot, opts Options) (*Estimator, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("stream: nil snapshot")
@@ -71,29 +83,48 @@ func Restore(snap *Snapshot, opts Options) (*Estimator, error) {
 		return nil, fmt.Errorf("stream: snapshot has negative id space (%d sources, %d assertions)",
 			snap.Sources, snap.Assertions)
 	}
+	maxSrc, maxAssert := -1, -1
 	for _, ev := range snap.Events {
 		if ev.Source < 0 || ev.Source >= snap.Sources || ev.Assertion < 0 || ev.Assertion >= snap.Assertions {
 			return nil, fmt.Errorf("stream: snapshot event %+v outside id space (%d sources, %d assertions)",
 				ev, snap.Sources, snap.Assertions)
 		}
+		maxSrc = max(maxSrc, ev.Source)
+		maxAssert = max(maxAssert, ev.Assertion)
 	}
-	if snap.Params != nil && snap.Params.NumSources() != snap.Sources {
-		return nil, fmt.Errorf("stream: snapshot params cover %d sources, id space has %d",
-			snap.Params.NumSources(), snap.Sources)
+	for k, f := range snap.Follows {
+		if f[0] < 0 || f[0] >= snap.Sources || f[1] < 0 || f[1] >= snap.Sources {
+			return nil, fmt.Errorf("stream: snapshot follow %v outside id space (%d sources)", f, snap.Sources)
+		}
+		if f[0] == f[1] || (k > 0 && !followLess(snap.Follows[k-1], f)) {
+			return nil, fmt.Errorf("stream: snapshot follow %v is a self-follow or out of order", f)
+		}
+		maxSrc = max(maxSrc, f[0], f[1])
+	}
+	if snap.Params != nil {
+		if snap.Params.NumSources() != snap.Sources {
+			return nil, fmt.Errorf("stream: snapshot params cover %d sources, id space has %d",
+				snap.Params.NumSources(), snap.Sources)
+		}
+		if err := snap.Params.Validate(); err != nil {
+			return nil, fmt.Errorf("stream: snapshot params: %w", err)
+		}
+		maxSrc = max(maxSrc, snap.Params.NumSources()-1)
+	}
+	if snap.Sources > maxSrc+1 || snap.Assertions > maxAssert+1 {
+		return nil, fmt.Errorf("stream: snapshot id space (%d sources, %d assertions) exceeds the ids it references",
+			snap.Sources, snap.Assertions)
 	}
 	e := New(opts)
 	e.numSrc = snap.Sources
 	e.numAssert = snap.Assertions
 	e.graph = depgraph.NewGraph(snap.Sources)
 	for _, f := range snap.Follows {
-		if f[0] < 0 || f[0] >= snap.Sources || f[1] < 0 || f[1] >= snap.Sources {
-			return nil, fmt.Errorf("stream: snapshot follow %v outside id space (%d sources)", f, snap.Sources)
-		}
 		if err := e.graph.AddFollow(f[0], f[1]); err != nil {
 			return nil, fmt.Errorf("stream: snapshot follow %v: %w", f, err)
 		}
 	}
-	e.events = append([]depgraph.Event(nil), snap.Events...)
+	e.events = slices.Clone(snap.Events)
 	if snap.Params != nil {
 		e.params = snap.Params.Clone()
 	}

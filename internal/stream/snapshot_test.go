@@ -1,13 +1,13 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
 	"time"
 
-	"depsense/internal/core"
 	"depsense/internal/depgraph"
 	"depsense/internal/obs"
 )
@@ -36,7 +36,7 @@ func snapshotBatches() [][]depgraph.Event {
 // to the uninterrupted run's snapshot, with per-batch results equal along
 // the way.
 func TestSnapshotRestoreMatchesUninterrupted(t *testing.T) {
-	opts := Options{EM: core.Options{Seed: 9}}
+	opts := Options{}
 	batches := snapshotBatches()
 
 	full := New(opts)
@@ -156,12 +156,92 @@ func TestRestoreRejectsBadSnapshot(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesCorruptSnapshotBytes: a damaged snapshot.json must be
+// refused with an error, not crash the process. An id-space count no id
+// references used to size the follow graph directly, so a huge one
+// panicked in makeslice.
+func TestRestoreRefusesCorruptSnapshotBytes(t *testing.T) {
+	for _, raw := range []string{
+		`{"sources":4611686018427387904,"assertions":1,"events":[{"source":0,"assertion":0,"time":1}]}`,
+		`{"sources":1,"assertions":4611686018427387904,"events":[{"source":0,"assertion":0,"time":1}]}`,
+		`{"sources":3,"assertions":1,"events":[{"source":0,"assertion":0,"time":1}]}`,
+		`{"sources":3,"assertions":1,"events":[{"source":0,"assertion":0,"time":1}],"follows":[[2,1],[1,0]]}`,
+		`{"sources":3,"assertions":1,"events":[{"source":0,"assertion":0,"time":1}],"follows":[[1,0],[1,0],[2,1]]}`,
+		`{"sources":3,"assertions":1,"events":[{"source":0,"assertion":0,"time":1}],"follows":[[1,0],[2,2]]}`,
+		`{"sources":1,"assertions":1,"events":[{"source":0,"assertion":0,"time":1}],"params":{"sources":[{"a":2,"b":0.5,"f":0.5,"g":0.5}],"z":0.5}}`,
+	} {
+		var snap Snapshot
+		if err := json.Unmarshal([]byte(raw), &snap); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Restore(&snap, Options{}); err == nil {
+			t.Fatalf("corrupt snapshot accepted: %s", raw)
+		}
+	}
+}
+
+// FuzzRestore: Restore never panics on decoded snapshot bytes, and a
+// snapshot it accepts re-serializes to the same bytes. Inputs whose events
+// or follows reference source ids above 1<<16 are skipped: Restore rightly
+// accepts those and allocates in proportion to them.
+func FuzzRestore(f *testing.F) {
+	e := New(Options{})
+	if err := e.ObserveFollow(1, 0); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := e.AddBatch(snapshotBatches()[0]); err != nil {
+		f.Fatal(err)
+	}
+	honest, err := json.Marshal(e.Snapshot())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := Restore(e.Snapshot(), Options{}); err != nil {
+		f.Fatalf("honest snapshot refused: %v", err)
+	}
+	f.Add(honest)
+	f.Add([]byte(`{"sources":0,"assertions":0,"events":[]}`))
+	f.Add([]byte(`{"sources":4611686018427387904,"assertions":1,"events":[{"source":0,"assertion":0,"time":1}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var snap Snapshot
+		if json.Unmarshal(data, &snap) != nil {
+			return
+		}
+		const maxFuzzSource = 1 << 16
+		for _, ev := range snap.Events {
+			if ev.Source > maxFuzzSource {
+				return
+			}
+		}
+		for _, fl := range snap.Follows {
+			if fl[0] > maxFuzzSource || fl[1] > maxFuzzSource {
+				return
+			}
+		}
+		restored, err := Restore(&snap, Options{})
+		if err != nil {
+			return
+		}
+		want, err := json.Marshal(&snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(restored.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("accepted snapshot re-serializes differently:\nin:  %s\nout: %s", want, got)
+		}
+	})
+}
+
 // TestStreamGauges: the size gauges and the last-refit-age gauge land in
 // the registry after fits, and ExportGauges refreshes the age on demand.
 func TestStreamGauges(t *testing.T) {
 	reg := obs.NewRegistry()
 	now := time.Unix(100, 0)
-	e := New(Options{EM: core.Options{Seed: 2}, Metrics: reg,
+	e := New(Options{Metrics: reg,
 		Clock: func() time.Time { return now }})
 	if err := e.ObserveFollow(1, 0); err != nil {
 		t.Fatal(err)

@@ -47,8 +47,8 @@ const (
 
 // Options tunes the incremental estimator.
 type Options struct {
-	// EM configures the underlying estimator; Seed and DepMode are
-	// honored. Its MaxIters applies to the cold first fit.
+	// EM configures the underlying estimator; DepMode, Smoothing, Workers
+	// and Kernel are honored. Its MaxIters applies to the cold first fit.
 	EM core.Options
 	// WarmMaxIters caps the warm-started refits after later batches
 	// (default 60 — warm starts need fewer iterations than a cold
@@ -133,10 +133,15 @@ var (
 )
 
 // ObserveFollow records a follow edge (follower sees followee's claims).
-// New source ids grow the id space.
+// New source ids grow the id space. A self-follow is a no-op: it records no
+// edge and grows nothing, so every id below the id space stays referenced
+// by an event, a follow edge or the parameters (which Restore relies on).
 func (e *Estimator) ObserveFollow(follower, followee int) error {
 	if follower < 0 || followee < 0 {
 		return fmt.Errorf("%w: follow(%d -> %d)", ErrBadEvent, follower, followee)
+	}
+	if follower == followee {
+		return nil
 	}
 	e.growSources(max(follower, followee) + 1)
 	return e.graph.AddFollow(follower, followee)
@@ -195,8 +200,7 @@ func (e *Estimator) AddBatchContext(ctx context.Context, batch []depgraph.Event)
 	// Every refit of this estimator runs through the same Scratch, so a
 	// stable-sized stream refits without growing the kernel buffers at all
 	// (AddBatch is not safe for concurrent use, so neither is sharing the
-	// scratch a new hazard; the concurrent-restarts path inside core
-	// ignores it).
+	// scratch a new hazard).
 	opts.Scratch = e.scratch
 	warm := e.params != nil && e.params.NumSources() == ds.N()
 	if warm {
@@ -325,11 +329,4 @@ func (e *Estimator) Stats() Stats {
 		WarmFits:   e.warmFits,
 		ColdFits:   e.coldFits,
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

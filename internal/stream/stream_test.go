@@ -46,7 +46,7 @@ func TestBadEventsRejected(t *testing.T) {
 // latest result — bit-for-bit as it was. (The pre-fix code appended and
 // grew per event before validating the rest, so the valid prefix leaked in.)
 func TestRejectedBatchLeavesStateUnchanged(t *testing.T) {
-	e := New(Options{EM: core.Options{Seed: 3}})
+	e := New(Options{})
 	if err := e.ObserveFollow(1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestFitTelemetry(t *testing.T) {
 		now = now.Add(250 * time.Millisecond) // each clock read advances 250ms
 		return now
 	}
-	e := New(Options{EM: core.Options{Seed: 5}, Metrics: reg, Clock: clock})
+	e := New(Options{Metrics: reg, Clock: clock})
 	if _, err := e.AddBatch([]depgraph.Event{
 		{Source: 0, Assertion: 0, Time: 1},
 		{Source: 1, Assertion: 1, Time: 2},
@@ -153,7 +153,7 @@ func TestGrowSourcesKeepsGraph(t *testing.T) {
 	follows := [][2]int{{1, 0}, {3, 2}, {3, 0}, {3, 1}, {6, 3}, {2, 6}, {9, 3}, {3, 8}}
 	batch := []depgraph.Event{{Source: 0, Assertion: 0, Time: 1}, {Source: 3, Assertion: 0, Time: 2}, {Source: 9, Assertion: 1, Time: 3}}
 	run := func(sizeFirst bool) *Estimator {
-		e := New(Options{EM: core.Options{Seed: 3}})
+		e := New(Options{})
 		if sizeFirst {
 			e.growSources(10)
 		}
@@ -190,7 +190,7 @@ func TestGrowSourcesKeepsGraph(t *testing.T) {
 }
 
 func TestIDSpacesGrow(t *testing.T) {
-	e := New(Options{EM: core.Options{Seed: 1}})
+	e := New(Options{})
 	if err := e.ObserveFollow(1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestStreamingMatchesBatchAccuracy(t *testing.T) {
 		}
 	}
 
-	est := New(Options{EM: core.Options{Seed: 2}})
+	est := New(Options{})
 	for i := 0; i < w.Graph.N(); i++ {
 		for _, anc := range w.Graph.Ancestors(i) {
 			if err := est.ObserveFollow(i, anc); err != nil {
@@ -276,7 +276,7 @@ func TestStreamingMatchesBatchAccuracy(t *testing.T) {
 		}
 	}
 
-	cold, err := core.Run(mustDS(t, est), core.VariantExt, core.Options{Seed: 2})
+	cold, err := core.Run(mustDS(t, est), core.VariantExt, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestWarmStartConverges(t *testing.T) {
 			events = append(events, depgraph.Event{Source: c.Source, Assertion: j, Time: tm})
 		}
 	}
-	est := New(Options{EM: core.Options{Seed: 4}})
+	est := New(Options{})
 	for i := 0; i < w.Graph.N(); i++ {
 		for _, anc := range w.Graph.Ancestors(i) {
 			_ = est.ObserveFollow(i, anc)

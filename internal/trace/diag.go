@@ -58,17 +58,6 @@ type RunDiag struct {
 	// plateau means the run genuinely needed more budget.
 	PlateauAt int `json:"plateauAt,omitempty"`
 
-	// Per-restart comparison, present when more than one chain reported a
-	// log-likelihood. Spread is best minus worst final log-likelihood: a
-	// large spread means restarts land in different optima and the restart
-	// budget is doing real work; a near-zero spread means the landscape is
-	// unimodal (or the restarts are redundant).
-	RestartBestChain int     `json:"restartBestChain,omitempty"`
-	RestartBestLL    float64 `json:"restartBestLL,omitempty"`
-	RestartWorstLL   float64 `json:"restartWorstLL,omitempty"`
-	RestartSpread    float64 `json:"restartSpread,omitempty"`
-	HasRestarts      bool    `json:"hasRestarts,omitempty"`
-
 	// Split-chain R-hat over per-chain Value trajectories (Gibbs sweep
 	// checkpoints), present when HasRHat. Mixed reports R-hat at or under
 	// RHatWarnThreshold.
@@ -116,7 +105,6 @@ func diagnoseRun(run *Run) RunDiag {
 		Stopped:    run.Stopped(),
 	}
 	diagnoseLL(run, &rd)
-	diagnoseRestarts(run, &rd)
 	values := ChainValues(run)
 	if rhat, ok := SplitRHat(values); ok {
 		rd.HasRHat = true
@@ -177,37 +165,6 @@ func diagnoseLL(run *Run, rd *RunDiag) {
 	if onset < len(ll) {
 		rd.PlateauAt = onset
 	}
-}
-
-// diagnoseRestarts compares final log-likelihoods across chains (EM restart
-// pools). Only runs where at least two chains reported a log-likelihood
-// produce a comparison.
-func diagnoseRestarts(run *Run, rd *RunDiag) {
-	final := map[int]float64{}
-	for i := range run.Events {
-		e := &run.Events[i]
-		if e.HasLL {
-			final[e.Chain] = e.LogLikelihood // events are chain/N sorted: last wins
-		}
-	}
-	if len(final) < 2 {
-		return
-	}
-	chains := mapsort.Keys(final)
-	best, worst := chains[0], chains[0]
-	for _, c := range chains[1:] {
-		if final[c] > final[best] {
-			best = c
-		}
-		if final[c] < final[worst] {
-			worst = c
-		}
-	}
-	rd.HasRestarts = true
-	rd.RestartBestChain = best
-	rd.RestartBestLL = final[best]
-	rd.RestartWorstLL = final[worst]
-	rd.RestartSpread = final[best] - final[worst]
 }
 
 // ChainValues extracts the per-chain Value trajectories of a run, in chain

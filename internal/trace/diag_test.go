@@ -148,37 +148,6 @@ func TestDiagnoseLLDecrease(t *testing.T) {
 	}
 }
 
-func TestDiagnoseRestarts(t *testing.T) {
-	mk := func(chain int, final float64) []runctx.Iteration {
-		return []runctx.Iteration{
-			{Algorithm: "EM-Ext", N: 1, Chain: chain, LogLikelihood: final - 1, HasLL: true},
-			{Algorithm: "EM-Ext", N: 2, Chain: chain, LogLikelihood: final, HasLL: true,
-				Done: true, Stopped: runctx.StopConverged},
-		}
-	}
-	var its []runctx.Iteration
-	its = append(its, mk(0, -20)...)
-	its = append(its, mk(1, -12)...) // best restart
-	its = append(its, mk(2, -30)...) // worst restart
-	tr := finishWith(t, its...)
-	d := tr.Diagnostics.Runs[0]
-	if !d.HasRestarts || d.RestartBestChain != 1 {
-		t.Fatalf("best restart misidentified: %+v", d)
-	}
-	if d.RestartBestLL != -12 || d.RestartWorstLL != -30 || d.RestartSpread != 18 {
-		t.Fatalf("restart comparison wrong: %+v", d)
-	}
-	if d.Chains != 3 {
-		t.Fatalf("Chains = %d, want 3", d.Chains)
-	}
-
-	// A single-chain run produces no restart comparison.
-	tr = finishWith(t, iter("EM-Ext", 1, -5), iter("EM-Ext", 2, -4))
-	if tr.Diagnostics.Runs[0].HasRestarts {
-		t.Fatal("single chain produced a restart comparison")
-	}
-}
-
 func TestDiagnoseRHatFromChainValues(t *testing.T) {
 	var its []runctx.Iteration
 	for c := 0; c < 2; c++ {

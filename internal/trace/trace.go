@@ -18,14 +18,14 @@
 //     the last K completed and, separately, the last K' failed/cancelled
 //     traces, so errors are never evicted by healthy traffic;
 //   - a diagnostics layer (diag.go): EM log-likelihood monotonicity and
-//     plateau detection, per-restart comparison, and split-chain R-hat over
-//     multi-chain Gibbs checkpoint trajectories.
+//     plateau detection, and split-chain R-hat over multi-chain Gibbs
+//     checkpoint trajectories.
 //
 // Determinism contract: every field of a finished Trace except the
 // clearly-marked timing fields (StartUnixNS, DurationNS, Stage.DurationNS,
 // Event.ElapsedNS) is a bit-for-bit deterministic function of the run's
-// seed and inputs at any Workers value. Concurrent fan-outs (EM restarts,
-// Gibbs chains) emit records in scheduler order, so Finish sorts each run's
+// seed and inputs at any Workers value. Concurrent fan-outs (Gibbs chains,
+// exact-bound blocks) emit records in scheduler order, so Finish sorts each run's
 // events by their deterministic fields — the sorted sequence is identical
 // however the scheduler interleaved the firings. StripTimings zeroes the
 // timing fields for byte-level determinism diffs.
@@ -102,7 +102,7 @@ type Attr struct {
 type Event struct {
 	// N is the 1-based iteration / checkpoint number within its chain.
 	N int `json:"n"`
-	// Chain is the restart / Gibbs chain index that fired the record.
+	// Chain is the Gibbs chain index that fired the record (0 for EM).
 	Chain int `json:"chain,omitempty"`
 	// LogLikelihood is the data log-likelihood when HasLL is set.
 	LogLikelihood float64 `json:"logLikelihood,omitempty"`
