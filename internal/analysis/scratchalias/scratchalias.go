@@ -19,9 +19,10 @@
 //     know it borrowed).
 //
 // An unexported function returning tainted memory is the deliberate borrow
-// pattern (core's borrowPrev): instead of a finding it gets a
-// ReturnsScratch object fact, so its callers — in this package or any
-// importing one — propagate the taint and are held to the same rules. An
+// pattern (a helper handing its caller a scratch buffer to fill): instead
+// of a finding it gets a ReturnsScratch object fact, so its callers — in
+// this package or any importing one — propagate the taint and are held to
+// the same rules. An
 // exported function may opt into the same borrow semantics with a
 // "//depsense:borrows" doc directive; without it, returning scratch memory
 // across the API boundary is a finding.

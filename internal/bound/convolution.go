@@ -399,9 +399,21 @@ func addShifted(dst, src []float64, lo, hi, shift int, w float64) {
 		dst[bins-1] += over * w
 	}
 	if a < b {
-		out := dst[a+shift : b+shift]
-		for i, m := range src[a:b] {
-			out[i] += m * w
+		// Unrolled by four: the one-element loop ran up to a third slower
+		// at some addresses in the binary, and this loop is most of the
+		// bound's time. Each slot still gets one multiply and one add, so
+		// the sums are unchanged.
+		in, out := src[a:b], dst[a+shift:b+shift]
+		i := 0
+		for ; i+4 <= len(in); i += 4 {
+			o, s := out[i:i+4:i+4], in[i:i+4:i+4]
+			o[0] += s[0] * w
+			o[1] += s[1] * w
+			o[2] += s[2] * w
+			o[3] += s[3] * w
+		}
+		for ; i < len(in); i++ {
+			out[i] += in[i] * w
 		}
 	}
 }

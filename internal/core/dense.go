@@ -61,7 +61,7 @@ func (e *engine) eStepBlockDense(lo, hi int, base1, base0, logZ, log1Z float64) 
 	return ll
 }
 
-// mStepBlockDense rebuilds each source's stratum masses by scanning every
+// mStepBlockDense sums each source's stratum masses by scanning every
 // assertion, routing each cell to its stratum accumulator.
 func (e *engine) mStepBlockDense(lo, hi int, sumZ, sumY float64) {
 	m := e.ds.M()
@@ -88,9 +88,6 @@ func (e *engine) mStepBlockDense(lo, hi int, sumZ, sumY float64) {
 				ks++
 			}
 		}
-		e.massAZ[i], e.massAY[i] = az, ay
-		e.massFZ[i], e.massFY[i] = fz, fy
-		e.silZ[i], e.silY[i] = sz, sy
-		e.assembleRatios(i, sumZ, sumY)
+		e.assembleRatios(i, az, ay, fz, fy, sz, sy, sumZ, sumY)
 	}
 }

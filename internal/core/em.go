@@ -70,7 +70,9 @@ type Options struct {
 	// neither of which reads randomness.
 	Seed int64
 	// Init overrides vote initialization with explicit parameters. The
-	// parameter set is copied; the caller's value is not mutated.
+	// parameter set is copied; the caller's value is not mutated. An
+	// Init run is always the joint fit: under VariantExt it ignores
+	// DepMode and iterates Algorithm 2 over all of θ from Init.
 	Init *model.Params
 	// Smoothing is the strength (in pseudo-observations) of the M-step's
 	// empirical-Bayes shrinkage for the independent channel (a_i, b_i):
@@ -191,7 +193,9 @@ func Run(ds *claims.Dataset, variant Variant, opts Options) (*factfind.Result, e
 // RunCtx executes the EM engine for the given variant under a run-context.
 // EM starts from Options.Init when set, otherwise from vote initialization
 // (see votePosteriors); neither reads randomness, so a run is a function of
-// the dataset and options alone. Cancellation is checked once per E/M
+// the dataset and options alone. DepMode is resolved only for a
+// vote-initialized VariantExt run: with Init set, the run is the joint
+// EM whatever DepMode says. Cancellation is checked once per E/M
 // iteration; on cancellation it returns the context's error together with
 // the partial result (posteriors from the last completed E-step, Stopped
 // set from the context error). Any runctx hook on ctx fires after every
@@ -328,7 +332,6 @@ func runOnce(ctx context.Context, ds *claims.Dataset, variant Variant, params *m
 			Stopped:       stopped,
 		}
 	}
-	prev := eng.borrowPrev(params)
 	for iter = 1; iter <= opts.MaxIters; iter++ {
 		// One cancellation check per E/M iteration bounds the latency of a
 		// cancel to a single iteration's work, and the partial state — the
@@ -345,8 +348,7 @@ func runOnce(ctx context.Context, ds *claims.Dataset, variant Variant, params *m
 		}
 		eng.refreshLogs(params)
 		ll = eng.eStep(params)
-		eng.mStep(params)
-		if params.MaxAbsDiff(prev) < opts.Tol {
+		if eng.mStep(params) < opts.Tol {
 			converged = true
 		}
 		it := runctx.Iteration{
@@ -361,8 +363,6 @@ func runOnce(ctx context.Context, ds *claims.Dataset, variant Variant, params *m
 		if converged {
 			break
 		}
-		copy(prev.Sources, params.Sources)
-		prev.Z = params.Z
 	}
 	// Final E-step so posteriors reflect the final parameters.
 	eng.refreshLogs(params)
@@ -384,20 +384,41 @@ func runOnce(ctx context.Context, ds *claims.Dataset, variant Variant, params *m
 // 1-ProbEpsilon], which Clamp and the M-step guarantee), so routing
 // through it changes no bits while making the log-space intent explicit
 // and keeping degenerate inputs finite.
+//
+// Only the entries an E-step of this variant will read are refreshed (see
+// Scratch): the all-silent baseline always; the independent-claim pair
+// for a source with an independent claim (any claim under
+// VariantIndependent); and, under VariantExt only, the dependent-claim
+// pair for a source with a dependent claim and the silent-dependent pair
+// for a source with a silent-dependent pair. Each test is a row-pointer
+// comparison on the M-step strata, which hold the same pattern as the
+// E-step's by-assertion view.
 func (e *engine) refreshLogs(p *model.Params) {
+	d0 := e.sv.ClaimsD0.RowPtr
+	d1 := e.sv.ClaimsD1.RowPtr
+	sil := e.sv.SilentD1.RowPtr
+	ext := e.variant == VariantExt
+	anyClaim := e.variant == VariantIndependent
 	for i, s := range p.Sources {
-		la, l1a := model.SafeLog(s.A), model.SafeLog(1-s.A)
-		lb, l1b := model.SafeLog(s.B), model.SafeLog(1-s.B)
-		lf, l1f := model.SafeLog(s.F), model.SafeLog(1-s.F)
-		lg, l1g := model.SafeLog(s.G), model.SafeLog(1-s.G)
+		l1a, l1b := model.SafeLog(1-s.A), model.SafeLog(1-s.B)
 		e.log1A[i] = l1a
 		e.log1B[i] = l1b
-		e.corrA1[i] = la - l1a
-		e.corrB0[i] = lb - l1b
-		e.corrF1[i] = lf - l1a
-		e.corrG0[i] = lg - l1b
-		e.corrSF1[i] = l1f - l1a
-		e.corrSG0[i] = l1g - l1b
+		hasDep := d1[i+1] > d1[i]
+		if d0[i+1] > d0[i] || anyClaim && hasDep {
+			e.corrA1[i] = model.SafeLog(s.A) - l1a
+			e.corrB0[i] = model.SafeLog(s.B) - l1b
+		}
+		if !ext {
+			continue
+		}
+		if hasDep {
+			e.corrF1[i] = model.SafeLog(s.F) - l1a
+			e.corrG0[i] = model.SafeLog(s.G) - l1b
+		}
+		if sil[i+1] > sil[i] {
+			e.corrSF1[i] = model.SafeLog(1-s.F) - l1a
+			e.corrSG0[i] = model.SafeLog(1-s.G) - l1b
+		}
 	}
 }
 
@@ -446,14 +467,16 @@ func (e *engine) eStep(p *model.Params) float64 {
 	return ll
 }
 
-// mStep recomputes θ from the posteriors (Eqs. 10-14).
+// mStep recomputes θ from the posteriors (Eqs. 10-14) and returns the
+// convergence distance: the largest |new − old| over all 4n+1 parameters,
+// taken as each one is written.
 //
 // Each per-source ratio is shrunk toward the pooled all-source estimate of
 // the same channel with e.smooth pseudo-observations (empirical-Bayes
 // smoothing): â = (num_i + s·pooled) / (den_i + s). With s = 0 this is the
 // paper's raw M-step, in which a parameter whose stratum carries no
 // posterior mass keeps its previous value.
-func (e *engine) mStep(p *model.Params) {
+func (e *engine) mStep(p *model.Params) float64 {
 	n, m := e.ds.N(), e.ds.M()
 
 	// Total posterior mass, reduced block-wise in index order (the same
@@ -476,9 +499,9 @@ func (e *engine) mStep(p *model.Params) {
 	}
 	sumY := float64(m) - sumZ
 
-	// Per-source stratum masses and the numerators/denominators of
-	// Eqs. (10)-(13): every source is independent, so source blocks shard
-	// freely; each slot is written exactly once (see mStepBlock).
+	// Per-source numerators/denominators of Eqs. (10)-(13): every source
+	// is independent, so source blocks shard freely; each slot is written
+	// exactly once (see mStepBlock).
 	nbN := parallel.Blocks(n, emBlockSize)
 	if e.workers <= 1 {
 		for b := 0; b < nbN; b++ {
@@ -495,18 +518,18 @@ func (e *engine) mStep(p *model.Params) {
 
 	// Pooled channel totals for shrinkage, accumulated serially in source
 	// index order — a cheap O(n) reduction whose order fixes the result.
-	var pool [4]ratio // A, B, F, G
+	var poolNum, poolDen [4]float64 // A, B, F, G
 	for i := 0; i < n; i++ {
 		for c := 0; c < 4; c++ {
-			pool[c].num += e.nums[i][c]
-			pool[c].den += e.dens[i][c]
+			poolNum[c] += e.nums[i][c]
+			poolDen[c] += e.dens[i][c]
 		}
 	}
 
 	var pooled, shrink [4]float64
 	for c := 0; c < 4; c++ {
-		if pool[c].den > 0 {
-			pooled[c] = pool[c].num / pool[c].den
+		if poolDen[c] > 0 {
+			pooled[c] = poolNum[c] / poolDen[c]
 		} else {
 			pooled[c] = 0.5
 		}
@@ -517,26 +540,59 @@ func (e *engine) mStep(p *model.Params) {
 		}
 	}
 
-	for i := range p.Sources {
-		s := &p.Sources[i]
-		dst := [4]*float64{&s.A, &s.B, &s.F, &s.G}
-		for c := 0; c < 4; c++ {
-			if e.variant != VariantExt && c >= 2 {
-				break
-			}
-			den := e.dens[i][c] + shrink[c]
-			if den <= 1e-12 {
-				continue // unsmoothed empty stratum: keep previous value
-			}
-			*dst[c] = model.ClampProb((e.nums[i][c] + shrink[c]*pooled[c]) / den)
+	// The distance starts from the prior's move, as a comparison of whole
+	// parameter sets would; a ">"-max over the rest is order-independent.
+	z := model.ClampProb(sumZ / float64(m))
+	dist := math.Abs(z - p.Z)
+	p.Z = z
+	nums, dens, src := e.nums, e.dens, p.Sources
+	switch e.variant {
+	case VariantExt:
+		for i := range src {
+			s, num, den := &src[i], &nums[i], &dens[i]
+			dist = move(&s.A, shrunk(s.A, num[0], den[0], shrink[0], pooled[0]), dist)
+			dist = move(&s.B, shrunk(s.B, num[1], den[1], shrink[1], pooled[1]), dist)
+			dist = move(&s.F, shrunk(s.F, num[2], den[2], shrink[2], pooled[2]), dist)
+			dist = move(&s.G, shrunk(s.G, num[3], den[3], shrink[3], pooled[3]), dist)
 		}
-		if e.variant == VariantIndependent {
+	case VariantIndependent:
+		for i := range src {
+			s, num, den := &src[i], &nums[i], &dens[i]
+			dist = move(&s.A, shrunk(s.A, num[0], den[0], shrink[0], pooled[0]), dist)
+			dist = move(&s.B, shrunk(s.B, num[1], den[1], shrink[1], pooled[1]), dist)
 			// One channel: keep the dependent parameters mirrored so the
 			// estimated θ remains interpretable downstream.
-			s.F, s.G = s.A, s.B
+			dist = move(&s.F, s.A, dist)
+			dist = move(&s.G, s.B, dist)
+		}
+	default: // VariantSocial: the dependent channel is never estimated
+		for i := range src {
+			s, num, den := &src[i], &nums[i], &dens[i]
+			dist = move(&s.A, shrunk(s.A, num[0], den[0], shrink[0], pooled[0]), dist)
+			dist = move(&s.B, shrunk(s.B, num[1], den[1], shrink[1], pooled[1]), dist)
 		}
 	}
-	p.Z = model.ClampProb(sumZ / float64(m))
+	return dist
+}
+
+// shrunk returns the shrunk ratio (num + shrink·pooled)/(den + shrink), or
+// old for an unsmoothed empty stratum, which keeps its previous value.
+func shrunk(old, num, den, shrink, pooled float64) float64 {
+	if den += shrink; den <= 1e-12 {
+		return old
+	}
+	return model.ClampProb((num + shrink*pooled) / den)
+}
+
+// move overwrites *dst with v and returns max(dist, |v − old|), old being
+// the value it replaced.
+func move(dst *float64, v, dist float64) float64 {
+	d := math.Abs(v - *dst)
+	*dst = v
+	if d > dist {
+		return d
+	}
+	return dist
 }
 
 // sumPostBlock sums the posterior mass of assertion block b.
@@ -548,9 +604,6 @@ func (e *engine) sumPostBlock(b, m int) float64 {
 	}
 	return z
 }
-
-// ratio is a numerator/denominator pair of posterior masses.
-type ratio struct{ num, den float64 }
 
 // sigmoidDiff returns exp(w1)/(exp(w1)+exp(w0)) computed stably.
 func sigmoidDiff(w1, w0 float64) float64 {
@@ -566,4 +619,24 @@ func sigmoidDiff(w1, w0 float64) float64 {
 // the shared log-space helpers next to the clamp in internal/model.
 func logSumExp(a, b float64) float64 {
 	return model.LogSumExp(a, b)
+}
+
+// posteriorLSE returns sigmoidDiff(w1, w0) and logSumExp(w1, w0) from a
+// single exponential, bit for bit. When w1 ≥ w0, logSumExp exponentiates
+// w0 − w1, which IEEE subtraction makes exactly −(w1 − w0) (a zero
+// difference differs only in sign, and exp(±0) = 1); otherwise it
+// exponentiates w1 − w0 itself. A NaN difference (NaN inputs, or two equal
+// infinities) takes both unfused paths, keeping logSumExp's −Inf guard.
+func posteriorLSE(w1, w0 float64) (post, lse float64) {
+	d := w1 - w0
+	if d >= 0 {
+		e := math.Exp(-d)
+		return 1 / (1 + e), w1 + math.Log1p(e)
+	}
+	ed := math.Exp(d)
+	post = ed / (1 + ed)
+	if d < 0 {
+		return post, w0 + math.Log1p(ed)
+	}
+	return post, logSumExp(w1, w0)
 }

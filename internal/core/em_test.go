@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"depsense/internal/claims"
@@ -253,7 +254,7 @@ func TestExplicitInitHonored(t *testing.T) {
 		t.Fatalf("explicit init ignored: ẑ = %v vs init %v", res.Params.Z, init.Z)
 	}
 	// The caller's init must not be mutated.
-	if init.MaxAbsDiff(w.TrueParams) != 0 {
+	if init.Z != w.TrueParams.Z || !slices.Equal(init.Sources, w.TrueParams.Sources) {
 		t.Fatal("Run mutated the caller's Init")
 	}
 }

@@ -43,7 +43,7 @@ func (e *engine) eStepBlock(lo, hi int, base1, base0, logZ, log1Z float64) float
 	return e.eStepBlockSparse(lo, hi, base1, base0, logZ, log1Z)
 }
 
-// mStepBlock rebuilds stratum masses and the Eq. (10)-(13)
+// mStepBlock sums each source's stratum masses and writes the Eq. (10)-(13)
 // numerator/denominator slots for the source block [lo, hi).
 func (e *engine) mStepBlock(lo, hi int, sumZ, sumY float64) {
 	if e.kernel == KernelDense {
@@ -57,7 +57,8 @@ func (e *engine) mStepBlock(lo, hi int, sumZ, sumY float64) {
 // starts from the shared all-silent baseline and applies one correction
 // per nonzero of its SC column, then one per silent-dependent pair. The
 // variant switch is hoisted out of the column loop so each inner loop
-// stays branch-light.
+// stays branch-light, and posteriorLSE turns the two log-weights into the
+// posterior and the log-likelihood term with one exponential.
 func (e *engine) eStepBlockSparse(lo, hi int, base1, base0, logZ, log1Z float64) float64 {
 	var (
 		colPtr = e.sv.Claims.ColPtr
@@ -90,10 +91,9 @@ func (e *engine) eStepBlockSparse(lo, hi int, base1, base0, logZ, log1Z float64)
 				l1 += corrSF1[i]
 				l0 += corrSG0[i]
 			}
-			w1 := l1 + logZ
-			w0 := l0 + log1Z
-			post[j] = sigmoidDiff(w1, w0)
-			ll += logSumExp(w1, w0)
+			p, lse := posteriorLSE(l1+logZ, l0+log1Z)
+			post[j] = p
+			ll += lse
 		}
 	case VariantSocial:
 		corrA1, corrB0 := e.corrA1, e.corrB0
@@ -111,10 +111,9 @@ func (e *engine) eStepBlockSparse(lo, hi int, base1, base0, logZ, log1Z float64)
 					l0 += corrB0[i]
 				}
 			}
-			w1 := l1 + logZ
-			w0 := l0 + log1Z
-			post[j] = sigmoidDiff(w1, w0)
-			ll += logSumExp(w1, w0)
+			p, lse := posteriorLSE(l1+logZ, l0+log1Z)
+			post[j] = p
+			ll += lse
 		}
 	default: // VariantIndependent: dependency indicators ignored
 		corrA1, corrB0 := e.corrA1, e.corrB0
@@ -125,10 +124,9 @@ func (e *engine) eStepBlockSparse(lo, hi int, base1, base0, logZ, log1Z float64)
 				l1 += corrA1[i]
 				l0 += corrB0[i]
 			}
-			w1 := l1 + logZ
-			w0 := l0 + log1Z
-			post[j] = sigmoidDiff(w1, w0)
-			ll += logSumExp(w1, w0)
+			p, lse := posteriorLSE(l1+logZ, l0+log1Z)
+			post[j] = p
+			ll += lse
 		}
 	}
 	return ll
@@ -137,13 +135,15 @@ func (e *engine) eStepBlockSparse(lo, hi int, base1, base0, logZ, log1Z float64)
 // mStepBlockSparse accumulates each source's stratum masses over its CSR
 // rows — independent claims, dependent claims, silent-dependent pairs, in
 // ascending assertion order, matching the dense kernel's per-stratum
-// accumulation order exactly.
+// accumulation order exactly. Only VariantExt reads the silent-dependent
+// masses, so the other variants skip that row.
 func (e *engine) mStepBlockSparse(lo, hi int, sumZ, sumY float64) {
 	var (
 		d0Ptr, d0Col = e.sv.ClaimsD0.RowPtr, e.sv.ClaimsD0.Col
 		d1Ptr, d1Col = e.sv.ClaimsD1.RowPtr, e.sv.ClaimsD1.Col
 		sPtr, sCol   = e.sv.SilentD1.RowPtr, e.sv.SilentD1.Col
 		post         = e.post
+		ext          = e.variant == VariantExt
 	)
 	for i := lo; i < hi; i++ {
 		var az, ay float64
@@ -159,39 +159,33 @@ func (e *engine) mStepBlockSparse(lo, hi int, sumZ, sumY float64) {
 			fy += 1 - z
 		}
 		var sz, sy float64
-		for k := sPtr[i]; k < sPtr[i+1]; k++ {
-			z := post[sCol[k]]
-			sz += z
-			sy += 1 - z
+		if ext {
+			for k := sPtr[i]; k < sPtr[i+1]; k++ {
+				z := post[sCol[k]]
+				sz += z
+				sy += 1 - z
+			}
 		}
-		e.massAZ[i], e.massAY[i] = az, ay
-		e.massFZ[i], e.massFY[i] = fz, fy
-		e.silZ[i], e.silY[i] = sz, sy
-		e.assembleRatios(i, sumZ, sumY)
+		e.assembleRatios(i, az, ay, fz, fy, sz, sy, sumZ, sumY)
 	}
 }
 
 // assembleRatios fills the Eq. (10)-(13) numerator/denominator slots of
-// source i from its stratum masses, per variant. Shared by both kernels.
-func (e *engine) assembleRatios(i int, sumZ, sumY float64) {
-	var r [4]ratio
+// source i, per variant, from its posterior masses: Z carries P(true) and
+// Y P(false) mass over its independent claims (a), dependent claims (f)
+// and silent-dependent pairs (s). Shared by both kernels.
+func (e *engine) assembleRatios(i int, az, ay, fz, fy, sz, sy, sumZ, sumY float64) {
 	switch e.variant {
 	case VariantExt:
-		depZ := e.massFZ[i] + e.silZ[i]
-		depY := e.massFY[i] + e.silY[i]
-		r[0] = ratio{e.massAZ[i], sumZ - depZ}
-		r[1] = ratio{e.massAY[i], sumY - depY}
-		r[2] = ratio{e.massFZ[i], depZ}
-		r[3] = ratio{e.massFY[i], depY}
+		depZ := fz + sz
+		depY := fy + sy
+		e.nums[i] = [4]float64{az, ay, fz, fy}
+		e.dens[i] = [4]float64{sumZ - depZ, sumY - depY, depZ, depY}
 	case VariantIndependent:
-		r[0] = ratio{e.massAZ[i] + e.massFZ[i], sumZ}
-		r[1] = ratio{e.massAY[i] + e.massFY[i], sumY}
+		e.nums[i] = [4]float64{az + fz, ay + fy}
+		e.dens[i] = [4]float64{sumZ, sumY}
 	case VariantSocial:
-		r[0] = ratio{e.massAZ[i], sumZ - e.massFZ[i]}
-		r[1] = ratio{e.massAY[i], sumY - e.massFY[i]}
-	}
-	for c := 0; c < 4; c++ {
-		e.nums[i][c] = r[c].num
-		e.dens[i][c] = r[c].den
+		e.nums[i] = [4]float64{az, ay}
+		e.dens[i] = [4]float64{sumZ - fz, sumY - fy}
 	}
 }

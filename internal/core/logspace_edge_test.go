@@ -157,3 +157,66 @@ func TestNoProbexprSuppressions(t *testing.T) {
 		}
 	}
 }
+
+// posteriorLSEEdges are the fused helper's inputs at the edges of float64:
+// infinities on both, one or mixed sides, NaNs, equal inputs, values near
+// the overflow threshold, and differences down to the subnormal range.
+var posteriorLSEEdges = [][2]float64{
+	{math.Inf(1), math.Inf(1)},
+	{math.Inf(-1), math.Inf(-1)},
+	{math.Inf(1), math.Inf(-1)},
+	{math.Inf(-1), math.Inf(1)},
+	{math.Inf(1), 3},
+	{3, math.Inf(1)},
+	{math.Inf(-1), -3},
+	{-3, math.Inf(-1)},
+	{math.NaN(), 0},
+	{0, math.NaN()},
+	{math.NaN(), math.NaN()},
+	{math.NaN(), math.Inf(-1)},
+	{math.Inf(-1), math.NaN()},
+	{0, 0},
+	{-42.5, -42.5},
+	{1e308, 1e308},
+	{1e308, -1e308},
+	{-1e308, 1e308},
+	{math.MaxFloat64, -math.MaxFloat64},
+	{-1e308, -1e308},
+	{1, math.Nextafter(1, 2)},
+	{math.Nextafter(1, 2), 1},
+	{5e-324, 0},
+	{0, 5e-324},
+	{-5e-324, 5e-324},
+	{-1234.5, -1234.5 + 1e-12},
+	{-700, 40},
+	{40, -700},
+}
+
+// requirePosteriorLSEBits fails unless posteriorLSE reproduces the unfused
+// sigmoidDiff + logSumExp pair bit for bit (NaN payloads included).
+func requirePosteriorLSEBits(t *testing.T, w1, w0 float64) {
+	t.Helper()
+	post, lse := posteriorLSE(w1, w0)
+	wantPost, wantLSE := sigmoidDiff(w1, w0), logSumExp(w1, w0)
+	if math.Float64bits(post) != math.Float64bits(wantPost) ||
+		math.Float64bits(lse) != math.Float64bits(wantLSE) {
+		t.Fatalf("posteriorLSE(%v, %v) = (%v, %v), want (%v, %v)", w1, w0, post, lse, wantPost, wantLSE)
+	}
+}
+
+// TestPosteriorLSEEdges: the fused E-step helper matches the unfused pair
+// the dense kernel still uses at every edge input.
+func TestPosteriorLSEEdges(t *testing.T) {
+	for _, c := range posteriorLSEEdges {
+		requirePosteriorLSEBits(t, c[0], c[1])
+	}
+}
+
+// FuzzPosteriorLSE: the fused helper matches the unfused pair bit for bit
+// on arbitrary inputs.
+func FuzzPosteriorLSE(f *testing.F) {
+	for _, c := range posteriorLSEEdges {
+		f.Add(c[0], c[1])
+	}
+	f.Fuzz(requirePosteriorLSEBits)
+}

@@ -1,13 +1,10 @@
 package core
 
-import (
-	"depsense/internal/model"
-	"depsense/internal/parallel"
-)
+import "depsense/internal/parallel"
 
 // Scratch holds every buffer the EM kernels touch per iteration: the
 // per-source log tables and correction tables, the posterior vector, the
-// M-step stratum masses, and the per-block reduction partials. A run
+// M-step numerators/denominators, and the per-block reduction partials. A run
 // without an explicit Scratch allocates one internally (the historical
 // behaviour); callers on a refit loop — the stream estimator's warm
 // refits, the plug-in re-score, benchmark harnesses — pass one through
@@ -17,8 +14,8 @@ import (
 // A Scratch is exclusive to one running fit: it must not be shared by
 // concurrent runs. Intra-run E/M-step parallelism is fine, since all
 // workers of one run share one engine by design. Buffers grow
-// monotonically and are fully rewritten by each fit, so reuse across
-// datasets of different shapes is safe.
+// monotonically and every entry a fit reads is written by that fit first,
+// so reuse across datasets of different shapes is safe.
 //
 //depsense:scratch
 type Scratch struct {
@@ -32,27 +29,24 @@ type Scratch struct {
 	// hypothesis. corrA1 = log a_i - log(1-a_i) (independent claim, C=1),
 	// corrB0 the same under C=0; corrF1/corrG0 for dependent claims;
 	// corrSF1/corrSG0 for silent-dependent pairs.
+	//
+	// refreshLogs writes an entry only where this variant's E-step reads
+	// it: corrA1/corrB0 for a source with an independent claim (any claim
+	// under VariantIndependent), and — under VariantExt only —
+	// corrF1/corrG0 for a source with a dependent claim and
+	// corrSF1/corrSG0 for one with a silent-dependent pair. Every other
+	// entry is stale, left by an earlier iteration, variant or dataset,
+	// and neither kernel ever reads it.
 	corrA1, corrB0   []float64
 	corrF1, corrG0   []float64
 	corrSF1, corrSG0 []float64
 
 	post []float64 // Z_j = P(C_j = 1 | SC_j; θ)
 
-	// Per-source posterior masses by stratum, rebuilt each M-step:
-	// claimed-independent, claimed-dependent, silent-dependent; Z carries
-	// P(true) mass and Y carries P(false) mass.
-	massAZ, massAY []float64
-	massFZ, massFY []float64
-	silZ, silY     []float64
-
 	// Per-block reduction partials (E-step log-likelihood, M-step posterior
 	// mass) and per-source M-step numerators/denominators.
 	llPart, zPart []float64
 	nums, dens    [][4]float64
-
-	// prev is the previous iteration's parameter snapshot for the
-	// convergence check.
-	prev *model.Params
 }
 
 // NewScratch returns an empty Scratch; buffers are sized on first use.
@@ -71,12 +65,6 @@ func (s *Scratch) grow(n, m int) {
 	growTo(&s.corrSF1, n)
 	growTo(&s.corrSG0, n)
 	growTo(&s.post, m)
-	growTo(&s.massAZ, n)
-	growTo(&s.massAY, n)
-	growTo(&s.massFZ, n)
-	growTo(&s.massFY, n)
-	growTo(&s.silZ, n)
-	growTo(&s.silY, n)
 	growTo(&s.llPart, parallel.Blocks(m, emBlockSize))
 	growTo(&s.zPart, parallel.Blocks(m, emBlockSize))
 	if cap(s.nums) < n {
@@ -94,16 +82,4 @@ func growTo(sl *[]float64, size int) {
 	} else {
 		*sl = (*sl)[:size]
 	}
-}
-
-// borrowPrev returns a snapshot buffer holding a copy of p, reusing the
-// scratch-resident one when its shape matches.
-func (s *Scratch) borrowPrev(p *model.Params) *model.Params {
-	if s.prev == nil || len(s.prev.Sources) != len(p.Sources) {
-		s.prev = p.Clone()
-		return s.prev
-	}
-	copy(s.prev.Sources, p.Sources)
-	s.prev.Z = p.Z
-	return s.prev
 }

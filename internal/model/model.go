@@ -144,22 +144,6 @@ func (p *Params) Clamp() {
 	}
 }
 
-// MaxAbsDiff returns the largest absolute difference between corresponding
-// entries of two parameter sets (used as the EM convergence criterion). The
-// parameter sets must have the same number of sources.
-func (p *Params) MaxAbsDiff(q *Params) float64 {
-	d := math.Abs(p.Z - q.Z)
-	for i := range p.Sources {
-		a, b := p.Sources[i], q.Sources[i]
-		for _, v := range [...]float64{a.A - b.A, a.B - b.B, a.F - b.F, a.G - b.G} {
-			if av := math.Abs(v); av > d {
-				d = av
-			}
-		}
-	}
-	return d
-}
-
 // InformedInitParams draws a random but label-identified initialization:
 // each source's true-claim probabilities (A, F) are drawn above its
 // false-claim probabilities (B, G). Truth-discovery EM has a global

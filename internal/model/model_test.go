@@ -98,22 +98,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestMaxAbsDiff(t *testing.T) {
-	p := NewParams(2, 0.5)
-	q := p.Clone()
-	if d := p.MaxAbsDiff(q); d != 0 {
-		t.Fatalf("identical params diff = %v", d)
-	}
-	q.Sources[1].G = 0.25
-	if d := p.MaxAbsDiff(q); math.Abs(d-0.25) > 1e-12 {
-		t.Fatalf("diff = %v, want 0.25", d)
-	}
-	q.Z = 0.9
-	if d := p.MaxAbsDiff(q); math.Abs(d-0.4) > 1e-12 {
-		t.Fatalf("diff = %v, want 0.4", d)
-	}
-}
-
 func TestClampProb(t *testing.T) {
 	cases := []struct{ in, want float64 }{
 		{-1, ProbEpsilon},

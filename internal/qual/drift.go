@@ -1,5 +1,7 @@
 package qual
 
+import "slices"
+
 // Deterministic sequential change detectors over per-tick quality series.
 // Both detectors are pure functions of the observation sequence — no
 // randomness, no clocks — so two monitors fed the same refit sequence alarm
@@ -9,21 +11,33 @@ package qual
 
 // window is a fixed-capacity ring of the most recent observations with
 // their tick numbers, kept so an alarm can snapshot the offending stretch
-// of the series.
+// of the series. The monitor's detectors observe every refit, so their
+// ticks are consecutive and implied by the newest one; a tick ring is
+// materialized only at the first push that skips a tick.
 type window struct {
 	vals  []float64
-	ticks []int
+	ticks []int // nil while the retained ticks are consecutive
+	last  int   // tick of the newest observation
 	head  int
 	n     int
 }
 
-func newWindow(cap int) *window {
-	return &window{vals: make([]float64, cap), ticks: make([]int, cap)}
+func newWindow(cap int) window {
+	return window{vals: make([]float64, cap)}
 }
 
 func (w *window) push(v float64, tick int) {
+	if w.ticks == nil && w.n > 0 && tick != w.last+1 {
+		w.ticks = make([]int, len(w.vals))
+		for k := 1; k <= w.n; k++ {
+			w.ticks[(w.head-k+len(w.vals))%len(w.vals)] = w.last + 1 - k
+		}
+	}
 	w.vals[w.head] = v
-	w.ticks[w.head] = tick
+	if w.ticks != nil {
+		w.ticks[w.head] = tick
+	}
+	w.last = tick
 	w.head = (w.head + 1) % len(w.vals)
 	if w.n < len(w.vals) {
 		w.n++
@@ -40,6 +54,9 @@ func (w *window) snapshot() (vals []float64, startTick int) {
 	vals = make([]float64, w.n)
 	for i := 0; i < w.n; i++ {
 		vals[i] = w.vals[(start+i)%len(w.vals)]
+	}
+	if w.ticks == nil {
+		return vals, w.last - w.n + 1
 	}
 	return vals, w.ticks[start]
 }
@@ -59,11 +76,28 @@ type pageHinkley struct {
 	mean   float64
 	cum    float64
 	minCum float64
-	win    *window
+	win    window
 }
 
-func newPageHinkley(delta, lambda float64, minObs, windowCap int) *pageHinkley {
-	return &pageHinkley{delta: delta, lambda: lambda, minObs: minObs, win: newWindow(windowCap)}
+// growPageHinkleys extends dets to n detectors, the new ones' windows
+// carved from one allocation: the monitor adds per-source detectors
+// hundreds at a time as a stream's source set grows, and allocating each
+// detector and window separately was most of a refit's monitoring cost.
+func growPageHinkleys(dets []pageHinkley, n int, delta, lambda float64, minObs, windowCap int) []pageHinkley {
+	k := n - len(dets)
+	if k <= 0 {
+		return dets
+	}
+	dets = slices.Grow(dets, k)
+	vals := make([]float64, k*windowCap)
+	for i := 0; i < k; i++ {
+		lo, hi := i*windowCap, (i+1)*windowCap
+		dets = append(dets, pageHinkley{
+			delta: delta, lambda: lambda, minObs: minObs,
+			win: window{vals: vals[lo:hi:hi]},
+		})
+	}
+	return dets
 }
 
 // observe feeds one observation and returns the current PH statistic and
@@ -104,7 +138,7 @@ type cusum struct {
 	n    int
 	mean float64
 	s    float64
-	win  *window
+	win  window
 }
 
 func newCUSUM(delta, lambda float64, minObs, windowCap int) *cusum {

@@ -2,6 +2,10 @@ package qual
 
 import "testing"
 
+func newPageHinkley(delta, lambda float64, minObs, windowCap int) *pageHinkley {
+	return &growPageHinkleys(nil, 1, delta, lambda, minObs, windowCap)[0]
+}
+
 func TestWindowSnapshot(t *testing.T) {
 	w := newWindow(4)
 	if vals, _ := w.snapshot(); vals != nil {
@@ -22,6 +26,22 @@ func TestWindowSnapshot(t *testing.T) {
 	}
 	if start != 12 {
 		t.Fatalf("startTick = %d, want 12", start)
+	}
+}
+
+// TestWindowSnapshotSkippedTick: a push that skips ticks materializes the
+// tick ring, so the oldest retained tick stays exact across the gap.
+func TestWindowSnapshotSkippedTick(t *testing.T) {
+	w := newWindow(4)
+	for _, tick := range []int{0, 1, 2, 5, 6} {
+		w.push(float64(tick), tick)
+	}
+	if vals, start := w.snapshot(); start != 1 || vals[0] != 1 || vals[3] != 6 {
+		t.Fatalf("snapshot = %v from tick %d, want [1 2 5 6] from tick 1", vals, start)
+	}
+	w.push(7, 7)
+	if vals, start := w.snapshot(); start != 2 || vals[0] != 2 {
+		t.Fatalf("snapshot = %v from tick %d, want [2 5 6 7] from tick 2", vals, start)
 	}
 }
 

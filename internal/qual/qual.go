@@ -305,7 +305,7 @@ type Monitor struct {
 
 	mu        sync.Mutex
 	tick      int
-	perSource []*pageHinkley
+	perSource []pageHinkley
 	depDet    *cusum
 	edgeDet   *cusum
 	prevEdges int
@@ -505,10 +505,8 @@ func (m *Monitor) observeDrift(r Refit, v *Verdict) *DriftStatus {
 	st := &DriftStatus{MaxStatSource: -1, EdgeRate: -1}
 
 	if p := r.Result.Params; p != nil {
-		for len(m.perSource) < len(p.Sources) {
-			m.perSource = append(m.perSource,
-				newPageHinkley(o.DriftDelta, o.DriftLambda, o.MinObs, o.Window))
-		}
+		m.perSource = growPageHinkleys(m.perSource, len(p.Sources),
+			o.DriftDelta, o.DriftLambda, o.MinObs, o.Window)
 		st.SourcesTracked = len(p.Sources)
 		for i := range p.Sources {
 			// Track the posterior reliability t_i rather than the raw claim

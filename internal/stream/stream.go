@@ -47,8 +47,11 @@ const (
 
 // Options tunes the incremental estimator.
 type Options struct {
-	// EM configures the underlying estimator; DepMode, Smoothing, Workers
-	// and Kernel are honored. Its MaxIters applies to the cold first fit.
+	// EM configures the underlying estimator; Smoothing, Workers and
+	// Kernel are honored on every fit. DepMode and MaxIters apply to the
+	// cold first fit only: a warm refit starts from the previous estimate
+	// through core.Options.Init, which core.RunCtx always fits with the
+	// joint EM-Ext, whatever DepMode says.
 	EM core.Options
 	// WarmMaxIters caps the warm-started refits after later batches
 	// (default 60 — warm starts need fewer iterations than a cold
