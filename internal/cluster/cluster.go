@@ -7,6 +7,7 @@
 package cluster
 
 import (
+	"slices"
 	"strings"
 )
 
@@ -22,13 +23,21 @@ var _ Clusterer = (*Leader)(nil)
 // punctuation-stripped, with retweet markers ("rt"), @-mentions, URLs, and
 // common stopwords removed. These are exactly the elements that vary
 // between a claim and its repeats, so removing them lets a retweet cluster
-// with its original.
+// with its original. Tokens keep their first-occurrence order: snapshots
+// persist leader tokens and WAL replay re-tokenizes, so the output must
+// stay exactly this sequence.
 func Tokenize(text string) []string {
 	fields := strings.Fields(strings.ToLower(text))
-	seen := make(map[string]struct{}, len(fields))
 	tokens := make([]string, 0, len(fields))
+	// A tweet has a few dozen fields at most, where scanning the kept
+	// tokens beats hashing each one; only a long body pays for a set,
+	// which keeps it linear.
+	var seen map[string]struct{}
+	if len(fields) > scanDedupMax {
+		seen = make(map[string]struct{}, len(fields))
+	}
 	for _, f := range fields {
-		f = strings.Trim(f, ".,!?;:'\"()[]{}…—-")
+		f = strings.TrimFunc(f, isEdgePunct)
 		switch {
 		case f == "" || f == "rt":
 			continue
@@ -39,13 +48,31 @@ func Tokenize(text string) []string {
 		case stopwords[f]:
 			continue
 		}
-		if _, dup := seen[f]; dup {
+		if seen != nil {
+			if _, dup := seen[f]; dup {
+				continue
+			}
+			seen[f] = struct{}{}
+		} else if slices.Contains(tokens, f) {
 			continue
 		}
-		seen[f] = struct{}{}
 		tokens = append(tokens, f)
 	}
 	return tokens
+}
+
+// scanDedupMax is the most fields Tokenize dedupes by scanning.
+const scanDedupMax = 32
+
+// isEdgePunct reports whether Tokenize trims r from a field's ends. A
+// switch, not strings.Trim's cutset: the cutset's non-ASCII runes would
+// send every call down Trim's per-rune cutset scan.
+func isEdgePunct(r rune) bool {
+	switch r {
+	case '.', ',', '!', '?', ';', ':', '\'', '"', '(', ')', '[', ']', '{', '}', '…', '—', '-':
+		return true
+	}
+	return false
 }
 
 var stopwords = map[string]bool{

@@ -9,11 +9,20 @@ import (
 )
 
 // BenchmarkLeaderCluster measures clustering throughput on simulated tweet
-// streams of increasing volume.
+// streams of increasing volume. The Ukraine case is one /v1/factfind body
+// as the factfind benchmark builds it (scale 1/20, ~360 messages).
 func BenchmarkLeaderCluster(b *testing.B) {
-	for _, scale := range []int{40, 10, 4} {
-		sc := twittersim.Small("Paris Attack", scale)
-		w, err := twittersim.Generate(sc, randutil.New(1))
+	cases := []struct {
+		scenario string
+		scale    int
+	}{
+		{"Ukraine", 20},
+		{"Paris Attack", 40},
+		{"Paris Attack", 10},
+		{"Paris Attack", 4},
+	}
+	for _, c := range cases {
+		w, err := twittersim.Generate(twittersim.Small(c.scenario, c.scale), randutil.New(1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -21,7 +30,8 @@ func BenchmarkLeaderCluster(b *testing.B) {
 		for i, t := range w.Tweets {
 			docs[i] = Tokenize(t.Text)
 		}
-		b.Run(fmt.Sprintf("tweets=%d", len(docs)), func(b *testing.B) {
+		b.Run(fmt.Sprintf("%s/tweets=%d", c.scenario, len(docs)), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				(&Leader{}).Cluster(docs)
 			}
@@ -32,6 +42,7 @@ func BenchmarkLeaderCluster(b *testing.B) {
 // BenchmarkTokenize measures tokenization of a typical retweet.
 func BenchmarkTokenize(b *testing.B) {
 	const tweet = "rt @user8812: breaking witness12 reported explosion near bridge7 n412 #paris http://t.co/abc123"
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Tokenize(tweet)
 	}

@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"encoding/json"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"depsense/internal/randutil"
@@ -52,27 +55,8 @@ func TestIncrementalStableIDsAcrossBatches(t *testing.T) {
 	if got := inc.Add([]string{"outage", "campus", "south"}); got != second {
 		t.Fatalf("repeat assigned to %d, want %d", got, second)
 	}
-	if inc.Docs() != 4 {
-		t.Fatalf("docs = %d, want 4", inc.Docs())
-	}
-}
-
-// TestAssignDoesNotMutate: Assign previews the assignment without founding
-// clusters or consuming a document id.
-func TestAssignDoesNotMutate(t *testing.T) {
-	inc := (&Leader{}).Incremental()
-	if got := inc.Assign([]string{"fresh", "tokens"}); got != -1 {
-		t.Fatalf("Assign on empty state = %d, want -1", got)
-	}
-	if inc.NumClusters() != 0 || inc.Docs() != 0 {
-		t.Fatal("Assign mutated state")
-	}
-	c := inc.Add([]string{"fresh", "tokens"})
-	if got := inc.Assign([]string{"fresh", "tokens"}); got != c {
-		t.Fatalf("Assign = %d, want %d", got, c)
-	}
-	if inc.Docs() != 1 {
-		t.Fatalf("docs = %d, want 1", inc.Docs())
+	if docs := inc.State().Docs; docs != 4 {
+		t.Fatalf("docs = %d, want 4", docs)
 	}
 }
 
@@ -105,8 +89,8 @@ func TestIncrementalStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Docs() != cut {
-		t.Fatalf("restored docs = %d, want %d", restored.Docs(), cut)
+	if docs := restored.State().Docs; docs != cut {
+		t.Fatalf("restored docs = %d, want %d", docs, cut)
 	}
 	for d := cut; d < len(docs); d++ {
 		if got := restored.Add(docs[d]); got != want[d] {
@@ -115,6 +99,21 @@ func TestIncrementalStateRoundTrip(t *testing.T) {
 	}
 	if restored.NumClusters() != full.NumClusters() {
 		t.Fatalf("clusters after restore = %d, want %d", restored.NumClusters(), full.NumClusters())
+	}
+}
+
+// TestStateEncodesEmptyLeaderAsNull: State shares leader token slices
+// instead of copying them, but an empty leader (a tweet of stopwords and
+// mentions only) still encodes as null, so snapshots keep their bytes.
+func TestStateEncodesEmptyLeaderAsNull(t *testing.T) {
+	inc := (&Leader{}).Incremental()
+	inc.Add(Tokenize("RT @user1: the"))
+	data, err := json.Marshal(inc.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `"leaderTokens":[null]`; !strings.Contains(string(data), want) {
+		t.Fatalf("State encodes as %s, want %s", data, want)
 	}
 }
 
@@ -132,8 +131,8 @@ func TestIncrementalStateRebuildsPostingsCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := []string{"hub", "unique49", "extra49"}
-	if got, want := restored.Assign(probe), inc.Assign(probe); got != want {
-		t.Fatalf("restored Assign = %d, original %d", got, want)
+	if got, want := restored.Add(probe), inc.Add(probe); got != want {
+		t.Fatalf("restored Add = %d, original %d", got, want)
 	}
 	// Both continue identically on a fresh shared-token stream.
 	for d := 0; d < 20; d++ {
@@ -145,17 +144,85 @@ func TestIncrementalStateRebuildsPostingsCap(t *testing.T) {
 }
 
 func TestRestoreIncrementalRejectsBadState(t *testing.T) {
-	cases := []*IncrementalState{
-		nil,
-		{Docs: 1, Leaders: []int{0}, LeaderTokens: nil},
-		{Docs: 0, Leaders: []int{0}, LeaderTokens: [][]string{{"a"}}},
-		{Docs: 2, Leaders: []int{5}, LeaderTokens: [][]string{{"a"}}},
+	// Each case is an honest state with one field broken.
+	honestWith := func(f func(st *IncrementalState)) *IncrementalState {
+		st := &IncrementalState{Threshold: 0.5, MaxPostings: 128, Docs: 5,
+			Leaders: []int{0, 2, 3}, LeaderTokens: [][]string{{"a"}, {"b"}, {"c"}}}
+		f(st)
+		return st
 	}
-	for i, st := range cases {
+	if _, err := RestoreIncremental(honestWith(func(*IncrementalState) {})); err != nil {
+		t.Fatalf("honest state refused: %v", err)
+	}
+	cases := map[string]*IncrementalState{
+		"nil":                 nil,
+		"missing token sets":  honestWith(func(st *IncrementalState) { st.LeaderTokens = nil }),
+		"fewer docs":          honestWith(func(st *IncrementalState) { st.Docs = 2 }),
+		"leader past docs":    honestWith(func(st *IncrementalState) { st.Leaders[2] = 5 }),
+		"negative leader":     honestWith(func(st *IncrementalState) { st.Leaders[0] = -1 }),
+		"first leader not 0":  honestWith(func(st *IncrementalState) { st.Leaders[0] = 1 }),
+		"no leader for docs":  honestWith(func(st *IncrementalState) { st.Leaders, st.LeaderTokens = nil, nil }),
+		"duplicated leader":   honestWith(func(st *IncrementalState) { st.Leaders[2] = 2 }),
+		"out-of-order leader": honestWith(func(st *IncrementalState) { st.Leaders[1], st.Leaders[2] = 3, 2 }),
+		"zero threshold":      honestWith(func(st *IncrementalState) { st.Threshold = 0 }),
+		"NaN threshold":       honestWith(func(st *IncrementalState) { st.Threshold = math.NaN() }),
+		"zero postings cap":   honestWith(func(st *IncrementalState) { st.MaxPostings = 0 }),
+	}
+	for name, st := range cases {
 		if _, err := RestoreIncremental(st); err == nil {
-			t.Fatalf("case %d: bad state accepted", i)
+			t.Errorf("%s: bad state accepted", name)
 		}
 	}
+}
+
+// FuzzRestoreIncremental: RestoreIncremental never panics on a decoded
+// snapshot; a state it accepts round-trips through State unchanged, and
+// clusters a probe stream exactly as the reference clusterer restored from
+// the same state and as RestoreIncremental of its own State.
+func FuzzRestoreIncremental(f *testing.F) {
+	honest := (&Leader{MaxPostings: 2}).Incremental()
+	for _, doc := range [][]string{{"a", "b"}, {"a", "b", "c"}, {"x"}, {}, {"a", "x", "y"}} {
+		honest.Add(doc)
+	}
+	seed, err := json.Marshal(honest.State())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"threshold":0.3,"maxPostings":1,"docs":3,"leaders":[0,2],"leaderTokens":[["a","a"],[]]}`))
+	f.Add([]byte(`{"threshold":0.5,"maxPostings":128,"docs":0,"leaders":[],"leaderTokens":[]}`))
+	f.Add([]byte(`{"threshold":0.5,"maxPostings":128,"docs":4,"leaders":[0,2,2],"leaderTokens":[["a"],["b"],["c"]]}`))
+	probe := [][]string{{"a", "b"}, {"a"}, {"x", "y", "a"}, {"b", "c"}, {}, {"a", "a", "b"}, {"z"}}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var st IncrementalState
+		if json.Unmarshal(data, &st) != nil {
+			return
+		}
+		inc, err := RestoreIncremental(&st)
+		if err != nil {
+			return
+		}
+		got := inc.State()
+		if got.Threshold != st.Threshold || got.MaxPostings != st.MaxPostings || got.Docs != st.Docs ||
+			!slices.Equal(got.Leaders, st.Leaders) ||
+			!slices.EqualFunc(got.LeaderTokens, st.LeaderTokens, slices.Equal) {
+			t.Fatalf("State() = %+v, restored from %+v", got, st)
+		}
+		again, err := RestoreIncremental(got)
+		if err != nil {
+			t.Fatalf("own State refused: %v", err)
+		}
+		ref := restoreReference(&st)
+		for i, doc := range probe {
+			c, want := inc.Add(doc), ref.add(doc)
+			if c != want {
+				t.Fatalf("probe %d: cluster %d, reference %d", i, c, want)
+			}
+			if c2 := again.Add(doc); c2 != c {
+				t.Fatalf("probe %d: cluster %d, restored from own State %d", i, c, c2)
+			}
+		}
+	})
 }
 
 // TestIncrementalMatchesBatchOnLargeStream exercises the equivalence on a

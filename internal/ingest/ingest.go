@@ -164,8 +164,10 @@ type Batch struct {
 	// batch, in founding order; the estimator appends them to its
 	// assertion-text table.
 	NewTexts []string
-	// ClusterState is the clusterer's state at this batch boundary,
-	// attached only to batches whose commit triggers a snapshot.
+	// ClusterState is the clusterer's state at this batch boundary. It is
+	// built for every batch, since any commit can be the last before a
+	// graceful-shutdown snapshot, so it shares the leader token slices
+	// with the clusterer instead of copying them.
 	ClusterState *cluster.IncrementalState
 }
 
