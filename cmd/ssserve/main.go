@@ -16,7 +16,7 @@
 // is never exposed on the public address. The server shuts down gracefully
 // on SIGINT/SIGTERM.
 //
-// The serving layer (see DESIGN.md §15) replays repeated identical requests
+// The serving layer (see DESIGN.md §14) replays repeated identical requests
 // from a content-hash result cache (-cache-size / -cache-ttl), coalesces
 // concurrent identical requests into one pipeline run, and — with
 // -max-inflight set — bounds concurrent computation, queueing up to

@@ -32,46 +32,12 @@ import (
 	"depsense/internal/analysis/framework"
 )
 
-// Run analyzes the fixture package in dir under its own package name.
-func Run(t *testing.T, a *framework.Analyzer, dir string) {
-	t.Helper()
-	RunPath(t, a, dir, "")
-}
-
 // RunPath analyzes the fixture package in dir as if its import path were
-// importPath (empty: "fixture/<pkgname>"). Besides the // want contract,
-// any fixture file with a sibling "<name>.golden" asserts the suggested-fix
-// round trip: applying every finding's first fix must reproduce the golden
-// body byte-for-byte.
+// importPath and checks its // want comments.
 func RunPath(t *testing.T, a *framework.Analyzer, dir, importPath string) {
 	t.Helper()
 	pkg, findings := analyze(t, a, dir, importPath)
-	checkWants(t, []*framework.Package{pkg}, findings)
-	checkGoldens(t, []*framework.Package{pkg}, findings)
-}
-
-// Fixture names one package of a multi-package fixture: its directory and
-// the import path it impersonates. Later fixtures may import earlier ones
-// by that path, which is how cross-package fact propagation is exercised —
-// the importing package's analysis sees the facts exported while analyzing
-// the imported one.
-type Fixture struct {
-	Dir        string
-	ImportPath string
-}
-
-// RunDirs analyzes several fixture packages as one dependency-ordered unit
-// (facts flow from earlier entries to later ones), checking // want
-// comments and .golden fix fixtures across all of them.
-func RunDirs(t *testing.T, a *framework.Analyzer, fixtures ...Fixture) {
-	t.Helper()
-	pkgs := loadFixtures(t, fixtures)
-	findings, err := framework.RunAnalyzers(pkgs, []*framework.Analyzer{a})
-	if err != nil {
-		t.Fatalf("running %s: %v", a.Name, err)
-	}
-	checkWants(t, pkgs, findings)
-	checkGoldens(t, pkgs, findings)
+	checkWants(t, pkg, findings)
 }
 
 // Findings analyzes the fixture package in dir under importPath and returns
@@ -86,72 +52,15 @@ func Findings(t *testing.T, a *framework.Analyzer, dir, importPath string) []fra
 
 func analyze(t *testing.T, a *framework.Analyzer, dir, importPath string) (*framework.Package, []framework.Finding) {
 	t.Helper()
-	pkg, err := loadFixture(dir, importPath, nil)
+	pkg, err := loadFixture(dir, importPath)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
-	findings, err := framework.RunAnalyzers([]*framework.Package{pkg}, []*framework.Analyzer{a})
+	res, err := framework.Run([]*framework.Package{pkg}, []*framework.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
 	}
-	return pkg, findings
-}
-
-func loadFixtures(t *testing.T, fixtures []Fixture) []*framework.Package {
-	t.Helper()
-	var pkgs []*framework.Package
-	prior := map[string]*types.Package{}
-	for _, fx := range fixtures {
-		pkg, err := loadFixture(fx.Dir, fx.ImportPath, prior)
-		if err != nil {
-			t.Fatalf("loading fixture %s: %v", fx.Dir, err)
-		}
-		pkgs = append(pkgs, pkg)
-		prior[pkg.ImportPath] = pkg.Types
-	}
-	return pkgs
-}
-
-// checkGoldens verifies the suggested-fix round trip wherever a fixture
-// ships a .golden file: source + fixes must equal the golden bytes.
-func checkGoldens(t *testing.T, pkgs []*framework.Package, findings []framework.Finding) {
-	t.Helper()
-	sources := map[string][]byte{}
-	goldens := map[string]string{} // source path -> golden path
-	for _, pkg := range pkgs {
-		for path, src := range pkg.Sources {
-			sources[path] = src
-			if g := path + ".golden"; fileExists(g) {
-				goldens[path] = g
-			}
-		}
-	}
-	if len(goldens) == 0 {
-		return
-	}
-	fixed, err := framework.ApplyFixes(findings, sources)
-	if err != nil {
-		t.Fatalf("applying suggested fixes: %v", err)
-	}
-	for path, goldenPath := range goldens {
-		want, err := os.ReadFile(goldenPath)
-		if err != nil {
-			t.Fatalf("reading golden %s: %v", goldenPath, err)
-		}
-		got, ok := fixed[path]
-		if !ok {
-			got = sources[path]
-		}
-		if string(got) != string(want) {
-			t.Errorf("fix round-trip mismatch for %s:\n--- got ---\n%s\n--- want (%s) ---\n%s",
-				path, got, goldenPath, want)
-		}
-	}
-}
-
-func fileExists(path string) bool {
-	st, err := os.Stat(path)
-	return err == nil && !st.IsDir()
+	return pkg, res.Findings
 }
 
 type want struct {
@@ -163,31 +72,29 @@ type want struct {
 
 var wantRe = regexp.MustCompile("//\\s*want\\s+(?:\"((?:[^\"\\\\]|\\\\.)*)\"|`([^`]*)`)")
 
-// checkWants cross-checks findings against the fixtures' want comments.
-func checkWants(t *testing.T, pkgs []*framework.Package, findings []framework.Finding) {
+// checkWants cross-checks findings against the fixture's want comments.
+func checkWants(t *testing.T, pkg *framework.Package, findings []framework.Finding) {
 	t.Helper()
 	var wants []*want
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			tf := pkg.Fset.File(f.Pos())
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					m := wantRe.FindStringSubmatch(c.Text)
-					if m == nil {
-						continue
-					}
-					pat := m[1]
-					if pat == "" {
-						pat = m[2]
-					} else {
-						pat = strings.ReplaceAll(pat, `\"`, `"`)
-					}
-					re, err := regexp.Compile(pat)
-					if err != nil {
-						t.Fatalf("%s: bad want pattern %q: %v", pkg.Fset.Position(c.Pos()), pat, err)
-					}
-					wants = append(wants, &want{file: tf.Name(), line: tf.Line(c.Pos()), re: re})
+	for _, f := range pkg.Files {
+		tf := pkg.Fset.File(f.Pos())
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				m := wantRe.FindStringSubmatch(c.Text)
+				if m == nil {
+					continue
 				}
+				pat := m[1]
+				if pat == "" {
+					pat = m[2]
+				} else {
+					pat = strings.ReplaceAll(pat, `\"`, `"`)
+				}
+				re, err := regexp.Compile(pat)
+				if err != nil {
+					t.Fatalf("%s: bad want pattern %q: %v", pkg.Fset.Position(c.Pos()), pat, err)
+				}
+				wants = append(wants, &want{file: tf.Name(), line: tf.Line(c.Pos()), re: re})
 			}
 		}
 	}
@@ -211,11 +118,9 @@ func checkWants(t *testing.T, pkgs []*framework.Package, findings []framework.Fi
 	}
 }
 
-// loadFixture parses and type-checks one fixture directory as a package.
-// prior supplies already-checked fixture packages by import path, so a
-// fixture can import a sibling fixture (cross-package fact tests); all
-// other imports resolve offline from export data.
-func loadFixture(dir, importPath string, prior map[string]*types.Package) (*framework.Package, error) {
+// loadFixture parses and type-checks one fixture directory as a package,
+// resolving its imports offline from export data.
+func loadFixture(dir, importPath string) (*framework.Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -229,7 +134,7 @@ func loadFixture(dir, importPath string, prior map[string]*types.Package) (*fram
 	sort.Strings(paths)
 
 	fset := token.NewFileSet()
-	pkg := &framework.Package{Dir: dir, Fset: fset, Sources: map[string][]byte{}}
+	pkg := &framework.Package{Fset: fset, Sources: map[string][]byte{}}
 	importSet := map[string]bool{}
 	for _, p := range paths {
 		src, err := os.ReadFile(p)
@@ -243,51 +148,29 @@ func loadFixture(dir, importPath string, prior map[string]*types.Package) (*fram
 		}
 		pkg.Files = append(pkg.Files, f)
 		for _, imp := range f.Imports {
-			path := strings.Trim(imp.Path.Value, `"`)
-			pkg.Imports = append(pkg.Imports, path)
-			if prior[path] == nil {
-				importSet[path] = true
-			}
+			importSet[strings.Trim(imp.Path.Value, `"`)] = true
 		}
 	}
 	if len(pkg.Files) == 0 {
 		return nil, os.ErrNotExist
 	}
-	if importPath == "" {
-		importPath = "fixture/" + pkg.Files[0].Name.Name
-	}
 	pkg.ImportPath = importPath
 
-	exp, err := fixtureImporter(fset, importSet)
+	imp, err := fixtureImporter(fset, importSet)
 	if err != nil {
 		return nil, err
 	}
 	info := framework.NewTypesInfo()
 	conf := types.Config{
-		Importer: chainedImporter{prior: prior, fallback: exp},
+		Importer: imp,
 		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 	}
-	tpkg, _ := conf.Check(importPath, fset, pkg.Files, info)
-	pkg.Types = tpkg
+	pkg.Types, _ = conf.Check(importPath, fset, pkg.Files, info)
 	pkg.TypesInfo = info
 	if len(pkg.TypeErrors) > 0 {
 		return nil, pkg.TypeErrors[0]
 	}
 	return pkg, nil
-}
-
-// chainedImporter resolves sibling fixture packages from their
-// source-checked types.Package and everything else from export data.
-type chainedImporter struct {
-	prior    map[string]*types.Package
-	fallback types.Importer
-}
-
-func (c chainedImporter) Import(path string) (*types.Package, error) {
-	if p := c.prior[path]; p != nil {
-		return p, nil
-	}
-	return c.fallback.Import(path)
 }
 
 // fixtureImporter builds an export-data importer for the fixture's imports

@@ -9,37 +9,8 @@ import (
 // Finding is one post-suppression diagnostic, positioned and attributed.
 type Finding struct {
 	Analyzer string
-	Pos      Position
+	Pos      token.Position
 	Message  string
-	// Fixes are the diagnostic's suggested fixes with positions resolved
-	// to byte offsets, so -json can carry them and -fix can apply them
-	// without a FileSet.
-	Fixes []Fix `json:",omitempty"`
-}
-
-// Position is a token.Position that serializes compactly.
-type Position struct {
-	Filename string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"col"`
-}
-
-func positionOf(p token.Position) Position {
-	return Position{Filename: p.Filename, Line: p.Line, Column: p.Column}
-}
-
-// Fix is one offset-resolved suggested fix.
-type Fix struct {
-	Message string `json:"message"`
-	Edits   []Edit `json:"edits"`
-}
-
-// Edit replaces bytes [Start, End) of File with NewText.
-type Edit struct {
-	File    string `json:"file"`
-	Start   int    `json:"start"`
-	End     int    `json:"end"`
-	NewText string `json:"newText"`
 }
 
 func (f Finding) String() string {
@@ -53,58 +24,33 @@ const StaleAllowName = "staleallow"
 // Result is the output of one driver run.
 type Result struct {
 	// Findings are the surviving post-suppression diagnostics, sorted by
-	// position.
+	// position. Malformed or reasonless directives surface here under the
+	// reserved "lintallow" name, which no directive can suppress: every
+	// suppression must carry a justification.
 	Findings []Finding
 	// StaleAllows flags every well-formed //lint:allow directive that
-	// suppressed no diagnostic of any analyzer it names (or names an
-	// analyzer not in the roster). Reported separately so the default
-	// mode stays byte-compatible and `-staleallow` can audit.
+	// suppressed no diagnostic of an analyzer it names, or that names an
+	// analyzer not in the roster. Reported separately so the default mode
+	// ignores them and `-staleallow` can audit.
 	StaleAllows []Finding
-	// Analyzed counts the packages analyzed.
-	Analyzed int
 }
 
-// RunAnalyzers applies every analyzer to every package, filters the
-// diagnostics through //lint:allow directives, and returns the surviving
-// findings sorted by position. Malformed or reasonless directives surface
-// as findings under the reserved "lintallow" name, which no directive can
-// suppress — every suppression must carry a justification.
-func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	res, err := Run(pkgs, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	return res.Findings, nil
-}
-
-// Run is the full driver: it expands the analyzer roster through Requires,
-// orders packages so dependencies are analyzed before dependents (facts
-// flow forward), runs each analyzer with fact import/export wired up, and
-// resolves suppressions. See RunAnalyzers for the suppression contract.
+// Run applies every analyzer to every package, filters the diagnostics
+// through //lint:allow directives, and returns the sorted findings and
+// stale allows.
 func Run(pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
-	roster, err := expandAnalyzers(analyzers)
-	if err != nil {
-		return nil, err
-	}
-	ordered, err := sortPackages(pkgs)
-	if err != nil {
-		return nil, err
-	}
 	rosterNames := map[string]bool{AllowName: true}
-	for _, a := range roster {
+	for _, a := range analyzers {
 		rosterNames[a.Name] = true
 	}
-
 	res := &Result{}
-	facts := newFactStore()
-	for _, pkg := range ordered {
-		findings, stale, err := runPackage(pkg, roster, rosterNames, facts)
+	for _, pkg := range pkgs {
+		findings, stale, err := runPackage(pkg, analyzers, rosterNames)
 		if err != nil {
 			return nil, err
 		}
 		res.Findings = append(res.Findings, findings...)
 		res.StaleAllows = append(res.StaleAllows, stale...)
-		res.Analyzed++
 	}
 	sortFindings(res.Findings)
 	sortFindings(res.StaleAllows)
@@ -113,13 +59,13 @@ func Run(pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
 
 // runPackage applies the full roster to one package and resolves its
 // suppressions, returning the package's findings and stale allows.
-func runPackage(pkg *Package, roster []*Analyzer, rosterNames map[string]bool, facts *factStore) (findings, stale []Finding, err error) {
+func runPackage(pkg *Package, roster []*Analyzer, rosterNames map[string]bool) (findings, stale []Finding, err error) {
 	allows := parseAllows(pkg)
 	for i := range allows {
 		if allows[i].malformed != "" {
 			findings = append(findings, Finding{
 				Analyzer: AllowName,
-				Pos:      positionOf(pkg.Fset.Position(allows[i].pos)),
+				Pos:      pkg.Fset.Position(allows[i].pos),
 				Message:  allows[i].malformed,
 			})
 		}
@@ -137,7 +83,6 @@ func runPackage(pkg *Package, roster []*Analyzer, rosterNames map[string]bool, f
 			TypesInfo: pkg.TypesInfo,
 			Path:      pkg.ImportPath,
 			diags:     &diags,
-			facts:     facts,
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, nil, fmt.Errorf("framework: analyzer %s on %s: %v", a.Name, pkg.ImportPath, err)
@@ -153,9 +98,8 @@ func runPackage(pkg *Package, roster []*Analyzer, rosterNames map[string]bool, f
 			}
 			findings = append(findings, Finding{
 				Analyzer: a.Name,
-				Pos:      positionOf(pos),
+				Pos:      pos,
 				Message:  d.Message,
-				Fixes:    resolveFixes(pkg, d.SuggestedFixes),
 			})
 		}
 	}
@@ -164,7 +108,7 @@ func runPackage(pkg *Package, roster []*Analyzer, rosterNames map[string]bool, f
 			continue
 		}
 		for _, name := range allows[i].analyzers {
-			pos := positionOf(pkg.Fset.Position(allows[i].pos))
+			pos := pkg.Fset.Position(allows[i].pos)
 			switch {
 			case !rosterNames[name]:
 				stale = append(stale, Finding{
@@ -172,7 +116,7 @@ func runPackage(pkg *Package, roster []*Analyzer, rosterNames map[string]bool, f
 					Pos:      pos,
 					Message:  fmt.Sprintf("//lint:allow names unknown analyzer %q", name),
 				})
-			case used[i] == nil || !used[i][name]:
+			case !used[i][name]:
 				stale = append(stale, Finding{
 					Analyzer: StaleAllowName,
 					Pos:      pos,
@@ -183,109 +127,6 @@ func runPackage(pkg *Package, roster []*Analyzer, rosterNames map[string]bool, f
 		}
 	}
 	return findings, stale, nil
-}
-
-// resolveFixes converts a diagnostic's fixes from token positions to byte
-// offsets. A fix whose edits land outside the package's files is dropped:
-// better no fix than a corrupting one.
-func resolveFixes(pkg *Package, fixes []SuggestedFix) []Fix {
-	var out []Fix
-	for _, sf := range fixes {
-		fix := Fix{Message: sf.Message}
-		ok := true
-		for _, te := range sf.TextEdits {
-			start := pkg.Fset.Position(te.Pos)
-			end := pkg.Fset.Position(te.End)
-			src, have := pkg.Sources[start.Filename]
-			if !have || start.Filename != end.Filename ||
-				start.Offset < 0 || end.Offset < start.Offset || end.Offset > len(src) {
-				ok = false
-				break
-			}
-			fix.Edits = append(fix.Edits, Edit{
-				File:    start.Filename,
-				Start:   start.Offset,
-				End:     end.Offset,
-				NewText: te.NewText,
-			})
-		}
-		if ok && len(fix.Edits) > 0 {
-			out = append(out, fix)
-		}
-	}
-	return out
-}
-
-// expandAnalyzers returns the transitive closure of the roster through
-// Requires in topological order (dependencies first), rejecting cycles.
-func expandAnalyzers(analyzers []*Analyzer) ([]*Analyzer, error) {
-	var out []*Analyzer
-	state := map[*Analyzer]int{} // 0 unvisited, 1 visiting, 2 done
-	var visit func(a *Analyzer) error
-	visit = func(a *Analyzer) error {
-		switch state[a] {
-		case 1:
-			return fmt.Errorf("framework: analyzer dependency cycle through %s", a.Name)
-		case 2:
-			return nil
-		}
-		state[a] = 1
-		for _, dep := range a.Requires {
-			if err := visit(dep); err != nil {
-				return err
-			}
-		}
-		state[a] = 2
-		out = append(out, a)
-		return nil
-	}
-	for _, a := range analyzers {
-		if err := visit(a); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// sortPackages orders packages so every package follows the packages it
-// imports (facts flow dependency-first); ties break by import path so the
-// order — and therefore finding order — is deterministic.
-func sortPackages(pkgs []*Package) ([]*Package, error) {
-	byPath := make(map[string]*Package, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.ImportPath] = p
-	}
-	sorted := append([]*Package(nil), pkgs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ImportPath < sorted[j].ImportPath })
-
-	var out []*Package
-	state := map[*Package]int{}
-	var visit func(p *Package) error
-	visit = func(p *Package) error {
-		switch state[p] {
-		case 1:
-			return fmt.Errorf("framework: import cycle through %s", p.ImportPath)
-		case 2:
-			return nil
-		}
-		state[p] = 1
-		for _, imp := range p.Imports {
-			if dep, ok := byPath[imp]; ok {
-				if err := visit(dep); err != nil {
-					return err
-				}
-			}
-		}
-		state[p] = 2
-		out = append(out, p)
-		return nil
-	}
-	for _, p := range sorted {
-		if err := visit(p); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 func sortFindings(findings []Finding) {

@@ -20,11 +20,6 @@ import (
 type Package struct {
 	// ImportPath is the package's import path as reported by go list.
 	ImportPath string
-	// Dir is the package's source directory.
-	Dir string
-	// Imports are the package's direct imports; the driver analyzes
-	// packages dependency-first so facts propagate along this graph.
-	Imports []string
 	// Fset positions all files of all packages of one Load call.
 	Fset *token.FileSet
 	// Files are the parsed non-test Go files, in go list order.
@@ -46,7 +41,6 @@ type listPkg struct {
 	ImportPath string
 	Dir        string
 	GoFiles    []string
-	Imports    []string
 	Export     string
 	DepOnly    bool
 	Error      *struct{ Err string }
@@ -140,8 +134,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		}
 		pkg := &Package{
 			ImportPath: lp.ImportPath,
-			Dir:        lp.Dir,
-			Imports:    lp.Imports,
 			Fset:       fset,
 			Sources:    make(map[string][]byte, len(lp.GoFiles)),
 		}

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"strings"
 	"testing"
 )
 
@@ -80,6 +81,32 @@ func f() {
 	}
 }
 
+// dummy reports on every integer literal.
+var dummy = &Analyzer{
+	Name: "dummy",
+	Doc:  "report every int literal",
+	Run: func(pass *Pass) error {
+		for _, f := range pass.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok {
+					pass.Reportf(lit.Pos(), "literal %s", lit.Value)
+				}
+				return true
+			})
+		}
+		return nil
+	},
+}
+
+// messages renders findings as "analyzer:message" for comparison.
+func messages(findings []Finding) []string {
+	var out []string
+	for _, f := range findings {
+		out = append(out, f.Analyzer+":"+f.Message)
+	}
+	return out
+}
+
 // TestRunAnalyzersSuppression drives the full driver with a dummy analyzer
 // that reports on every integer literal, checking line-targeted
 // suppression and the lintallow hygiene finding.
@@ -96,30 +123,11 @@ func f() int {
 	return a + b + c + d
 }
 `
-	pkg := parse(t, src)
-	dummy := &Analyzer{
-		Name: "dummy",
-		Doc:  "report every int literal",
-		Run: func(pass *Pass) error {
-			for _, f := range pass.Files {
-				ast.Inspect(f, func(n ast.Node) bool {
-					if lit, ok := n.(*ast.BasicLit); ok {
-						pass.Reportf(lit.Pos(), "literal %s", lit.Value)
-					}
-					return true
-				})
-			}
-			return nil
-		},
-	}
-	findings, err := RunAnalyzers([]*Package{pkg}, []*Analyzer{dummy})
+	res, err := Run([]*Package{parse(t, src)}, []*Analyzer{dummy})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []string
-	for _, f := range findings {
-		got = append(got, f.Analyzer+":"+f.Message)
-	}
+	got := messages(res.Findings)
 	want := []string{
 		"dummy:literal 1", // unsuppressed
 		AllowName + ":" + "//lint:allow must carry a reason: //lint:allow dummy <why this is safe>",
@@ -132,5 +140,44 @@ func f() int {
 		if got[i] != want[i] {
 			t.Errorf("finding[%d] = %q, want %q", i, got[i], want[i])
 		}
+	}
+}
+
+// TestStaleAllows is the audit behind -staleallow: an allow that suppresses
+// nothing and an allow naming an analyzer outside the roster are both
+// reported; an allow that earns its keep, and a reasonless one (already a
+// lintallow finding), are not.
+func TestStaleAllows(t *testing.T) {
+	src := `package fixture
+
+func f() int {
+	a := 1 //lint:allow dummy justified, and a literal sits here
+	//lint:allow dummy nothing on the next line fires
+	_ = a
+	//lint:allow ctxloop not in the roster
+	b := 2 //lint:allow dummy justified
+	//lint:allow dummy
+	return a + b
+}
+`
+	res, err := Run([]*Package{parse(t, src)}, []*Analyzer{dummy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := messages(res.Findings), []string{
+		AllowName + ":" + "//lint:allow must carry a reason: //lint:allow dummy <why this is safe>",
+	}; strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings = %q, want %q", got, want)
+	}
+	got := messages(res.StaleAllows)
+	want := []string{
+		StaleAllowName + ":" + "stale //lint:allow dummy: no dummy finding fires on line 6; delete the directive",
+		StaleAllowName + ":" + `//lint:allow names unknown analyzer "ctxloop"`,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("stale allows = %q, want %q", got, want)
+	}
+	if l0, l1 := res.StaleAllows[0].Pos.Line, res.StaleAllows[1].Pos.Line; l0 != 5 || l1 != 7 {
+		t.Errorf("stale allows reported on lines %d and %d, want the directives' own lines 5 and 7", l0, l1)
 	}
 }

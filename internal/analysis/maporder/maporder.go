@@ -13,37 +13,28 @@ package maporder
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strconv"
-	"strings"
 
 	"depsense/internal/analysis/framework"
-	"depsense/internal/analysis/zonefacts"
+	"depsense/internal/analysis/zones"
 )
-
-// mapsortPath is the sanctioned sorted-iteration helper package; the
-// suggested fix rewrites flagged ranges to mapsort.Keys.
-const mapsortPath = "depsense/internal/mapsort"
 
 // Analyzer flags range-over-map statements in deterministic zones.
 var Analyzer = &framework.Analyzer{
 	Name: "maporder",
 	Doc: "flag range over a map in a deterministic zone; Go randomizes map order, " +
 		"so iterate sorted keys (or justify with //lint:allow maporder <reason>)",
-	Requires: []*framework.Analyzer{zonefacts.Analyzer},
-	Run:      run,
+	Run: run,
 }
 
 func run(pass *framework.Pass) error {
-	pkgZone := zonefacts.Of(pass).Deterministic
+	if !zones.Deterministic[pass.Path] {
+		return nil
+	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
-				continue
-			}
-			if !pkgZone && !framework.FuncHasMarker(fd, framework.DeterministicMarker) {
 				continue
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -55,94 +46,15 @@ func run(pass *framework.Pass) error {
 				if !ok || tv.Type == nil {
 					return true
 				}
-				mt, isMap := tv.Type.Underlying().(*types.Map)
-				if !isMap {
-					return true
+				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+					pass.Reportf(rs.Pos(),
+						"range over map %s in deterministic zone %s: map order is randomized; "+
+							"iterate sorted keys (sort.* / slices.Sort) or suppress with //lint:allow maporder <reason>",
+						types.TypeString(tv.Type, types.RelativeTo(pass.Pkg)), pass.Path)
 				}
-				d := framework.Diagnostic{
-					Pos: rs.Pos(),
-					Message: "range over map " + types.TypeString(tv.Type, types.RelativeTo(pass.Pkg)) +
-						" in deterministic zone " + pass.Path + ": map order is randomized; " +
-						"iterate sorted keys (sort.* / slices.Sort) or suppress with //lint:allow maporder <reason>",
-				}
-				if fix, ok := sortedKeysFix(pass, file, rs, mt); ok {
-					d.SuggestedFixes = []framework.SuggestedFix{fix}
-				}
-				pass.Report(d)
 				return true
 			})
 		}
 	}
 	return nil
-}
-
-// sortedKeysFix builds the mechanical rewrite of a key-only map range into
-// the mapsort.Keys sorted form:
-//
-//	for k := range m {  →  for _, k := range mapsort.Keys(m) {
-//
-// adding the mapsort import when the file lacks it. Ranges that also bind
-// the value, discard the key, or use an unordered key type are left to the
-// human.
-func sortedKeysFix(pass *framework.Pass, file *ast.File, rs *ast.RangeStmt, mt *types.Map) (framework.SuggestedFix, bool) {
-	key, ok := rs.Key.(*ast.Ident)
-	if !ok || key.Name == "_" || rs.Value != nil || rs.Tok != token.DEFINE {
-		return framework.SuggestedFix{}, false
-	}
-	if b, ok := mt.Key().Underlying().(*types.Basic); !ok ||
-		b.Info()&(types.IsInteger|types.IsFloat|types.IsString) == 0 {
-		return framework.SuggestedFix{}, false
-	}
-	name, importEdit, ok := mapsortName(file)
-	if !ok {
-		return framework.SuggestedFix{}, false
-	}
-	edits := []framework.TextEdit{{
-		Pos:     rs.Key.Pos(),
-		End:     rs.X.End(),
-		NewText: "_, " + key.Name + " := range " + name + ".Keys(" + types.ExprString(rs.X) + ")",
-	}}
-	if importEdit != nil {
-		edits = append(edits, *importEdit)
-	}
-	return framework.SuggestedFix{
-		Message:   "iterate " + name + ".Keys(" + types.ExprString(rs.X) + ") for deterministic order",
-		TextEdits: edits,
-	}, true
-}
-
-// mapsortName returns the name mapsort is (or would be) known by in file,
-// plus an import-inserting edit when the file does not import it yet. The
-// insertion keeps the block sorted so the fixed file stays gofmt-clean.
-func mapsortName(file *ast.File) (string, *framework.TextEdit, bool) {
-	for _, imp := range file.Imports {
-		if strings.Trim(imp.Path.Value, `"`) == mapsortPath {
-			if imp.Name != nil {
-				return imp.Name.Name, nil, true
-			}
-			return "mapsort", nil, true
-		}
-	}
-	for _, decl := range file.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.IMPORT || !gd.Lparen.IsValid() {
-			continue
-		}
-		pos := gd.Lparen + 1
-		for _, spec := range gd.Specs {
-			imp, ok := spec.(*ast.ImportSpec)
-			if !ok {
-				continue
-			}
-			if path, err := strconv.Unquote(imp.Path.Value); err == nil && path < mapsortPath {
-				pos = imp.End()
-			}
-		}
-		return "mapsort", &framework.TextEdit{
-			Pos:     pos,
-			End:     pos,
-			NewText: "\n\t" + strconv.Quote(mapsortPath),
-		}, true
-	}
-	return "", nil, false // no parenthesized import block to extend
 }

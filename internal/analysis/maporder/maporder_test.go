@@ -13,14 +13,13 @@ func TestDeterministicZone(t *testing.T) {
 	analysistest.RunPath(t, maporder.Analyzer, "testdata/det", "depsense/internal/core")
 }
 
-func TestMarkerOutsideZone(t *testing.T) {
-	analysistest.Run(t, maporder.Analyzer, "testdata/marked")
-}
-
-// TestSortedKeysFix checks the mapsort.Keys rewrite (including the import
-// insertion) against the golden post-fix source.
-func TestSortedKeysFix(t *testing.T) {
-	analysistest.RunPath(t, maporder.Analyzer, "testdata/fixdet", "depsense/internal/core")
+// TestNonDeterministicZone re-analyzes the same fixture outside the
+// deterministic zones: nothing may fire.
+func TestNonDeterministicZone(t *testing.T) {
+	findings := analysistest.Findings(t, maporder.Analyzer, "testdata/det", "depsense/internal/plot")
+	if len(findings) != 0 {
+		t.Errorf("maporder fired outside deterministic zones: %v", findings)
+	}
 }
 
 // TestReasonlessAllow verifies that a //lint:allow without a reason is void

@@ -2,7 +2,10 @@
 // deterministic zone.
 package fixture
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // Reduce ranges a map every way the analyzer cares about.
 func Reduce(weights map[int]float64, names map[string]int) float64 {
@@ -41,6 +44,20 @@ func Suppressed(m map[int]int) int {
 		}
 	}
 	return n
+}
+
+// pairKey is a (source, assertion) pair, as claims.Builder keys its claims.
+type pairKey struct{ i, j int }
+
+// FirstConflict is the shape of the claims.Builder bug maporder caught:
+// which conflicting pair the error named depended on map order.
+func FirstConflict(claimed, silent map[pairKey]bool) error {
+	for k, dep := range claimed { // want `range over map map\[pairKey\]bool`
+		if silent[k] && !dep {
+			return fmt.Errorf("conflicting pair (source=%d, assertion=%d)", k.i, k.j)
+		}
+	}
+	return nil
 }
 
 // Slices never fire.

@@ -30,7 +30,7 @@ import (
 	"strings"
 
 	"depsense/internal/analysis/framework"
-	"depsense/internal/analysis/zonefacts"
+	"depsense/internal/analysis/zones"
 )
 
 // Analyzer flags raw-space probability products and exact 0/1 probability
@@ -39,8 +39,7 @@ var Analyzer = &framework.Analyzer{
 	Name: "probexpr",
 	Doc: "flag chained raw-space products of >=4 probability-named factors and " +
 		"==/!= comparisons of probabilities against exact 0/1 literals",
-	Requires: []*framework.Analyzer{zonefacts.Analyzer},
-	Run:      run,
+	Run: run,
 }
 
 // minChain is the factor count at which a raw probability product is
@@ -48,7 +47,7 @@ var Analyzer = &framework.Analyzer{
 const minChain = 4
 
 func run(pass *framework.Pass) error {
-	if !zonefacts.Of(pass).Numeric {
+	if !zones.Numeric[pass.Path] {
 		return nil
 	}
 	for _, file := range pass.Files {

@@ -7,7 +7,8 @@ type Params struct {
 	A, B, F, G float64
 }
 
-// Likelihood chains four probability-named factors in raw space.
+// Likelihood chains four probability-named factors in raw space: the
+// per-source product of Eqs. 9-14 that the E-step keeps in log-space.
 func Likelihood(p Params, z float64) float64 {
 	return p.A * p.B * p.F * z // want `raw-space product of 4 probability factors`
 }

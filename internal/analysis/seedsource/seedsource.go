@@ -23,7 +23,7 @@ import (
 	"go/ast"
 
 	"depsense/internal/analysis/framework"
-	"depsense/internal/analysis/zonefacts"
+	"depsense/internal/analysis/zones"
 )
 
 // Analyzer flags global-source randomness, ad-hoc RNG construction, and
@@ -32,8 +32,7 @@ var Analyzer = &framework.Analyzer{
 	Name: "seedsource",
 	Doc: "flag math/rand global-source use, rand.Seed, RNG construction outside " +
 		"internal/randutil, and bare time.Now() in clocked zones",
-	Requires: []*framework.Analyzer{zonefacts.Analyzer},
-	Run:      run,
+	Run: run,
 }
 
 // randutilPath is the only package allowed to construct RNGs directly.
@@ -52,7 +51,7 @@ var globalSource = map[string]bool{
 }
 
 func run(pass *framework.Pass) error {
-	inClockedZone := zonefacts.Of(pass).Clocked
+	inClockedZone := zones.Clocked[pass.Path]
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)

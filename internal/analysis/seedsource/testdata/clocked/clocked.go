@@ -9,6 +9,17 @@ func Stamp() time.Time {
 	return time.Now() // want `bare time\.Now\(\) in clocked zone`
 }
 
+// GeneratedAt is the shape of the report bug seedsource caught: a zero
+// stamp fell back to a bare wall-clock read, so two renders of one result
+// differed.
+func GeneratedAt(stamp time.Time) string {
+	ts := stamp
+	if ts.IsZero() {
+		ts = time.Now() // want `bare time\.Now\(\) in clocked zone depsense/internal/report`
+	}
+	return ts.Format(time.RFC3339)
+}
+
 // Timing carries the sanctioned justification.
 func Timing() time.Duration {
 	start := time.Now() //lint:allow seedsource wall-clock timing measurement

@@ -1,19 +1,10 @@
-// Package zones centralizes which packages each depsenselint analyzer
-// patrols, so the contract lives in one place (and in DESIGN.md) rather
-// than scattered across analyzers.
+// Package zones declares which packages each depsenselint analyzer
+// patrols, so the contract lives in one place (and in DESIGN.md §9) rather
+// than scattered across analyzers. Each analyzer looks its package's
+// import path up in one map.
 //
 // A "deterministic zone" is a package whose exported results must be
-// bit-for-bit reproducible from a seed at any worker count — the contract
-// introduced by the PR 2 parallel execution work. Functions outside these
-// packages can opt in with a "//depsense:deterministic" doc comment.
-//
-// These maps are the root declarations only: analyzers no longer read them
-// directly. The zonefacts analyzer unites them with in-package
-// "//depsense:zone" directives and publishes the result as a package fact,
-// which is what the checking analyzers consume (see
-// internal/analysis/zonefacts). New packages should prefer the in-package
-// directive; the maps remain for the packages that predate it and as the
-// single list the zone-completeness test audits.
+// bit-for-bit reproducible from a seed at any worker count.
 package zones
 
 // Deterministic lists the packages whose outputs must be bit-for-bit
@@ -36,21 +27,6 @@ var Deterministic = map[string]bool{
 	"depsense/cmd/ssaudit":       true,
 }
 
-// Estimator lists the packages that run open-ended iteration (EM rounds,
-// Gibbs sweeps, belief/trust rounds, stream refits); ctxloop requires their
-// unbounded loops to consult the runctx cancellation contract from PR 1.
-var Estimator = map[string]bool{
-	"depsense/internal/core":      true,
-	"depsense/internal/gibbs":     true,
-	"depsense/internal/bound":     true,
-	"depsense/internal/baselines": true,
-	"depsense/internal/stream":    true,
-	"depsense/internal/ingest":    true,
-	"depsense/internal/factfind":  true,
-	"depsense/internal/apollo":    true,
-	"depsense/internal/parallel":  true,
-}
-
 // Numeric lists the packages doing posterior/likelihood arithmetic
 // (Eqs. 9–14 territory); probexpr patrols them for raw-probability
 // products that belong in log-space and exact 0/1 comparisons.
@@ -63,15 +39,6 @@ var Numeric = map[string]bool{
 	"depsense/internal/stats":     true,
 	"depsense/internal/stream":    true,
 	"depsense/internal/synthetic": true,
-}
-
-// Pipeline lists the packages built around staged, bounded-channel
-// pipelines; chandisc requires their channel sends to be shed- or
-// cancellation-aware selects and each channel to be closed exactly once by
-// its owning stage.
-var Pipeline = map[string]bool{
-	"depsense/internal/ingest": true,
-	"depsense/internal/serve":  true,
 }
 
 // Clocked lists the packages where a bare time.Now() is suspect: either a

@@ -11,10 +11,11 @@ import (
 
 // exempt lists the internal packages deliberately outside every zone, each
 // with the reason it needs none of the lint contracts. A new internal
-// package must either join a zone map (or carry a //depsense:zone
-// directive recorded here) or be added here with a justification.
+// package must either join a zone map or be added here with a
+// justification.
 var exempt = map[string]string{
 	"analysis":  "the linter itself: analyzers, framework, fixtures",
+	"factfind":  "the result vocabulary and rank helpers every estimator shares; no map reduction, clock or RNG of its own",
 	"grader":    "offline scoring harness; consumes estimator output, produces none of its own contracts",
 	"mapsort":   "the sanctioned sorted-iteration helper; its one unordered range is sorted immediately (see package doc)",
 	"plot":      "report-side SVG rendering of already-final results",
@@ -27,10 +28,8 @@ var exempt = map[string]string{
 func zoneMaps() map[string]map[string]bool {
 	return map[string]map[string]bool{
 		"Deterministic": zones.Deterministic,
-		"Estimator":     zones.Estimator,
 		"Numeric":       zones.Numeric,
 		"Clocked":       zones.Clocked,
-		"Pipeline":      zones.Pipeline,
 	}
 }
 
@@ -60,7 +59,7 @@ func TestEveryInternalPackageIsZonedOrExempt(t *testing.T) {
 		switch {
 		case !zoned && !isExempt:
 			t.Errorf("internal package %s is in no zone map and not in the exempt list; "+
-				"add it to a zone in internal/analysis/zones (or //depsense:zone) or exempt it here with a reason", path)
+				"add it to a zone in internal/analysis/zones or exempt it here with a reason", path)
 		case zoned && isExempt:
 			t.Errorf("internal package %s is both zoned and exempt; drop one", path)
 		}

@@ -265,7 +265,7 @@ func ExactOpts(ctx context.Context, c Column, opts ExactOptions) (Result, error)
 		// Longest contiguous prefix of completed blocks: the deterministic
 		// "how far the enumeration got" state a serial run would also report.
 		limit = 0
-		//lint:allow ctxloop bounded scan: limit strictly increases toward numBlocks
+		// Bounded scan: limit strictly increases toward numBlocks.
 		for limit < numBlocks && done[limit] {
 			limit++
 		}

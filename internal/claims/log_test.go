@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-func sampleLog(t *testing.T) []byte {
+func sampleLog(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	lw := NewLogWriter(&buf)

@@ -16,8 +16,6 @@ import "depsense/internal/parallel"
 // workers of one run share one engine by design. Buffers grow
 // monotonically and every entry a fit reads is written by that fit first,
 // so reuse across datasets of different shapes is safe.
-//
-//depsense:scratch
 type Scratch struct {
 	// Per-source log tables, refreshed each iteration. Only the silent
 	// factors log(1-a_i), log(1-b_i) are kept whole: everything else the

@@ -63,7 +63,7 @@ func mergeCount(seq, buf []int) int {
 	mid := n / 2
 	inv := mergeCount(seq[:mid], buf[:mid]) + mergeCount(seq[mid:], buf[mid:])
 	i, j, k := 0, mid, 0
-	//lint:allow ctxloop bounded merge: i and j advance every iteration until mid/n
+	// Bounded merge: i or j advances every iteration until mid/n.
 	for i < mid && j < n {
 		if seq[i] <= seq[j] {
 			buf[k] = seq[i]

@@ -112,7 +112,7 @@ func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			//lint:allow ctxloop cancellation is consulted inside takeNext, the dispatch gate that ends this loop
+			// Cancellation is consulted inside takeNext, the dispatch gate that ends this loop.
 			for {
 				i, ok := takeNext()
 				if !ok {

@@ -51,7 +51,7 @@ import (
 	"depsense/internal/trace"
 )
 
-// Metric names exported by the monitor (DESIGN.md §16 has the catalog).
+// Metric names exported by the monitor (DESIGN.md §15 has the catalog).
 const (
 	// MetricECE / MetricDisagreement / MetricImpliedError gauge the latest
 	// verdict's calibration summary.
