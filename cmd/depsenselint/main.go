@@ -9,7 +9,10 @@
 //	-annotations render findings as GitHub Actions ::error commands
 //	-staleallow  also audit //lint:allow directives that suppress nothing
 //
-// Exit status: 0 clean, 1 findings, 2 load/run error.
+// Exit status: 0 clean, 1 findings, 2 run error. A package load failure —
+// a pattern that names a missing directory or matches no package included —
+// is reported as a finding, so a mistyped pattern cannot pass by analyzing
+// nothing.
 //
 // CI runs `go run ./cmd/depsenselint -staleallow -annotations ./...` (see
 // .github/workflows/ci.yml); the invocation is fully offline — the suite is
@@ -82,7 +85,8 @@ func main() {
 func runLint(opts options, patterns []string, w io.Writer) (int, error) {
 	pkgs, err := framework.Load(opts.dir, patterns...)
 	if err != nil {
-		return 0, err
+		fmt.Fprintln(w, err)
+		return 1, nil
 	}
 	for _, p := range pkgs {
 		for _, terr := range p.TypeErrors {

@@ -173,3 +173,29 @@ func Count(xs []int) int {
 		t.Fatalf("-staleallow output:\n%s\nwant the unknown ctxloop allow, then the stale seedsource allow", out)
 	}
 }
+
+// TestVacuousPatternFails: a pattern that loads nothing is reported as a
+// finding naming the pattern (exit 1), never a clean exit 0 over zero
+// packages.
+func TestVacuousPatternFails(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skips go-list subprocesses")
+	}
+	bin := buildLint(t)
+	for _, pattern := range []string{"./internal/nonexistent/...", "./internal/nonexistent/", "./testdata/..."} {
+		var stdout, stderr bytes.Buffer
+		run := exec.Command(bin, pattern)
+		run.Dir = repoRoot(t)
+		run.Stdout = &stdout
+		run.Stderr = &stderr
+		err := run.Run()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 1 {
+			t.Errorf("%s: err = %v, want exit 1\nstderr:\n%s", pattern, err, stderr.String())
+			continue
+		}
+		if name := strings.TrimSuffix(pattern, "/"); !strings.Contains(stdout.String(), name) {
+			t.Errorf("%s: output does not name the pattern:\n%s", pattern, stdout.String())
+		}
+	}
+}

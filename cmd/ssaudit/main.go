@@ -9,13 +9,12 @@
 //
 // Usage:
 //
-//	ssaudit [-rhat 1.1] [-lltol 0] [-ece 0] [-tail N] [-check] file.jsonl [file2.jsonl ...]
+//	ssaudit [-lltol 0] [-ece 0] [-tail N] [-check] file.jsonl [file2.jsonl ...]
 //
 // For every trace it prints the header (id, workload, status, attrs), the
 // pipeline stage timings, and each algorithm run's convergence diagnostics:
-// log-likelihood trajectory and monotonicity, plateau onset, and the
-// split-chain R-hat verdict for multi-chain Gibbs runs;
-// across all traces it reports status and stop-reason breakdowns. For every
+// log-likelihood trajectory and monotonicity, and plateau onset; across all
+// traces it reports status and stop-reason breakdowns. For every
 // quality spill it prints the run header (ticks, dataset growth), the latest
 // verdict's calibration summary (ECE, disagreement, implied error), drift
 // detector state, and the standing bound-versus-empirical comparison,
@@ -24,9 +23,9 @@
 // last N per-tick verdict lines of every quality spill.
 //
 // With -check it is the CI guard: it exits non-zero when any trace failed,
-// any EM trajectory lost log-likelihood, any multi-chain run exceeds the
-// R-hat threshold, any quality alarm fired, the latest bound comparison has
-// empirical error above the paper's bound, or the latest ECE exceeds -ece.
+// any EM trajectory lost log-likelihood, any quality alarm fired, the latest
+// bound comparison has empirical error above the paper's bound, or the
+// latest ECE exceeds -ece.
 // -lltol forgives log-likelihood decreases up to the given size: the
 // default M-step applies empirical-Bayes shrinkage, which is not the exact
 // likelihood maximizer, so trajectories from production fits jitter by
@@ -61,17 +60,16 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ssaudit", flag.ContinueOnError)
 	var (
-		rhat   = fs.Float64("rhat", trace.RHatWarnThreshold, "R-hat threshold for the mixing verdict of multi-chain runs")
 		lltol  = fs.Float64("lltol", 0, "treat log-likelihood decreases up to this size as smoothed-M-step jitter, not failures (0 = strict)")
 		eceMax = fs.Float64("ece", 0, "fail -check when a quality spill's latest ECE exceeds this (0 = no ECE gate)")
 		tail   = fs.Int("tail", 0, "print the last N iteration events of every run and the last N verdicts of every quality spill (0 = summary only)")
-		check  = fs.Bool("check", false, "exit non-zero on failed traces, log-likelihood decreases, unmixed chains, quality alarms, bound exceeded, or ECE above -ece")
+		check  = fs.Bool("check", false, "exit non-zero on failed traces, log-likelihood decreases, quality alarms, bound exceeded, or ECE above -ece")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() == 0 {
-		return fmt.Errorf("usage: ssaudit [-rhat 1.1] [-lltol 0] [-ece 0] [-tail N] [-check] file.jsonl ...")
+		return fmt.Errorf("usage: ssaudit [-lltol 0] [-ece 0] [-tail N] [-check] file.jsonl ...")
 	}
 
 	var problems []string
@@ -93,7 +91,7 @@ func run(args []string, out io.Writer) error {
 			if t.Failed() {
 				problems = append(problems, fmt.Sprintf("trace %s: status %s", t.ID, t.Status))
 			}
-			printTrace(out, t, *rhat, *lltol, *tail, func(stop string) { byStop[stop]++ }, &problems)
+			printTrace(out, t, *lltol, *tail, func(stop string) { byStop[stop]++ }, &problems)
 		}
 		if len(verdicts) > 0 {
 			printVerdicts(out, path, verdicts, *tail)
@@ -175,7 +173,7 @@ func verdictProblems(path string, verdicts []*qual.Verdict, eceMax float64) []st
 
 // printTrace renders one trace: header, stages, and per-run diagnostics.
 // countStop receives each run's stop reason for the cross-trace breakdown.
-func printTrace(out io.Writer, t *trace.Trace, rhatThreshold, llTol float64, tailEvents int, countStop func(string), problems *[]string) {
+func printTrace(out io.Writer, t *trace.Trace, llTol float64, tailEvents int, countStop func(string), problems *[]string) {
 	fmt.Fprintf(out, "trace %s (%s) status=%s events=%d duration=%s\n",
 		t.ID, t.Name, t.Status, t.Events(), time.Duration(t.DurationNS).Round(time.Microsecond))
 	if t.Error != "" {
@@ -206,12 +204,12 @@ func printTrace(out io.Writer, t *trace.Trace, rhatThreshold, llTol float64, tai
 		if d.Stopped != "" {
 			countStop(d.Stopped)
 		}
-		printRun(out, t.ID, run, d, rhatThreshold, llTol, tailEvents, problems)
+		printRun(out, t.ID, run, d, llTol, tailEvents, problems)
 	}
 }
 
-func printRun(out io.Writer, traceID string, run *trace.Run, d trace.RunDiag, rhatThreshold, llTol float64, tailEvents int, problems *[]string) {
-	fmt.Fprintf(out, "  run %s: chains=%d iterations=%d", d.Algorithm, d.Chains, d.Iterations)
+func printRun(out io.Writer, traceID string, run *trace.Run, d trace.RunDiag, llTol float64, tailEvents int, problems *[]string) {
+	fmt.Fprintf(out, "  run %s: iterations=%d", d.Algorithm, d.Iterations)
 	if d.Stopped != "" {
 		fmt.Fprintf(out, " stopped=%s", d.Stopped)
 	}
@@ -233,17 +231,6 @@ func printRun(out io.Writer, traceID string, run *trace.Run, d trace.RunDiag, rh
 			fmt.Fprintf(out, "    plateau from iteration %d of %d\n", d.PlateauAt, d.Iterations)
 		}
 	}
-	if d.HasRHat {
-		if d.RHat <= rhatThreshold {
-			fmt.Fprintf(out, "    split R-hat %.4g <= %.4g: mixed\n", d.RHat, rhatThreshold)
-		} else {
-			fmt.Fprintf(out, "    split R-hat %.4g > %.4g: NOT MIXED\n", d.RHat, rhatThreshold)
-			*problems = append(*problems,
-				fmt.Sprintf("trace %s run %s: split R-hat %.4g exceeds %.4g", traceID, d.Algorithm, d.RHat, rhatThreshold))
-		}
-	} else if d.RHatStatus != "" {
-		fmt.Fprintf(out, "    split R-hat unavailable: %s\n", d.RHatStatus)
-	}
 	if tailEvents > 0 {
 		evs := run.Events
 		if len(evs) > tailEvents {
@@ -259,7 +246,7 @@ func printRun(out io.Writer, traceID string, run *trace.Run, d trace.RunDiag, rh
 // formatEvent renders one iteration event compactly, omitting fields the
 // emitting layer did not report.
 func formatEvent(e trace.Event) string {
-	parts := []string{fmt.Sprintf("n=%d chain=%d", e.N, e.Chain)}
+	parts := []string{fmt.Sprintf("n=%d", e.N)}
 	if e.HasLL {
 		parts = append(parts, fmt.Sprintf("ll=%g", e.LogLikelihood))
 	}

@@ -47,8 +47,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		seed       = fs.Int64("seed", 1, "random seed")
 		sweeps     = fs.Int("sweeps", 20000, "approx: max Gibbs sweeps per column")
 		maxCols    = fs.Int("maxcols", 0, "cap distinct dependency columns (0 = all)")
-		chains     = fs.Int("chains", 1, "approx: independent Gibbs chains splitting the sweep budget (result depends on this, never on -workers)")
-		workers    = fs.Int("workers", 1, "parallelism inside each column's bound (exact enumeration blocks / Gibbs chains); results are identical at any value")
+		workers    = fs.Int("workers", 1, "exact: enumeration blocks computed concurrently inside each column's bound; results are identical at any value")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -99,7 +98,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		res, err := bound.ForDatasetContext(ctx, ds, params, bound.DatasetOptions{
 			Method:     m,
 			MaxColumns: *maxCols,
-			Approx:     bound.ApproxOptions{MaxSweeps: *sweeps, Chains: *chains},
+			Approx:     bound.ApproxOptions{MaxSweeps: *sweeps},
 			Workers:    *workers,
 		}, randutil.New(*seed))
 		if reason := runctx.Reason(err); reason != "" {

@@ -43,6 +43,7 @@ type listPkg struct {
 	GoFiles    []string
 	Export     string
 	DepOnly    bool
+	Match      []string
 	Error      *struct{ Err string }
 }
 
@@ -117,12 +118,29 @@ func NewTypesInfo() *types.Info {
 
 // Load parses and type-checks the non-test Go files of every package
 // matched by patterns (relative to dir, typically the module root).
-// Packages that fail to parse are reported as errors; packages with type
-// errors are returned with TypeErrors set so callers can decide.
+// A package go list reports an error for (a missing directory, a bad
+// import), a package that fails to parse, and a pattern that matches no
+// package are all errors, so a mistyped pattern never analyzes nothing in
+// silence; packages with type errors are returned with TypeErrors set so
+// callers can decide.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	listed, err := goList(dir, patterns...)
 	if err != nil {
 		return nil, err
+	}
+	matched := make(map[string]bool, len(patterns))
+	for _, lp := range listed {
+		if lp.Error != nil {
+			return nil, fmt.Errorf("framework: %s: %s", lp.ImportPath, lp.Error.Err)
+		}
+		for _, m := range lp.Match {
+			matched[m] = true
+		}
+	}
+	for _, pat := range patterns {
+		if !matched[pat] {
+			return nil, fmt.Errorf("framework: pattern %q matched no packages", pat)
+		}
 	}
 	fset := token.NewFileSet()
 	imp := exportImporterFor(fset, listed)

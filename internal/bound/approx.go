@@ -8,17 +8,15 @@ import (
 	"time"
 
 	"depsense/internal/gibbs"
-	"depsense/internal/parallel"
 	"depsense/internal/randutil"
 	"depsense/internal/runctx"
 )
 
 // ApproxOptions tunes the Gibbs-sampling bound approximation (Algorithm 1).
 type ApproxOptions struct {
-	// BurnIn sweeps are discarded before accumulation starts (per chain).
+	// BurnIn sweeps are discarded before accumulation starts.
 	BurnIn int
-	// MaxSweeps caps the total chain length (post burn-in), summed across
-	// chains when Chains > 1.
+	// MaxSweeps caps the chain length (post burn-in).
 	MaxSweeps int
 	// CheckEvery sets the convergence-check interval in sweeps.
 	CheckEvery int
@@ -26,18 +24,6 @@ type ApproxOptions struct {
 	// Tol between consecutive checks ("while Err not convergent" in the
 	// paper's pseudocode").
 	Tol float64
-	// Chains is the number of independent Gibbs chains the sweep budget is
-	// split across. 0 or 1 runs the historical single-chain estimator on
-	// the caller's generator, bit for bit. With K > 1 chains, K child seeds
-	// are drawn from the caller's generator up front, each chain burns in
-	// and converges independently, and the chain tallies merge in chain
-	// index order — so the estimate is a deterministic function of the seed
-	// and Chains, never of Workers or scheduling.
-	Chains int
-	// Workers bounds how many chains run concurrently. 0 or 1 runs the
-	// chains serially; values above Chains are clamped. Workers changes
-	// wall-clock only, never the Result.
-	Workers int
 }
 
 // DefaultApproxOptions matches the accuracy demonstrated in Figs. 3-5
@@ -65,26 +51,14 @@ func (o ApproxOptions) normalized() ApproxOptions {
 	if o.Tol <= 0 {
 		o.Tol = d.Tol
 	}
-	if o.Chains <= 0 {
-		o.Chains = 1
-	}
 	return o
 }
 
-// approxTally is the raw Monte Carlo accumulator of one Gibbs chain. Tallies
-// from independent chains merge by plain addition in chain index order.
+// approxTally is the raw Monte Carlo accumulator of the Gibbs chain.
 type approxTally struct {
 	sumErr, sumSq float64
 	sumFP, sumFN  float64
 	samples       int
-}
-
-func (t *approxTally) add(o approxTally) {
-	t.sumErr += o.sumErr
-	t.sumSq += o.sumSq
-	t.sumFP += o.sumFP
-	t.sumFN += o.sumFN
-	t.samples += o.samples
 }
 
 func (t approxTally) result() Result {
@@ -123,88 +97,35 @@ func Approx(c Column, opts ApproxOptions, rng *rand.Rand) (Result, error) {
 // on cancellation the partial Monte Carlo averages over the samples drawn so
 // far are returned together with the context's error. Any runctx hook on
 // ctx fires at every convergence checkpoint (every CheckEvery sweeps) with
-// the cumulative per-chain sample count. A nil rng falls back to the
-// context's generator (runctx.WithRNG), then to a fixed seed.
-//
-// With opts.Chains > 1 the sweep budget splits over that many independent
-// chains (seeded deterministically from rng) whose tallies merge in chain
-// index order; opts.Workers bounds how many run concurrently. On
-// cancellation the merged partial tallies over every chain's completed
-// sweeps are returned — each chain stops at a sweep boundary, so the partial
-// state is valid, though which sweep each chain reached depends on timing.
+// the cumulative sample count. A nil rng falls back to a fixed seed.
 func ApproxContext(ctx context.Context, c Column, opts ApproxOptions, rng *rand.Rand) (Result, error) {
 	if err := c.Validate(); err != nil {
 		return Result{}, err
 	}
 	opts = opts.normalized()
 	if rng == nil {
-		if rng = runctx.RNGFrom(ctx); rng == nil {
-			rng = randutil.New(1)
-		}
+		rng = randutil.New(1)
 	}
-
-	if opts.Chains == 1 {
-		t, err := runApproxChain(ctx, c, opts, rng, opts.MaxSweeps, 0)
-		if t.samples == 0 {
-			return Result{}, err
-		}
-		return t.result(), err
+	t, err := runApproxChain(ctx, c, opts, rng)
+	if t.samples == 0 {
+		return Result{}, err
 	}
-
-	// Multi-chain: derive every chain seed up front, in order, so the
-	// decomposition is a pure function of the caller's generator state.
-	seeds := randutil.DeriveSeeds(rng, opts.Chains)
-	per, rem := opts.MaxSweeps/opts.Chains, opts.MaxSweeps%opts.Chains
-	sctx := runctx.WithSerializedHook(ctx)
-	type slot struct {
-		t   approxTally
-		err error
-	}
-	slots := make([]slot, opts.Chains)
-	poolErr := parallel.ForEachCtx(ctx, opts.Chains, opts.Workers, func(k int) error {
-		sweeps := per
-		if k < rem {
-			sweeps++
-		}
-		slots[k].t, slots[k].err = runApproxChain(sctx, c, opts, randutil.New(seeds[k]), sweeps, k)
-		return nil
-	})
-
-	var (
-		merged   approxTally
-		firstErr error
-	)
-	for k := range slots {
-		merged.add(slots[k].t)
-		if firstErr == nil {
-			firstErr = slots[k].err
-		}
-	}
-	if firstErr == nil {
-		firstErr = poolErr
-	}
-	if merged.samples == 0 {
-		return Result{}, firstErr
-	}
-	return merged.result(), firstErr
+	return t.result(), err
 }
 
-// runApproxChain runs one Gibbs chain for up to maxSweeps accumulation
+// runApproxChain runs the Gibbs chain for up to opts.MaxSweeps accumulation
 // sweeps and returns its raw tallies. The returned error is a chain-build
 // failure or the context's cancellation error; on cancellation the tallies
-// over the sweeps completed so far are still returned. chainIdx is the
-// chain's index in the multi-chain decomposition (0 when single-chain),
-// reported on every hook firing so observers can reassemble per-chain
-// trajectories.
-func runApproxChain(ctx context.Context, c Column, opts ApproxOptions, rng *rand.Rand, maxSweeps, chainIdx int) (approxTally, error) {
+// over the sweeps completed so far are still returned.
+func runApproxChain(ctx context.Context, c Column, opts ApproxOptions, rng *rand.Rand) (approxTally, error) {
 	n := c.N()
-	pOn := [][]float64{make([]float64, n), make([]float64, n)}
+	pOn := [2][]float64{make([]float64, n), make([]float64, n)}
 	for i := 0; i < n; i++ {
 		pOn[0][i] = clampOpen(c.P1[i])
 		pOn[1][i] = clampOpen(c.P0[i])
 	}
 	z := clampOpen(c.Z)
-	chain, err := gibbs.NewProductMixtureChain([]float64{z, 1 - z}, pOn, rng)
+	chain, err := gibbs.NewProductMixtureChain([2]float64{z, 1 - z}, pOn, rng)
 	if err != nil {
 		return approxTally{}, fmt.Errorf("bound: build chain: %w", err)
 	}
@@ -223,7 +144,7 @@ func runApproxChain(ctx context.Context, c Column, opts ApproxOptions, rng *rand
 		lastSamples  int     // samples at the previous checkpoint
 		stop         error
 	)
-	for s := 0; s < maxSweeps; s++ {
+	for s := 0; s < opts.MaxSweeps; s++ {
 		if stop = runctx.Err(ctx); stop != nil {
 			break
 		}
@@ -256,14 +177,13 @@ func runApproxChain(ctx context.Context, c Column, opts ApproxOptions, rng *rand
 			converged := math.Abs(est-lastEstimate) < opts.Tol
 			// The hook's Value is the checkpoint's BATCH mean — the error
 			// average over just this checkpoint's CheckEvery sweeps — not the
-			// cumulative running estimate: batch means are the near-iid
-			// per-checkpoint statistic convergence diagnostics (split-chain
-			// R-hat) need, where running means carry a deterministic
-			// converging trend that would read as non-stationarity.
+			// cumulative running estimate: batch means are near-iid
+			// per-checkpoint samples of the chain's output, where running
+			// means carry a deterministic converging trend.
 			batch := (t.sumErr - lastSumErr) / float64(t.samples-lastSamples)
 			lastSumErr, lastSamples = t.sumErr, t.samples
 			it := runctx.Iteration{
-				Algorithm: "gibbs-bound", N: checkpoints, Chain: chainIdx,
+				Algorithm: "gibbs-bound", N: checkpoints,
 				Samples: t.samples, Value: batch, HasValue: true,
 				Elapsed: time.Since(start), Done: converged,
 			}
@@ -279,7 +199,7 @@ func runApproxChain(ctx context.Context, c Column, opts ApproxOptions, rng *rand
 	}
 	if stop != nil {
 		it := runctx.Iteration{
-			Algorithm: "gibbs-bound", N: checkpoints + 1, Chain: chainIdx,
+			Algorithm: "gibbs-bound", N: checkpoints + 1,
 			Samples: t.samples,
 			Elapsed: time.Since(start), Done: true, Stopped: runctx.Reason(stop),
 		}

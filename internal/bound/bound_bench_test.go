@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-
-	"depsense/internal/randutil"
 )
 
 // BenchmarkExactWorkers measures the blocked 2^n enumeration across worker
@@ -16,28 +14,6 @@ func BenchmarkExactWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := ExactOpts(context.Background(), col, ExactOptions{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkApproxChains measures the multi-chain Gibbs estimator: a fixed
-// total sweep budget split across chains, with chains running on up to
-// `workers` goroutines.
-func BenchmarkApproxChains(b *testing.B) {
-	col := heterogeneousColumn(20)
-	const sweeps = 8000
-	for _, c := range []struct{ chains, workers int }{
-		{1, 1}, {4, 1}, {4, 4}, {8, 8},
-	} {
-		b.Run(fmt.Sprintf("chains=%d_workers=%d", c.chains, c.workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := ApproxContext(context.Background(), col, ApproxOptions{
-					MaxSweeps: sweeps, Chains: c.chains, Workers: c.workers,
-				}, randutil.New(int64(i)))
-				if err != nil {
 					b.Fatal(err)
 				}
 			}

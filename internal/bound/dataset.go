@@ -32,7 +32,7 @@ const (
 // DatasetOptions configures ForDataset.
 type DatasetOptions struct {
 	Method Method
-	// Approx tunes the Gibbs chains when Method == MethodApprox.
+	// Approx tunes the Gibbs chain when Method == MethodApprox.
 	Approx ApproxOptions
 	// Convolution tunes the lattice when Method == MethodConvolution.
 	Convolution ConvolutionOptions
@@ -40,12 +40,12 @@ type DatasetOptions struct {
 	// when exceeded, columns are sampled and the result reweighted by column
 	// frequency. Zero means no cap.
 	MaxColumns int
-	// Workers bounds the intra-column parallelism: exact enumeration blocks
-	// (MethodExact) or concurrent Gibbs chains (MethodApprox, when
-	// Approx.Chains > 1) fan out over this many goroutines. Columns
+	// Workers bounds the intra-column parallelism of MethodExact: its
+	// enumeration blocks fan out over this many goroutines. Columns
 	// themselves are evaluated serially so the frequency-weighted reduction
 	// order — and therefore the Result — never depends on Workers. 0 or 1
-	// runs fully serial; MethodConvolution is always serial.
+	// runs fully serial; MethodApprox and MethodConvolution are always
+	// serial.
 	Workers int
 }
 
@@ -126,11 +126,7 @@ func ForDatasetContext(ctx context.Context, ds *claims.Dataset, p *model.Params,
 			if opts.Method == MethodExact {
 				results[g], err = ExactOpts(ctx, col, ExactOptions{Workers: opts.Workers})
 			} else {
-				approx := opts.Approx
-				if approx.Workers == 0 {
-					approx.Workers = opts.Workers
-				}
-				results[g], err = ApproxContext(ctx, col, approx, rng)
+				results[g], err = ApproxContext(ctx, col, opts.Approx, rng)
 			}
 			if err != nil {
 				return Result{}, err

@@ -84,73 +84,3 @@ func TestExactWorkersCancelValidPartial(t *testing.T) {
 		t.Fatalf("partial decomposition inconsistent: %v != %v + %v", res.Err, res.FalsePos, res.FalseNeg)
 	}
 }
-
-// TestApproxChainsWorkersEquivalence: with a fixed seed and chain count the
-// multi-chain estimate must be bit-for-bit identical at any worker count —
-// chains are seeded up front and merged in chain order.
-func TestApproxChainsWorkersEquivalence(t *testing.T) {
-	col := heterogeneousColumn(10)
-	opts := ApproxOptions{MaxSweeps: 4000, Chains: 4}
-	run := func(workers int) Result {
-		o := opts
-		o.Workers = workers
-		res, err := ApproxContext(context.Background(), col, o, randutil.New(99))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return res
-	}
-	serial := run(1)
-	if serial.Sweeps == 0 {
-		t.Fatal("multi-chain run drew no samples")
-	}
-	for _, workers := range []int{2, 4, 8} {
-		if par := run(workers); par != serial {
-			t.Fatalf("workers=%d: %+v != serial %+v", workers, par, serial)
-		}
-	}
-}
-
-// TestApproxSingleChainUnchanged: Chains 0/1 must reproduce the historical
-// single-chain estimator on the caller's generator exactly.
-func TestApproxSingleChainUnchanged(t *testing.T) {
-	col := heterogeneousColumn(9)
-	base, err := Approx(col, ApproxOptions{MaxSweeps: 2000}, randutil.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	explicit, err := Approx(col, ApproxOptions{MaxSweeps: 2000, Chains: 1, Workers: 8}, randutil.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if explicit != base {
-		t.Fatalf("Chains=1 altered the estimator: %+v != %+v", explicit, base)
-	}
-}
-
-// TestApproxChainsCancelValidPartial: cancelling concurrent chains returns
-// merged partial tallies over every chain's completed sweeps.
-func TestApproxChainsCancelValidPartial(t *testing.T) {
-	col := heterogeneousColumn(8)
-	opts := ApproxOptions{BurnIn: 5, MaxSweeps: 400000, CheckEvery: 50, Tol: 1e-12, Chains: 4, Workers: 4}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ctx = runctx.WithHook(ctx, func(it runctx.Iteration) {
-		if it.N >= 1 && !it.Done {
-			cancel()
-		}
-	})
-	res, err := ApproxContext(ctx, col, opts, randutil.New(4))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-	if res.Sweeps <= 0 {
-		t.Fatalf("cancelled multi-chain run kept no samples (Sweeps = %d)", res.Sweeps)
-	}
-	if res.Sweeps >= opts.MaxSweeps {
-		t.Fatalf("cancel did not shorten the run: %d sweeps", res.Sweeps)
-	}
-	if res.Err <= 0 || res.Err >= 1 {
-		t.Fatalf("partial bound = %v", res.Err)
-	}
-}

@@ -8,10 +8,10 @@ import (
 
 // refChain is the pre-flattening ProductMixtureChain implementation kept
 // verbatim as the differential oracle: [h][i] tables, per-bit
-// re-exponentiation, one generic sample loop. The production chain
-// (flattened tables, precomputed exp, unrolled two-component sweep) must
-// reproduce its state stream bit for bit — same conditionals, same RNG
-// consumption, same incremental weights.
+// re-exponentiation, one generic sample loop over the components. The
+// production chain (flattened tables, precomputed exp, unrolled
+// two-component sweep) must reproduce its state stream bit for bit — same
+// conditionals, same RNG consumption, same incremental weights.
 type refChain struct {
 	n, h     int
 	logOn    [][]float64
@@ -104,54 +104,51 @@ func (c *refChain) sweep() {
 
 // TestChainMatchesReference drives the production chain and the reference
 // implementation from identically seeded RNGs and demands bit-identical
-// states and log-weights after every sweep, at H = 2 (the unrolled sweep2
-// path) and H = 3 (the generic path), across the refreshEvery boundary so
-// the periodic from-scratch recomputation is also covered.
+// states and log-weights after every sweep, across the refreshEvery boundary
+// so the periodic from-scratch recomputation is also covered.
 func TestChainMatchesReference(t *testing.T) {
-	for _, h := range []int{2, 3} {
-		for _, n := range []int{1, 7, 64, 301} {
-			seed := int64(1000*h + n)
-			setup := rand.New(rand.NewSource(seed))
-			prior := make([]float64, h)
-			pOn := make([][]float64, h)
-			for k := range prior {
-				prior[k] = 0.1 + setup.Float64()
-				pOn[k] = make([]float64, n)
-				for i := range pOn[k] {
-					// Include near-boundary probabilities: the bound's
-					// clamped channels sit at 1e-9.
-					switch i % 3 {
-					case 0:
-						pOn[k][i] = 1e-9 + setup.Float64()*1e-6
-					case 1:
-						pOn[k][i] = 1 - 1e-9 - setup.Float64()*1e-6
-					default:
-						pOn[k][i] = 0.05 + 0.9*setup.Float64()
-					}
+	for _, n := range []int{1, 7, 64, 301} {
+		seed := int64(2000 + n)
+		setup := rand.New(rand.NewSource(seed))
+		var prior [2]float64
+		var pOn [2][]float64
+		for k := range prior {
+			prior[k] = 0.1 + setup.Float64()
+			pOn[k] = make([]float64, n)
+			for i := range pOn[k] {
+				// Include near-boundary probabilities: the bound's
+				// clamped channels sit at 1e-9.
+				switch i % 3 {
+				case 0:
+					pOn[k][i] = 1e-9 + setup.Float64()*1e-6
+				case 1:
+					pOn[k][i] = 1 - 1e-9 - setup.Float64()*1e-6
+				default:
+					pOn[k][i] = 0.05 + 0.9*setup.Float64()
 				}
 			}
-			got, err := NewProductMixtureChain(prior, pOn, rand.New(rand.NewSource(seed+1)))
-			if err != nil {
-				t.Fatalf("h=%d n=%d: %v", h, n, err)
-			}
-			want := newRefChain(prior, pOn, rand.New(rand.NewSource(seed+1)))
-			sweeps := refreshEvery + 40 // cross the periodic recompute
-			if testing.Short() {
-				sweeps = 50
-			}
-			for s := 0; s < sweeps; s++ {
-				got.Sweep()
-				want.sweep()
-				for i := range want.state {
-					if got.state[i] != want.state[i] {
-						t.Fatalf("h=%d n=%d sweep %d: state[%d] diverged", h, n, s, i)
-					}
+		}
+		got, err := NewProductMixtureChain(prior, pOn, rand.New(rand.NewSource(seed+1)))
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		want := newRefChain(prior[:], pOn[:], rand.New(rand.NewSource(seed+1)))
+		sweeps := refreshEvery + 40 // cross the periodic recompute
+		if testing.Short() {
+			sweeps = 50
+		}
+		for s := 0; s < sweeps; s++ {
+			got.Sweep()
+			want.sweep()
+			for i := range want.state {
+				if got.state[i] != want.state[i] {
+					t.Fatalf("n=%d sweep %d: state[%d] diverged", n, s, i)
 				}
-				for k := range want.logW {
-					if math.Float64bits(got.logW[k]) != math.Float64bits(want.logW[k]) {
-						t.Fatalf("h=%d n=%d sweep %d: logW[%d] = %x, want %x",
-							h, n, s, k, got.logW[k], want.logW[k])
-					}
+			}
+			for k := range want.logW {
+				if math.Float64bits(got.logW[k]) != math.Float64bits(want.logW[k]) {
+					t.Fatalf("n=%d sweep %d: logW[%d] = %x, want %x",
+						n, s, k, got.logW[k], want.logW[k])
 				}
 			}
 		}

@@ -1,15 +1,16 @@
-// Package gibbs implements Gibbs sampling over binary vectors.
+// Package gibbs implements the Gibbs chain of Algorithm 1.
 //
 // The error bound of Section III-B needs samples of claim patterns
 // SC_j ∈ {0,1}^n from the marginal P(SC_j) = Σ_c P(C_j=c)·P(SC_j|C_j=c),
 // a two-component mixture of product-of-Bernoulli distributions. The
-// ProductMixtureChain samples from the general H-component version of that
-// family with O(1) work per bit update, by maintaining the running product
-// weights of every mixture component in log space.
+// ProductMixtureChain samples from that mixture with O(1) work per bit
+// update, by maintaining the running product weights of both components in
+// log space.
 //
-// A generic Sampler over a user-supplied Model is also provided; it is used
-// by tests to cross-check the specialized chain against a from-scratch
-// conditional computation.
+// The chain's oracles live in the tests: refChain (chainequiv_test.go)
+// replays the pre-flattening implementation sweep for sweep, and
+// bruteMixture (gibbs_test.go) recomputes every full conditional from
+// scratch.
 package gibbs
 
 import (
@@ -22,85 +23,28 @@ import (
 	"depsense/internal/runctx"
 )
 
-// Model defines a joint distribution over binary vectors through its full
-// conditionals, the minimal interface Gibbs sampling needs.
-type Model interface {
-	// Len returns the vector dimension.
-	Len() int
-	// CondProbOne returns P(x_i = 1 | x_{-i}) for the current state x.
-	// Implementations may inspect x[i] but must not depend on it.
-	CondProbOne(x []bool, i int) float64
-}
-
-// Sampler runs systematic-scan Gibbs sweeps over a Model.
-type Sampler struct {
-	model Model
-	rng   *rand.Rand
-	state []bool
-}
-
-// NewSampler creates a Sampler with the given initial state; a nil init
-// starts from the all-false vector.
-func NewSampler(m Model, rng *rand.Rand, init []bool) (*Sampler, error) {
-	n := m.Len()
-	state := make([]bool, n)
-	if init != nil {
-		if len(init) != n {
-			return nil, fmt.Errorf("gibbs: init length %d != model length %d", len(init), n)
-		}
-		copy(state, init)
-	}
-	return &Sampler{model: m, rng: rng, state: state}, nil
-}
-
-// Sweep resamples every coordinate once in index order.
-func (s *Sampler) Sweep() {
-	for i := range s.state {
-		s.state[i] = s.rng.Float64() < s.model.CondProbOne(s.state, i)
-	}
-}
-
-// SweepN runs up to n sweeps, checking ctx between sweeps — the per-sweep
-// checkpoint of the run-context layer. It returns the number of completed
-// sweeps and the context's error if cancellation cut the run short.
-func (s *Sampler) SweepN(ctx context.Context, n int) (int, error) {
-	for done := 0; done < n; done++ {
-		if err := runctx.Err(ctx); err != nil {
-			return done, err
-		}
-		s.Sweep()
-	}
-	return n, nil
-}
-
-// State returns the current vector. The slice is owned by the Sampler; copy
-// it before mutating.
-func (s *Sampler) State() []bool { return s.state }
-
 // ProductMixtureChain samples x ∈ {0,1}^n from
 //
-//	P(x) = Σ_h prior[h] · Π_i pOn[h][i]^x_i (1-pOn[h][i])^(1-x_i)
+//	P(x) = Σ_{h=0,1} prior[h] · Π_i pOn[h][i]^x_i (1-pOn[h][i])^(1-x_i)
 //
 // maintaining per-component running log-products so one bit update costs
-// O(H) instead of O(H·n). Numerical drift from incremental updates is
-// bounded by recomputing the products from scratch every refreshEvery
-// sweeps.
+// O(1) instead of O(n). Numerical drift from incremental updates is bounded
+// by recomputing the products from scratch every refreshEvery sweeps.
 // The per-bit tables are stored bit-major and flattened — entry (k, i)
-// lives at [i*h + k] — so one bit update reads all H components from a
+// lives at [i*2 + k] — so one bit update reads both components from a
 // single cache line, and exp(logOn)/exp(logOff) are precomputed at
 // construction instead of re-exponentiated on every visit (the same
 // float64 values, so sampling paths are bit-identical to the
 // per-bit-Exp formulation the differential test replays).
 type ProductMixtureChain struct {
 	n        int
-	h        int
-	logOn    []float64 // [i*h + k] log pOn[k][i]
-	logOff   []float64 // [i*h + k] log (1-pOn[k][i])
-	expOn    []float64 // [i*h + k] pOn as exp(logOn), the conditional's numerator factor
-	expOff   []float64 // [i*h + k] exp(logOff)
-	logPrior []float64
+	logOn    []float64 // [i*2 + k] log pOn[k][i]
+	logOff   []float64 // [i*2 + k] log (1-pOn[k][i])
+	expOn    []float64 // [i*2 + k] pOn as exp(logOn), the conditional's numerator factor
+	expOff   []float64 // [i*2 + k] exp(logOff)
+	logPrior [2]float64
 	state    []bool
-	logW     []float64 // logPrior[h] + Σ_i log p_h(x_i)
+	logW     [2]float64 // logPrior[h] + Σ_i log p_h(x_i)
 	rng      *rand.Rand
 	sweeps   int
 }
@@ -111,31 +55,25 @@ const refreshEvery = 256
 // ErrBadMixture is returned for structurally invalid mixture parameters.
 var ErrBadMixture = errors.New("gibbs: invalid mixture specification")
 
-// NewProductMixtureChain validates the mixture and initializes the chain at
-// a random state. Priors must be positive and on-probabilities in (0,1);
-// callers clamp boundary values first (see model.ClampProb).
-func NewProductMixtureChain(prior []float64, pOn [][]float64, rng *rand.Rand) (*ProductMixtureChain, error) {
-	h := len(prior)
-	if h == 0 || len(pOn) != h {
-		return nil, fmt.Errorf("%w: %d priors, %d components", ErrBadMixture, h, len(pOn))
-	}
+// NewProductMixtureChain validates the two-component mixture and
+// initializes the chain at a random state. Priors must be positive and
+// on-probabilities in (0,1); callers clamp boundary values first (see
+// model.ClampProb).
+func NewProductMixtureChain(prior [2]float64, pOn [2][]float64, rng *rand.Rand) (*ProductMixtureChain, error) {
 	n := len(pOn[0])
 	if n == 0 {
 		return nil, fmt.Errorf("%w: zero-length vectors", ErrBadMixture)
 	}
 	c := &ProductMixtureChain{
-		n:        n,
-		h:        h,
-		logOn:    make([]float64, n*h),
-		logOff:   make([]float64, n*h),
-		expOn:    make([]float64, n*h),
-		expOff:   make([]float64, n*h),
-		logPrior: make([]float64, h),
-		state:    make([]bool, n),
-		logW:     make([]float64, h),
-		rng:      rng,
+		n:      n,
+		logOn:  make([]float64, n*2),
+		logOff: make([]float64, n*2),
+		expOn:  make([]float64, n*2),
+		expOff: make([]float64, n*2),
+		state:  make([]bool, n),
+		rng:    rng,
 	}
-	for k := 0; k < h; k++ {
+	for k := 0; k < 2; k++ {
 		if len(pOn[k]) != n {
 			return nil, fmt.Errorf("%w: component %d has %d probs, want %d", ErrBadMixture, k, len(pOn[k]), n)
 		}
@@ -147,7 +85,7 @@ func NewProductMixtureChain(prior []float64, pOn [][]float64, rng *rand.Rand) (*
 			if p <= 0 || p >= 1 {
 				return nil, fmt.Errorf("%w: pOn[%d][%d] = %v must be in (0,1)", ErrBadMixture, k, i, p)
 			}
-			at := i*h + k
+			at := i*2 + k
 			c.logOn[at] = math.Log(p)
 			c.logOff[at] = math.Log(1 - p)
 			c.expOn[at] = math.Exp(c.logOn[at])
@@ -161,50 +99,27 @@ func NewProductMixtureChain(prior []float64, pOn [][]float64, rng *rand.Rand) (*
 	return c, nil
 }
 
-// N returns the vector dimension.
-func (c *ProductMixtureChain) N() int { return c.n }
-
 // recomputeWeights rebuilds the running log-products from the state, each
 // component's sum accumulated in ascending bit order.
 func (c *ProductMixtureChain) recomputeWeights() {
-	for k := 0; k < c.h; k++ {
+	for k := 0; k < 2; k++ {
 		w := c.logPrior[k]
 		for i, on := range c.state {
 			if on {
-				w += c.logOn[i*c.h+k]
+				w += c.logOn[i*2+k]
 			} else {
-				w += c.logOff[i*c.h+k]
+				w += c.logOff[i*2+k]
 			}
 		}
 		c.logW[k] = w
 	}
 }
 
-// Sweep resamples every bit once. Each bit uses the exact full conditional
-// P(x_i=1 | x_{-i}) = Σ_h W_h^{-i}·pOn[h][i] / Σ_h W_h^{-i}, where W_h^{-i}
-// is the component joint weight with bit i's factor removed. The
-// two-component case — the truth mixture of Section III-B, and by far the
-// dominant caller — runs through an unrolled sweep that keeps the running
-// weights in registers across the whole batch of bits.
+// Sweep resamples every bit once in index order. Each bit uses the exact
+// full conditional P(x_i=1 | x_{-i}) = Σ_h W_h^{-i}·pOn[h][i] / Σ_h W_h^{-i},
+// where W_h^{-i} is the component joint weight with bit i's factor removed.
+// The running weights stay in registers across the whole batch of bits.
 func (c *ProductMixtureChain) Sweep() {
-	if c.h == 2 {
-		c.sweep2()
-	} else {
-		for i := 0; i < c.n; i++ {
-			c.sampleBit(i)
-		}
-	}
-	c.sweeps++
-	if c.sweeps%refreshEvery == 0 {
-		c.recomputeWeights()
-	}
-}
-
-// sweep2 is Sweep's batched inner loop for H = 2, bit-identical to the
-// generic path: the same subtractions, the same strict-greater max rule,
-// and the same accumulation order for the conditional's numerator and
-// denominator.
-func (c *ProductMixtureChain) sweep2() {
 	var (
 		logOn, logOff = c.logOn, c.logOff
 		expOn, expOff = c.expOn, c.expOff
@@ -240,44 +155,9 @@ func (c *ProductMixtureChain) sweep2() {
 		}
 	}
 	c.logW[0], c.logW[1] = w0, w1
-}
-
-func (c *ProductMixtureChain) sampleBit(i int) {
-	// Remove bit i's factor from every component weight.
-	maxLog := math.Inf(-1)
-	var minus [8]float64 // stack space for the common small-H case
-	var minusSlice []float64
-	if c.h <= len(minus) {
-		minusSlice = minus[:c.h]
-	} else {
-		minusSlice = make([]float64, c.h)
-	}
-	base := i * c.h
-	for k := 0; k < c.h; k++ {
-		cur := c.logOff[base+k]
-		if c.state[i] {
-			cur = c.logOn[base+k]
-		}
-		minusSlice[k] = c.logW[k] - cur
-		if minusSlice[k] > maxLog {
-			maxLog = minusSlice[k]
-		}
-	}
-	var num, den float64
-	for k := 0; k < c.h; k++ {
-		w := math.Exp(minusSlice[k] - maxLog)
-		num += w * c.expOn[base+k]
-		den += w * c.expOff[base+k]
-	}
-	pOne := num / (num + den)
-	on := c.rng.Float64() < pOne
-	c.state[i] = on
-	for k := 0; k < c.h; k++ {
-		if on {
-			c.logW[k] = minusSlice[k] + c.logOn[base+k]
-		} else {
-			c.logW[k] = minusSlice[k] + c.logOff[base+k]
-		}
+	c.sweeps++
+	if c.sweeps%refreshEvery == 0 {
+		c.recomputeWeights()
 	}
 }
 
@@ -298,6 +178,6 @@ func (c *ProductMixtureChain) SweepN(ctx context.Context, n int) (int, error) {
 // State returns the current vector, owned by the chain.
 func (c *ProductMixtureChain) State() []bool { return c.state }
 
-// LogJointWeights returns, for each component h, log(prior[h]·P(x|h)) at
-// the current state. The slice is owned by the chain.
-func (c *ProductMixtureChain) LogJointWeights() []float64 { return c.logW }
+// LogJointWeights returns log(prior[h]·P(x|h)) for both components h at
+// the current state.
+func (c *ProductMixtureChain) LogJointWeights() [2]float64 { return c.logW }

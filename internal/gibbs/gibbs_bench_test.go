@@ -13,7 +13,7 @@ import (
 func BenchmarkProductMixtureSweep(b *testing.B) {
 	for _, n := range []int{10, 50, 200, 1000} {
 		rng := randutil.New(1)
-		prior, pOn := randomMixture(rng, 2, n)
+		prior, pOn := randomMixture(rng, n)
 		chain, err := NewProductMixtureChain(prior, pOn, rng)
 		if err != nil {
 			b.Fatal(err)
@@ -31,7 +31,7 @@ func BenchmarkProductMixtureSweep(b *testing.B) {
 func BenchmarkSweepN(b *testing.B) {
 	for _, n := range []int{50, 500} {
 		rng := randutil.New(2)
-		prior, pOn := randomMixture(rng, 2, n)
+		prior, pOn := randomMixture(rng, n)
 		chain, err := NewProductMixtureChain(prior, pOn, rng)
 		if err != nil {
 			b.Fatal(err)

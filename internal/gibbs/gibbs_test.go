@@ -1,6 +1,7 @@
 package gibbs
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,14 +10,12 @@ import (
 	"depsense/internal/randutil"
 )
 
-// bruteMixture is a reference Model implementation of the same product
-// mixture, computing conditionals from scratch.
+// bruteMixture is the from-scratch reference of the same product mixture:
+// it recomputes every full conditional from the joint.
 type bruteMixture struct {
-	prior []float64
-	pOn   [][]float64
+	prior [2]float64
+	pOn   [2][]float64
 }
-
-func (b *bruteMixture) Len() int { return len(b.pOn[0]) }
 
 func (b *bruteMixture) joint(x []bool) float64 {
 	total := 0.0
@@ -34,7 +33,8 @@ func (b *bruteMixture) joint(x []bool) float64 {
 	return total
 }
 
-func (b *bruteMixture) CondProbOne(x []bool, i int) float64 {
+// condProbOne returns P(x_i = 1 | x_{-i}) from two full joint evaluations.
+func (b *bruteMixture) condProbOne(x []bool, i int) float64 {
 	y := make([]bool, len(x))
 	copy(y, x)
 	y[i] = true
@@ -44,8 +44,8 @@ func (b *bruteMixture) CondProbOne(x []bool, i int) float64 {
 	return on / (on + off)
 }
 
-func randomMixture(rng *rand.Rand, h, n int) ([]float64, [][]float64) {
-	prior := make([]float64, h)
+func randomMixture(rng *rand.Rand, n int) ([2]float64, [2][]float64) {
+	var prior [2]float64
 	total := 0.0
 	for k := range prior {
 		prior[k] = 0.1 + rng.Float64()
@@ -54,7 +54,7 @@ func randomMixture(rng *rand.Rand, h, n int) ([]float64, [][]float64) {
 	for k := range prior {
 		prior[k] /= total
 	}
-	pOn := make([][]float64, h)
+	var pOn [2][]float64
 	for k := range pOn {
 		pOn[k] = make([]float64, n)
 		for i := range pOn[k] {
@@ -69,9 +69,8 @@ func randomMixture(rng *rand.Rand, h, n int) ([]float64, [][]float64) {
 func TestChainConditionalsMatchBruteForce(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		rng := randutil.New(seed)
-		h := 2 + rng.Intn(3)
 		n := 1 + rng.Intn(8)
-		prior, pOn := randomMixture(rng, h, n)
+		prior, pOn := randomMixture(rng, n)
 		chain, err := NewProductMixtureChain(prior, pOn, rng)
 		if err != nil {
 			return false
@@ -80,11 +79,11 @@ func TestChainConditionalsMatchBruteForce(t *testing.T) {
 		for sweep := 0; sweep < 3; sweep++ {
 			for i := 0; i < n; i++ {
 				// Probe the chain's conditional by reconstructing it from
-				// the running weights (mirrors sampleBit's arithmetic).
+				// the running weights (mirrors Sweep's arithmetic).
 				state := chain.State()
 				lw := chain.LogJointWeights()
 				num, den := 0.0, 0.0
-				for k := 0; k < h; k++ {
+				for k := 0; k < 2; k++ {
 					cur := 1 - pOn[k][i]
 					if state[i] {
 						cur = pOn[k][i]
@@ -94,7 +93,7 @@ func TestChainConditionalsMatchBruteForce(t *testing.T) {
 					den += wMinus * (1 - pOn[k][i])
 				}
 				got := num / (num + den)
-				want := brute.CondProbOne(state, i)
+				want := brute.condProbOne(state, i)
 				if math.Abs(got-want) > 1e-9 {
 					return false
 				}
@@ -112,8 +111,8 @@ func TestChainConditionalsMatchBruteForce(t *testing.T) {
 // state frequencies approach the mixture probabilities on a tiny space.
 func TestChainSamplesTargetDistribution(t *testing.T) {
 	rng := randutil.New(7)
-	prior := []float64{0.6, 0.4}
-	pOn := [][]float64{{0.8, 0.3}, {0.2, 0.9}}
+	prior := [2]float64{0.6, 0.4}
+	pOn := [2][]float64{{0.8, 0.3}, {0.2, 0.9}}
 	chain, err := NewProductMixtureChain(prior, pOn, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +145,7 @@ func TestChainSamplesTargetDistribution(t *testing.T) {
 // periodic refresh never drift from the from-scratch weights.
 func TestLogJointWeightsStayConsistent(t *testing.T) {
 	rng := randutil.New(9)
-	prior, pOn := randomMixture(rng, 3, 12)
+	prior, pOn := randomMixture(rng, 12)
 	chain, err := NewProductMixtureChain(prior, pOn, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -174,59 +173,20 @@ func TestLogJointWeightsStayConsistent(t *testing.T) {
 func TestNewProductMixtureChainValidation(t *testing.T) {
 	rng := randutil.New(1)
 	cases := []struct {
-		prior []float64
-		pOn   [][]float64
+		prior [2]float64
+		pOn   [2][]float64
 	}{
-		{nil, nil},
-		{[]float64{1}, [][]float64{}},
-		{[]float64{0.5, 0.5}, [][]float64{{0.5}, {0.5, 0.5}}},
-		{[]float64{0.5, 0.5}, [][]float64{{}, {}}},
-		{[]float64{0, 1}, [][]float64{{0.5}, {0.5}}},
-		{[]float64{0.5, 0.5}, [][]float64{{0.5}, {1.0}}},
-		{[]float64{0.5, 0.5}, [][]float64{{0.0}, {0.5}}},
+		{},
+		{[2]float64{0.5, 0.5}, [2][]float64{{0.5}, {0.5, 0.5}}},
+		{[2]float64{0.5, 0.5}, [2][]float64{{0.5}, nil}},
+		{[2]float64{0.5, 0.5}, [2][]float64{{}, {}}},
+		{[2]float64{0, 1}, [2][]float64{{0.5}, {0.5}}},
+		{[2]float64{0.5, 0.5}, [2][]float64{{0.5}, {1.0}}},
+		{[2]float64{0.5, 0.5}, [2][]float64{{0.0}, {0.5}}},
 	}
 	for i, c := range cases {
-		if _, err := NewProductMixtureChain(c.prior, c.pOn, rng); err == nil {
-			t.Errorf("case %d: invalid mixture accepted", i)
+		if _, err := NewProductMixtureChain(c.prior, c.pOn, rng); !errors.Is(err, ErrBadMixture) {
+			t.Errorf("case %d: invalid mixture accepted (err = %v)", i, err)
 		}
-	}
-}
-
-func TestGenericSampler(t *testing.T) {
-	rng := randutil.New(3)
-	brute := &bruteMixture{
-		prior: []float64{0.5, 0.5},
-		pOn:   [][]float64{{0.9, 0.1}, {0.1, 0.9}},
-	}
-	s, err := NewSampler(brute, rng, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	onCount := 0
-	const sweeps = 50000
-	for i := 0; i < sweeps; i++ {
-		s.Sweep()
-		if s.State()[0] {
-			onCount++
-		}
-	}
-	// Marginal P(x0=1) = 0.5·0.9 + 0.5·0.1 = 0.5.
-	rate := float64(onCount) / sweeps
-	if math.Abs(rate-0.5) > 0.02 {
-		t.Fatalf("marginal = %v, want ~0.5", rate)
-	}
-}
-
-func TestNewSamplerInitValidation(t *testing.T) {
-	brute := &bruteMixture{prior: []float64{1}, pOn: [][]float64{{0.5, 0.5}}}
-	if _, err := NewSampler(brute, randutil.New(1), []bool{true}); err == nil {
-		t.Fatal("mismatched init length accepted")
-	}
-	s, err := NewSampler(brute, randutil.New(1), []bool{true, false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.State()[0] || s.State()[1] {
-		t.Fatal("init state not honored")
 	}
 }

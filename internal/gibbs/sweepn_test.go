@@ -8,19 +8,10 @@ import (
 	"depsense/internal/randutil"
 )
 
-// constModel is a trivial Model whose bits are i.i.d. Bernoulli(p).
-type constModel struct {
-	n int
-	p float64
-}
-
-func (m constModel) Len() int                        { return m.n }
-func (m constModel) CondProbOne([]bool, int) float64 { return m.p }
-
 func newTestChain(t *testing.T, seed int64) *ProductMixtureChain {
 	t.Helper()
-	prior := []float64{0.4, 0.6}
-	pOn := [][]float64{
+	prior := [2]float64{0.4, 0.6}
+	pOn := [2][]float64{
 		{0.8, 0.2, 0.7, 0.3, 0.5},
 		{0.1, 0.9, 0.4, 0.6, 0.2},
 	}
@@ -29,49 +20,6 @@ func newTestChain(t *testing.T, seed int64) *ProductMixtureChain {
 		t.Fatal(err)
 	}
 	return c
-}
-
-func TestSamplerSweepNPreCancelled(t *testing.T) {
-	s, err := NewSampler(constModel{n: 8, p: 0.3}, randutil.New(1), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := append([]bool(nil), s.State()...)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	done, err := s.SweepN(ctx, 50)
-	if done != 0 || !errors.Is(err, context.Canceled) {
-		t.Fatalf("done=%d err=%v", done, err)
-	}
-	for i, b := range s.State() {
-		if b != before[i] {
-			t.Fatalf("state mutated by a pre-cancelled SweepN at bit %d", i)
-		}
-	}
-}
-
-func TestSamplerSweepNMatchesSweepLoop(t *testing.T) {
-	const n, sweeps = 8, 37
-	a, err := NewSampler(constModel{n: n, p: 0.3}, randutil.New(9), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewSampler(constModel{n: n, p: 0.3}, randutil.New(9), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done, err := a.SweepN(context.Background(), sweeps)
-	if done != sweeps || err != nil {
-		t.Fatalf("done=%d err=%v", done, err)
-	}
-	for i := 0; i < sweeps; i++ {
-		b.Sweep()
-	}
-	for i := range a.State() {
-		if a.State()[i] != b.State()[i] {
-			t.Fatalf("SweepN and Sweep loop diverge at bit %d", i)
-		}
-	}
 }
 
 func TestChainSweepNPreCancelled(t *testing.T) {

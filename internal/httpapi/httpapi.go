@@ -207,10 +207,13 @@ type Message struct {
 	Text string `json:"text"`
 }
 
+// maxSources bounds Request.Sources.
+const maxSources = 1 << 20
+
 // Request is the /v1/factfind payload.
 type Request struct {
-	// Sources is the source id space size. Ignored (derived) for
-	// format "twitter-json".
+	// Sources is the source id space size, at most 1<<20. Ignored
+	// (derived) for format "twitter-json".
 	Sources int `json:"sources"`
 	// Follows lists [follower, followee] pairs.
 	Follows [][2]int `json:"follows"`
@@ -365,6 +368,12 @@ func (s *Server) buildInput(req Request) (apollo.Input, error) {
 		in, _, err := tweetjson.ToPipeline(tweets)
 		return in, err
 	}
+	// The source space is sized before anything else is checked, so bound
+	// it first: a negative count would panic and a huge one would allocate
+	// per-source state for sources no message can name.
+	if req.Sources < 0 || req.Sources > maxSources {
+		return apollo.Input{}, fmt.Errorf("sources %d outside [0, %d]", req.Sources, maxSources)
+	}
 	graph := depgraph.NewGraph(req.Sources)
 	for _, e := range req.Follows {
 		if err := graph.AddFollow(e[0], e[1]); err != nil {
@@ -373,6 +382,9 @@ func (s *Server) buildInput(req Request) (apollo.Input, error) {
 	}
 	msgs := make([]apollo.Message, len(req.Messages))
 	for i, m := range req.Messages {
+		if m.Source < 0 || m.Source >= req.Sources {
+			return apollo.Input{}, fmt.Errorf("message %d has source %d outside [0, %d)", i, m.Source, req.Sources)
+		}
 		msgs[i] = apollo.Message{Source: m.Source, Time: m.Time, Text: m.Text}
 	}
 	return apollo.Input{NumSources: req.Sources, Messages: msgs, Graph: graph}, nil

@@ -209,6 +209,31 @@ func TestBodyLimit(t *testing.T) {
 	}
 }
 
+// TestSourceRangeRejected: a source count outside [0, 1<<20] or a message
+// naming a source outside [0, sources) is the client's error, 400 — not a
+// panic in the graph constructor or a 500 from the pipeline.
+func TestSourceRangeRejected(t *testing.T) {
+	ts := newTestServer()
+	defer ts.Close()
+	for _, tc := range []struct {
+		name string
+		mut  func(*Request)
+		want string
+	}{
+		{"negative sources", func(r *Request) { r.Sources = -1 }, "sources -1 outside"},
+		{"too many sources", func(r *Request) { r.Sources = maxSources + 1 }, "outside [0, 1048576]"},
+		{"message source", func(r *Request) { r.Messages[2].Source = 4 }, "message 2 has source 4 outside [0, 4)"},
+		{"negative message source", func(r *Request) { r.Messages[0].Source = -1 }, "message 0 has source -1"},
+	} {
+		req := sampleRequest()
+		tc.mut(&req)
+		resp, body := postJSON(t, ts.URL, req)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
+			t.Errorf("%s: status %d body %s, want 400 naming %q", tc.name, resp.StatusCode, body, tc.want)
+		}
+	}
+}
+
 // TestHealthzMethod: /healthz is GET-only like every other endpoint.
 func TestHealthzMethod(t *testing.T) {
 	ts := newTestServer()

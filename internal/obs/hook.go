@@ -25,9 +25,8 @@ const (
 )
 
 // HookExporter adapts a Registry into a runctx.Hook: attach the returned
-// hook with runctx.WithHook (and serialize with runctx.WithSerializedHook
-// before any parallel fan-out) and every estimator iteration record lands
-// in reg as
+// hook with runctx.WithHook and every estimator iteration record lands in
+// reg as
 //
 //   - MetricIterations{algorithm}: one increment per completed work unit,
 //   - MetricLogLikelihood{algorithm}: the latest log-likelihood,
@@ -44,9 +43,8 @@ const (
 // last-elapsed state that turns cumulative Elapsed into per-unit latency,
 // and that state must not be shared between runs. The registry may be (and
 // usually is) shared process-wide. The hook is internally serialized, so it
-// is safe even without WithSerializedHook — but without it the latency
-// deltas of concurrently interleaved runs of the same algorithm are
-// meaningless.
+// is safe under parallel fan-outs, but the latency deltas of concurrently
+// interleaved runs of the same algorithm are meaningless.
 func HookExporter(reg *Registry) runctx.Hook {
 	var mu sync.Mutex
 	last := make(map[string]time.Duration)

@@ -15,18 +15,6 @@ func New(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
-// DeriveSeeds draws k child seeds from rng in a fixed order. Parallel
-// fan-outs (concurrent Gibbs chains, restart pools) derive all their seeds
-// up front with this so every child generator is a deterministic function
-// of the parent seed and its own index, independent of execution order.
-func DeriveSeeds(rng *rand.Rand, k int) []int64 {
-	seeds := make([]int64, k)
-	for i := range seeds {
-		seeds[i] = rng.Int63()
-	}
-	return seeds
-}
-
 // Uniform draws a value uniformly from [lo, hi). It panics if hi < lo, which
 // always indicates a programming error in experiment configuration.
 func Uniform(rng *rand.Rand, lo, hi float64) float64 {

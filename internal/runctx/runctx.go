@@ -11,8 +11,6 @@
 //     fires an Iteration record per unit of work (iteration, sweep
 //     checkpoint, enumeration block) so callers can log progress, export
 //     metrics, or cancel based on what they see.
-//   - Determinism rides on an optional *rand.Rand attached with WithRNG,
-//     used by stochastic layers when the caller passes no generator.
 //
 // The Stop* constants name the reasons a run ends; factfind.Result.Stopped
 // carries one of them so callers and tests can assert why, not just whether,
@@ -22,8 +20,6 @@ package runctx
 import (
 	"context"
 	"errors"
-	"math/rand"
-	"sync"
 	"time"
 )
 
@@ -50,10 +46,6 @@ type Iteration struct {
 	Algorithm string
 	// N is the 1-based iteration / round / checkpoint number.
 	N int
-	// Chain is the 0-based index of the Gibbs chain firing this record,
-	// when the bound approximation fans out over several; 0 for serial
-	// single-run layers, EM included.
-	Chain int
 	// LogLikelihood is the current data log-likelihood for model-based
 	// estimators. HasLL distinguishes "no log-likelihood" (heuristics,
 	// enumeration loops) from a genuine value — including a genuine 0.0.
@@ -63,10 +55,9 @@ type Iteration struct {
 	HasLL bool
 	// Value is an algorithm-specific scalar trajectory statistic — for the
 	// Gibbs bound approximation, the checkpoint's batch-mean conditional
-	// error (the average over just this checkpoint's sweeps) — with HasValue
-	// marking it meaningful. Convergence diagnostics (split-chain R-hat)
-	// read per-chain Value sequences, which is why layers should report
-	// near-iid batch statistics rather than trend-carrying running means.
+	// error (the average over just this checkpoint's sweeps); for a quality
+	// alarm trace, one observation of the offending window — with HasValue
+	// marking it meaningful.
 	Value float64
 	// HasValue marks Value as meaningful.
 	HasValue bool
@@ -162,47 +153,6 @@ func HookFrom(ctx context.Context) Hook {
 	}
 	h, _ := ctx.Value(hookKey{}).(Hook)
 	return h
-}
-
-// WithSerializedHook returns a context whose hook chain (if any) is
-// replaced by a mutex-guarded equivalent. Parallel compute paths —
-// exact-bound blocks, Gibbs chains running concurrently — wrap
-// their context with this before fanning out, so user hooks written for the
-// serial contract never observe two concurrent calls.
-func WithSerializedHook(ctx context.Context) context.Context {
-	h := HookFrom(ctx)
-	if h == nil {
-		return ctx
-	}
-	var mu sync.Mutex
-	locked := Hook(func(it Iteration) {
-		mu.Lock()
-		defer mu.Unlock()
-		h(it)
-	})
-	return context.WithValue(ctx, hookKey{}, locked)
-}
-
-type rngKey struct{}
-
-// WithRNG returns a context carrying a deterministic random generator for
-// stochastic layers to fall back on when the caller passes none. The
-// generator is not safe for concurrent use; attach one per run, not one per
-// process.
-func WithRNG(ctx context.Context, rng *rand.Rand) context.Context {
-	if rng == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, rngKey{}, rng)
-}
-
-// RNGFrom extracts the context's generator, nil if none.
-func RNGFrom(ctx context.Context) *rand.Rand {
-	if ctx == nil {
-		return nil
-	}
-	rng, _ := ctx.Value(rngKey{}).(*rand.Rand)
-	return rng
 }
 
 // Err is a nil-tolerant ctx.Err(): it reports the context's cancellation

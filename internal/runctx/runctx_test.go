@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 )
 
@@ -88,20 +87,6 @@ func TestMultiHookPanicReportedNotSwallowed(t *testing.T) {
 	}
 	if before != 1 || after != 1 {
 		t.Fatalf("hooks around the panicking one fired %d/%d times, want 1/1", before, after)
-	}
-}
-
-func TestRNGRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	ctx := WithRNG(context.Background(), rng)
-	if got := RNGFrom(ctx); got != rng {
-		t.Fatal("RNG did not round-trip")
-	}
-	if RNGFrom(context.Background()) != nil {
-		t.Fatal("background context should carry no RNG")
-	}
-	if got := WithRNG(ctx, nil); got != ctx {
-		t.Fatal("WithRNG(nil) should return the context unchanged")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"depsense/internal/bound"
-	"depsense/internal/randutil"
 	"depsense/internal/runctx"
 	"depsense/internal/trace"
 )
@@ -22,108 +21,24 @@ func column(n int, p1, p0, z float64) bound.Column {
 	return c
 }
 
-// runTraced runs the Gibbs bound approximation under a trace builder and
-// returns the finished trace.
-func runTraced(t *testing.T, c bound.Column, opts bound.ApproxOptions, seed int64) *Trace {
-	t.Helper()
-	b := trace.NewBuilder("gibbs", "test", nil)
-	ctx := runctx.WithHook(context.Background(), b.Hook())
-	if _, err := bound.ApproxContext(ctx, c, opts, randutil.New(seed)); err != nil {
-		t.Fatal(err)
-	}
-	return b.Finish(trace.StatusOK, "")
-}
-
-type Trace = trace.Trace
-
-// TestGibbsRHatSeparatesMixing is the acceptance fixture for the R-hat
-// diagnostic, fed by real Gibbs chains end to end.
-//
-// Well-mixed: the production multi-chain path (Chains: 2) on one column —
-// both chains sample the same distribution and their per-checkpoint batch
-// means agree, so R-hat stays at the threshold or under.
-//
-// Deliberately non-mixing: two real single-chain runs over *different*
-// columns recorded as chain 0 and chain 1 of one trace (a relabelling hook
-// stamps the chain index). Chains sampling different distributions is
-// exactly the pathology R-hat exists to flag — their batch means sit at
-// different levels, and the split statistic must exceed the warning
-// threshold.
-func TestGibbsRHatSeparatesMixing(t *testing.T) {
-	opts := bound.ApproxOptions{
-		BurnIn:     20,
-		MaxSweeps:  8000, // 4000 per chain
-		CheckEvery: 100,
-		Tol:        1e-12, // never converge early: keep full trajectories
-		Chains:     2,
-	}
-
-	mixed := runTraced(t, column(4, 0.6, 0.45, 0.5), opts, 3)
-	d := diagOf(t, mixed, "gibbs-bound")
-	if !d.HasRHat {
-		t.Fatalf("no R-hat computed for the well-mixed run: %+v", d)
-	}
-	if d.RHat > trace.RHatWarnThreshold || !d.Mixed {
-		t.Fatalf("well-mixed fixture flagged: rhat=%v mixed=%v", d.RHat, d.Mixed)
-	}
-
-	b := trace.NewBuilder("stuck", "test", nil)
-	single := opts
-	single.Chains = 1
-	single.MaxSweeps = 4000
-	for chain, c := range []bound.Column{
-		column(4, 0.6, 0.45, 0.5),  // ambiguous overlap: high error mass
-		column(10, 0.85, 0.3, 0.5), // well-separated: low error mass
-	} {
-		hook := b.Hook()
-		chain := chain
-		ctx := runctx.WithHook(context.Background(), func(it runctx.Iteration) {
-			it.Chain = chain
-			hook(it)
-		})
-		if _, err := bound.ApproxContext(ctx, c, single, randutil.New(3)); err != nil {
+// TestTraceDeterministicAcrossWorkers is the trace-layer mirror of the
+// metrics determinism test: an exact-bound enumeration recorded at
+// Workers=1 and Workers=4 must serialize to byte-identical JSONL once
+// timing fields are stripped — scheduler interleaving must never leak into
+// the record. n = 18 splits the enumeration into eight full blocks, each of
+// which fires a hook from its worker goroutine.
+func TestTraceDeterministicAcrossWorkers(t *testing.T) {
+	c := column(18, 0.8, 0.25, 0.4)
+	marshal := func(workers int) []byte {
+		b := trace.NewBuilder("exact", "test", nil)
+		ctx := runctx.WithHook(context.Background(), b.Hook())
+		if _, err := bound.ExactOpts(ctx, c, bound.ExactOptions{Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	d = diagOf(t, b.Finish(trace.StatusOK, ""), "gibbs-bound")
-	if !d.HasRHat || d.Chains != 2 {
-		t.Fatalf("no two-chain R-hat computed: %+v", d)
-	}
-	if d.RHat <= trace.RHatWarnThreshold || d.Mixed {
-		t.Fatalf("non-mixing fixture not flagged: rhat=%v mixed=%v", d.RHat, d.Mixed)
-	}
-}
-
-func diagOf(t *testing.T, tr *Trace, alg string) trace.RunDiag {
-	t.Helper()
-	if tr.Diagnostics == nil {
-		t.Fatal("trace has no diagnostics")
-	}
-	for _, d := range tr.Diagnostics.Runs {
-		if d.Algorithm == alg {
-			return d
+		tr := b.Finish(trace.StatusOK, "")
+		if got := tr.Events(); got != 1<<(18-15) {
+			t.Fatalf("workers=%d: %d events, want one per block", workers, got)
 		}
-	}
-	t.Fatalf("no diagnostics for %q: %+v", alg, tr.Diagnostics.Runs)
-	return trace.RunDiag{}
-}
-
-// TestTraceDeterministicAcrossWorkers is the trace-layer mirror of the
-// metrics determinism test: a multi-chain run recorded at Workers=1 and
-// Workers=4 must serialize to byte-identical JSONL once timing fields are
-// stripped — scheduler interleaving must never leak into the record.
-func TestTraceDeterministicAcrossWorkers(t *testing.T) {
-	c := column(10, 0.8, 0.25, 0.4)
-	marshal := func(workers int) []byte {
-		opts := bound.ApproxOptions{
-			BurnIn:     50,
-			MaxSweeps:  6000,
-			CheckEvery: 100,
-			Tol:        1e-12,
-			Chains:     4,
-			Workers:    workers,
-		}
-		tr := runTraced(t, c, opts, 11)
 		line, err := trace.Marshal(tr.StripTimings())
 		if err != nil {
 			t.Fatal(err)

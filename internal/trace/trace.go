@@ -3,9 +3,9 @@
 // package keeps the records — each run becomes a deterministic tree
 // (request → pipeline stage → algorithm run → per-iteration event) that can
 // be replayed after the fact to answer questions aggregates cannot: why did
-// *this* EM-Ext run stop at the iteration cap, did the Gibbs chains behind
-// *this* bound estimate actually mix, which pipeline stage ate the compute
-// budget of *this* cancelled request.
+// *this* EM-Ext run stop at the iteration cap, how did the Gibbs chain
+// behind *this* bound estimate converge, which pipeline stage ate the
+// compute budget of *this* cancelled request.
 //
 // The package is stdlib-only and splits into four pieces:
 //
@@ -18,16 +18,15 @@
 //     the last K completed and, separately, the last K' failed/cancelled
 //     traces, so errors are never evicted by healthy traffic;
 //   - a diagnostics layer (diag.go): EM log-likelihood monotonicity and
-//     plateau detection, and split-chain R-hat over multi-chain Gibbs
-//     checkpoint trajectories.
+//     plateau detection.
 //
 // Determinism contract: every field of a finished Trace except the
 // clearly-marked timing fields (StartUnixNS, DurationNS, Stage.DurationNS,
 // Event.ElapsedNS) is a bit-for-bit deterministic function of the run's
-// seed and inputs at any Workers value. Concurrent fan-outs (Gibbs chains,
-// exact-bound blocks) emit records in scheduler order, so Finish sorts each run's
-// events by their deterministic fields — the sorted sequence is identical
-// however the scheduler interleaved the firings. StripTimings zeroes the
+// seed and inputs at any Workers value. Concurrent fan-outs (exact-bound
+// blocks) emit records in scheduler order, so Finish sorts each run's events
+// by their deterministic fields — the sorted sequence is identical however
+// the scheduler interleaved the firings. StripTimings zeroes the
 // timing fields for byte-level determinism diffs.
 package trace
 
@@ -100,10 +99,8 @@ type Attr struct {
 // checkpoint, an enumeration block, or a heuristic round. All fields except
 // ElapsedNS are deterministic.
 type Event struct {
-	// N is the 1-based iteration / checkpoint number within its chain.
+	// N is the 1-based iteration / checkpoint number.
 	N int `json:"n"`
-	// Chain is the Gibbs chain index that fired the record (0 for EM).
-	Chain int `json:"chain,omitempty"`
 	// LogLikelihood is the data log-likelihood when HasLL is set.
 	LogLikelihood float64 `json:"logLikelihood,omitempty"`
 	// HasLL marks LogLikelihood as meaningful (a genuine 0.0 included).
@@ -131,14 +128,14 @@ type Event struct {
 type Run struct {
 	// Algorithm is the runctx display name ("EM-Ext", "gibbs-bound", ...).
 	Algorithm string `json:"algorithm"`
-	// Events is the canonicalized event sequence: sorted by (Chain, N,
-	// Samples, Done, Stopped, LogLikelihood, Value), which is a total order
-	// over the deterministic fields, so the sequence is identical at any
-	// Workers value.
+	// Events is the canonicalized event sequence: sorted by (N, Samples,
+	// Done, Stopped, LogLikelihood, Value), which is a total order over the
+	// deterministic fields, so the sequence is identical at any Workers
+	// value.
 	Events []Event `json:"events"`
 }
 
-// Iterations returns the largest iteration number any chain reached.
+// Iterations returns the largest iteration number the run reached.
 func (r *Run) Iterations() int {
 	max := 0
 	for i := range r.Events {
@@ -147,15 +144,6 @@ func (r *Run) Iterations() int {
 		}
 	}
 	return max
-}
-
-// Chains returns the number of distinct chain indexes that fired events.
-func (r *Run) Chains() int {
-	seen := map[int]bool{}
-	for i := range r.Events {
-		seen[r.Events[i].Chain] = true
-	}
-	return len(seen)
 }
 
 // Stopped returns the stop reason of the run's final firing, "" if the run
@@ -320,13 +308,11 @@ func (b *Builder) Stage(name string, d time.Duration) {
 }
 
 // Hook returns a runctx.Hook that records every iteration into the trace.
-// The hook is internally serialized, so it is safe under parallel fan-outs
-// even without runctx.WithSerializedHook.
+// The hook is internally serialized, so it is safe under parallel fan-outs.
 func (b *Builder) Hook() runctx.Hook {
 	return func(it runctx.Iteration) {
 		e := Event{
 			N:             it.N,
-			Chain:         it.Chain,
 			LogLikelihood: it.LogLikelihood,
 			HasLL:         it.HasLL,
 			Value:         it.Value,
@@ -374,7 +360,7 @@ func (b *Builder) Finish(status, errMsg string) *Trace {
 }
 
 // canonicalizeEvents sorts events by a total order over their deterministic
-// fields. Parallel chains deliver records in scheduler order; the sorted
+// fields. Parallel blocks deliver records in scheduler order; the sorted
 // sequence is the same at any Workers value because the *set* of events is
 // (the repository-wide parallel-determinism contract). Ties across every
 // deterministic field can only differ in ElapsedNS, which the determinism
@@ -382,9 +368,6 @@ func (b *Builder) Finish(status, errMsg string) *Trace {
 func canonicalizeEvents(events []Event) {
 	sort.SliceStable(events, func(i, j int) bool {
 		a, b := &events[i], &events[j]
-		if a.Chain != b.Chain {
-			return a.Chain < b.Chain
-		}
 		if a.N != b.N {
 			return a.N < b.N
 		}

@@ -49,7 +49,7 @@ func (bytesErr) Error() string { return "boom" }
 // TestBuilderCanonicalization feeds one builder the same event set in two
 // different arrival orders (as a parallel fan-out would) and checks both
 // finished traces agree event for event, with runs sorted by algorithm,
-// events sorted by (chain, n), and attrs sorted by key.
+// events sorted by n, and attrs sorted by key.
 func TestBuilderCanonicalization(t *testing.T) {
 	fire := func(order []runctx.Iteration) *Trace {
 		b := NewBuilder("t1", "test", testClock())
@@ -65,10 +65,10 @@ func TestBuilderCanonicalization(t *testing.T) {
 		return b.Finish(StatusOK, "")
 	}
 	events := []runctx.Iteration{
-		{Algorithm: "EM-Ext", N: 1, Chain: 1, LogLikelihood: -9, HasLL: true},
-		{Algorithm: "EM-Ext", N: 2, Chain: 1, LogLikelihood: -8, HasLL: true, Done: true, Stopped: runctx.StopConverged},
-		{Algorithm: "EM-Ext", N: 1, Chain: 0, LogLikelihood: -10, HasLL: true},
-		{Algorithm: "EM-Ext", N: 2, Chain: 0, LogLikelihood: -7, HasLL: true, Done: true, Stopped: runctx.StopConverged},
+		{Algorithm: "EM-Ext", N: 3, LogLikelihood: -8, HasLL: true},
+		{Algorithm: "EM-Ext", N: 1, LogLikelihood: -10, HasLL: true},
+		{Algorithm: "EM-Ext", N: 4, LogLikelihood: -7, HasLL: true, Done: true, Stopped: runctx.StopConverged},
+		{Algorithm: "EM-Ext", N: 2, LogLikelihood: -9, HasLL: true},
 		{Algorithm: "gibbs-bound", N: 1, Samples: 500, Value: 0.01, HasValue: true},
 	}
 	reversed := make([]runctx.Iteration, len(events))
@@ -86,9 +86,8 @@ func TestBuilderCanonicalization(t *testing.T) {
 	}
 	em := a.Runs[0].Events
 	for i := 1; i < len(em); i++ {
-		if em[i].Chain < em[i-1].Chain ||
-			(em[i].Chain == em[i-1].Chain && em[i].N < em[i-1].N) {
-			t.Fatalf("events not in (chain, n) order: %+v", em)
+		if em[i].N < em[i-1].N {
+			t.Fatalf("events not in n order: %+v", em)
 		}
 	}
 	la, err := Marshal(a.StripTimings())
@@ -102,11 +101,8 @@ func TestBuilderCanonicalization(t *testing.T) {
 	if !bytes.Equal(la, lb) {
 		t.Fatalf("arrival order leaked into the canonical trace:\n%s\n%s", la, lb)
 	}
-	if got := a.Runs[0].Iterations(); got != 2 {
-		t.Errorf("Iterations() = %d, want 2", got)
-	}
-	if got := a.Runs[0].Chains(); got != 2 {
-		t.Errorf("Chains() = %d, want 2", got)
+	if got := a.Runs[0].Iterations(); got != 4 {
+		t.Errorf("Iterations() = %d, want 4", got)
 	}
 	if got := a.Runs[0].Stopped(); got != runctx.StopConverged {
 		t.Errorf("Stopped() = %q, want converged", got)
@@ -204,7 +200,7 @@ func TestMarshalDeterministic(t *testing.T) {
 		b := NewBuilder("d", "test", testClock())
 		hook := b.Hook()
 		for i := 1; i <= 3; i++ {
-			hook(runctx.Iteration{Algorithm: "gibbs-bound", N: i, Chain: i % 2,
+			hook(runctx.Iteration{Algorithm: "gibbs-bound", N: i,
 				Samples: i * 100, Value: float64(i) * 0.25, HasValue: true})
 		}
 		line, err := Marshal(b.Finish(StatusOK, "").StripTimings())

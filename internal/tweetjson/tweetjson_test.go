@@ -1,6 +1,7 @@
 package tweetjson
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -152,4 +153,29 @@ func TestToPipelineRejectsAnonymousTweets(t *testing.T) {
 	if _, _, err := ToPipeline([]Tweet{{IDStr: "1", Text: "x"}}); !errors.Is(err, ErrNoAuthor) {
 		t.Fatalf("want ErrNoAuthor, got %v", err)
 	}
+}
+
+// FuzzParse feeds arbitrary bytes to the archive decoder: it must never
+// panic, a nil error must come with at least one tweet, and the accessors
+// must cope with whatever the decoder accepted.
+func FuzzParse(f *testing.F) {
+	f.Add([]byte(fixtureJSONL))
+	f.Add([]byte(`[{"id_str":"1","text":"a","user":{"id_str":"5"}},{"id_str":"2","text":"b","user":{"id_str":"6"}}]`))
+	f.Add([]byte(""))
+	f.Add([]byte("{broken\n"))
+	f.Add([]byte("[{]"))
+	f.Add([]byte("[null]"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tweets, err := Parse(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(tweets) == 0 {
+			t.Fatal("nil error with no tweets")
+		}
+		for i := range tweets {
+			_ = tweets[i].Time()
+			_ = tweets[i].Body()
+		}
+	})
 }
