@@ -9,6 +9,8 @@ package cluster
 import (
 	"slices"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Clusterer groups tokenized documents into assertions; the Apollo
@@ -26,20 +28,59 @@ var _ Clusterer = (*Leader)(nil)
 // with its original. Tokens keep their first-occurrence order: snapshots
 // persist leader tokens and WAL replay re-tokenizes, so the output must
 // stay exactly this sequence.
+//
+// One pass splits the text at unicode.IsSpace, as strings.Fields does,
+// trims each field's edge punctuation, and lowercases only what is left,
+// exactly as strings.ToLower would: no rune lowercases into or out of
+// whitespace or the trimmed set, so splitting and trimming before
+// lowercasing cuts the same tokens. A field that is already lowercase
+// ASCII is a substring of text; the rest are lowercased into one shared
+// buffer.
 func Tokenize(text string) []string {
-	fields := strings.Fields(strings.ToLower(text))
-	tokens := make([]string, 0, len(fields))
-	// A tweet has a few dozen fields at most, where scanning the kept
-	// tokens beats hashing each one; only a long body pays for a set,
-	// which keeps it linear.
-	var seen map[string]struct{}
-	if len(fields) > scanDedupMax {
-		seen = make(map[string]struct{}, len(fields))
-	}
-	for _, f := range fields {
-		f = strings.TrimFunc(f, isEdgePunct)
+	var (
+		buf   [scanDedupMax]string
+		kept  = buf[:0]
+		seen  map[string]struct{}
+		lower strings.Builder
+	)
+	for i := 0; i < len(text); {
+		if class, w := runeClass(text, i); class == classSpace {
+			i += w
+			continue
+		}
+		// Scan one field, keeping the bounds [lo, hi) of its runes between
+		// the first and the last that are not edge punctuation.
+		lo, hi, plain := -1, -1, true
+		for i < len(text) {
+			class, w := runeClass(text, i)
+			if class == classSpace {
+				break
+			}
+			if class != classPunct {
+				if lo < 0 {
+					lo = i
+				}
+				hi = i + w
+				plain = plain && class == classKeep
+			}
+			i += w
+		}
+		if lo < 0 {
+			continue
+		}
+		f := text[lo:hi]
+		if !plain {
+			if lower.Cap() == 0 {
+				lower.Grow(len(text) - lo)
+			}
+			start := lower.Len()
+			for _, c := range f {
+				lower.WriteRune(unicode.ToLower(c))
+			}
+			f = lower.String()[start:]
+		}
 		switch {
-		case f == "" || f == "rt":
+		case f == "rt":
 			continue
 		case strings.HasPrefix(f, "@"):
 			continue
@@ -48,25 +89,92 @@ func Tokenize(text string) []string {
 		case stopwords[f]:
 			continue
 		}
+		// A tweet keeps a few dozen tokens at most, where scanning the kept
+		// tokens beats hashing each one; only a long body pays for a set,
+		// which keeps it linear, and for kept tokens sized for every field
+		// left.
+		if seen == nil && len(kept) == scanDedupMax {
+			size := len(kept) + 1 + countFields(text[i:])
+			seen = make(map[string]struct{}, size)
+			for _, k := range kept {
+				seen[k] = struct{}{}
+			}
+			kept = append(make([]string, 0, size), kept...)
+		}
 		if seen != nil {
 			if _, dup := seen[f]; dup {
 				continue
 			}
 			seen[f] = struct{}{}
-		} else if slices.Contains(tokens, f) {
+		} else if slices.Contains(kept, f) {
 			continue
 		}
-		tokens = append(tokens, f)
+		kept = append(kept, f)
 	}
-	return tokens
+	return append(make([]string, 0, len(kept)), kept...)
 }
 
-// scanDedupMax is the most fields Tokenize dedupes by scanning.
+// countFields returns the number of fields in text, as len(strings.Fields)
+// would.
+func countFields(text string) int {
+	n, inField := 0, false
+	for i := 0; i < len(text); {
+		class, w := runeClass(text, i)
+		if space := class == classSpace; space == inField {
+			inField = !space
+			if inField {
+				n++
+			}
+		}
+		i += w
+	}
+	return n
+}
+
+// Rune classes for Tokenize's scan.
+const (
+	classKeep  = iota // kept as is: every other ASCII byte
+	classSpace        // unicode.IsSpace: ends a field
+	classPunct        // isEdgePunct: trimmed from a field's ends
+	classLower        // kept, lowercased: ASCII uppercase and all non-ASCII
+)
+
+// asciiClass classifies every ASCII byte.
+var asciiClass = func() (t [utf8.RuneSelf]uint8) {
+	for c := range t {
+		switch r := rune(c); {
+		case unicode.IsSpace(r):
+			t[c] = classSpace
+		case isEdgePunct(r):
+			t[c] = classPunct
+		case 'A' <= r && r <= 'Z':
+			t[c] = classLower
+		}
+	}
+	return t
+}()
+
+// runeClass classifies the rune at text[i] and returns its width, decoding
+// as a range loop over the string does (an invalid byte is utf8.RuneError
+// of width 1).
+func runeClass(text string, i int) (class uint8, width int) {
+	if c := text[i]; c < utf8.RuneSelf {
+		return asciiClass[c], 1
+	}
+	r, w := utf8.DecodeRuneInString(text[i:])
+	switch {
+	case unicode.IsSpace(r):
+		return classSpace, w
+	case isEdgePunct(r):
+		return classPunct, w
+	}
+	return classLower, w
+}
+
+// scanDedupMax is the most kept tokens Tokenize dedupes by scanning.
 const scanDedupMax = 32
 
-// isEdgePunct reports whether Tokenize trims r from a field's ends. A
-// switch, not strings.Trim's cutset: the cutset's non-ASCII runes would
-// send every call down Trim's per-rune cutset scan.
+// isEdgePunct reports whether Tokenize trims r from a field's ends.
 func isEdgePunct(r rune) bool {
 	switch r {
 	case '.', ',', '!', '?', ';', ':', '\'', '"', '(', ')', '[', ']', '{', '}', '…', '—', '-':

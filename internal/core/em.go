@@ -383,7 +383,8 @@ func runOnce(ctx context.Context, ds *claims.Dataset, variant Variant, params *m
 // exactly math.Log on the clamped parameter range ([ProbEpsilon,
 // 1-ProbEpsilon], which Clamp and the M-step guarantee), so routing
 // through it changes no bits while making the log-space intent explicit
-// and keeping degenerate inputs finite.
+// and keeping degenerate inputs finite. Every log comes from the Scratch's
+// logMemo, which returns SafeLog's value bit for bit.
 //
 // Only the entries an E-step of this variant will read are refreshed (see
 // Scratch): the all-silent baseline always; the independent-claim pair
@@ -399,25 +400,33 @@ func (e *engine) refreshLogs(p *model.Params) {
 	sil := e.sv.SilentD1.RowPtr
 	ext := e.variant == VariantExt
 	anyClaim := e.variant == VariantIndependent
+	memo := &e.memo
 	for i, s := range p.Sources {
-		l1a, l1b := model.SafeLog(1-s.A), model.SafeLog(1-s.B)
+		la, l1a := memo.logs(s.A)
+		lb, l1b := memo.logs(s.B)
 		e.log1A[i] = l1a
 		e.log1B[i] = l1b
 		hasDep := d1[i+1] > d1[i]
 		if d0[i+1] > d0[i] || anyClaim && hasDep {
-			e.corrA1[i] = model.SafeLog(s.A) - l1a
-			e.corrB0[i] = model.SafeLog(s.B) - l1b
+			e.corrA1[i] = la - l1a
+			e.corrB0[i] = lb - l1b
 		}
 		if !ext {
 			continue
 		}
-		if hasDep {
-			e.corrF1[i] = model.SafeLog(s.F) - l1a
-			e.corrG0[i] = model.SafeLog(s.G) - l1b
+		hasSil := sil[i+1] > sil[i]
+		if !hasDep && !hasSil {
+			continue
 		}
-		if sil[i+1] > sil[i] {
-			e.corrSF1[i] = model.SafeLog(1-s.F) - l1a
-			e.corrSG0[i] = model.SafeLog(1-s.G) - l1b
+		lf, l1f := memo.logs(s.F)
+		lg, l1g := memo.logs(s.G)
+		if hasDep {
+			e.corrF1[i] = lf - l1a
+			e.corrG0[i] = lg - l1b
+		}
+		if hasSil {
+			e.corrSF1[i] = l1f - l1a
+			e.corrSG0[i] = l1g - l1b
 		}
 	}
 }
@@ -451,12 +460,13 @@ func (e *engine) eStep(p *model.Params) float64 {
 	if e.workers <= 1 {
 		for b := 0; b < nb; b++ {
 			lo, hi := parallel.BlockRange(b, m, emBlockSize)
-			llPart[b] = e.eStepBlock(lo, hi, base1, base0, logZ, log1Z)
+			llPart[b] = e.eStepBlock(lo, hi, base1, base0, logZ, log1Z, &e.postMemo)
 		}
 	} else {
+		// Concurrent blocks would race on the posterior memo's slots.
 		_ = parallel.ForEach(nb, e.workers, func(b int) error {
 			lo, hi := parallel.BlockRange(b, m, emBlockSize)
-			llPart[b] = e.eStepBlock(lo, hi, base1, base0, logZ, log1Z)
+			llPart[b] = e.eStepBlock(lo, hi, base1, base0, logZ, log1Z, nil)
 			return nil
 		})
 	}

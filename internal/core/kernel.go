@@ -35,12 +35,13 @@ func (k Kernel) String() string {
 }
 
 // eStepBlock computes posteriors and the log-likelihood partial for the
-// assertion block [lo, hi) under the selected kernel.
-func (e *engine) eStepBlock(lo, hi int, base1, base0, logZ, log1Z float64) float64 {
+// assertion block [lo, hi) under the selected kernel. The sparse kernel
+// reads and writes pm, which is nil unless the blocks run serially.
+func (e *engine) eStepBlock(lo, hi int, base1, base0, logZ, log1Z float64, pm *postMemo) float64 {
 	if e.kernel == KernelDense {
 		return e.eStepBlockDense(lo, hi, base1, base0, logZ, log1Z)
 	}
-	return e.eStepBlockSparse(lo, hi, base1, base0, logZ, log1Z)
+	return e.eStepBlockSparse(lo, hi, base1, base0, logZ, log1Z, pm)
 }
 
 // mStepBlock sums each source's stratum masses and writes the Eq. (10)-(13)
@@ -57,9 +58,10 @@ func (e *engine) mStepBlock(lo, hi int, sumZ, sumY float64) {
 // starts from the shared all-silent baseline and applies one correction
 // per nonzero of its SC column, then one per silent-dependent pair. The
 // variant switch is hoisted out of the column loop so each inner loop
-// stays branch-light, and posteriorLSE turns the two log-weights into the
-// posterior and the log-likelihood term with one exponential.
-func (e *engine) eStepBlockSparse(lo, hi int, base1, base0, logZ, log1Z float64) float64 {
+// stays branch-light, and posteriorLSE, through the posterior memo pm,
+// turns the two log-weights into the posterior and the log-likelihood term
+// with one exponential.
+func (e *engine) eStepBlockSparse(lo, hi int, base1, base0, logZ, log1Z float64, pm *postMemo) float64 {
 	var (
 		colPtr = e.sv.Claims.ColPtr
 		rows   = e.sv.Claims.Row
@@ -91,7 +93,7 @@ func (e *engine) eStepBlockSparse(lo, hi int, base1, base0, logZ, log1Z float64)
 				l1 += corrSF1[i]
 				l0 += corrSG0[i]
 			}
-			p, lse := posteriorLSE(l1+logZ, l0+log1Z)
+			p, lse := pm.posteriorLSE(l1+logZ, l0+log1Z)
 			post[j] = p
 			ll += lse
 		}
@@ -111,7 +113,7 @@ func (e *engine) eStepBlockSparse(lo, hi int, base1, base0, logZ, log1Z float64)
 					l0 += corrB0[i]
 				}
 			}
-			p, lse := posteriorLSE(l1+logZ, l0+log1Z)
+			p, lse := pm.posteriorLSE(l1+logZ, l0+log1Z)
 			post[j] = p
 			ll += lse
 		}
@@ -124,7 +126,7 @@ func (e *engine) eStepBlockSparse(lo, hi int, base1, base0, logZ, log1Z float64)
 				l1 += corrA1[i]
 				l0 += corrB0[i]
 			}
-			p, lse := posteriorLSE(l1+logZ, l0+log1Z)
+			p, lse := pm.posteriorLSE(l1+logZ, l0+log1Z)
 			post[j] = p
 			ll += lse
 		}

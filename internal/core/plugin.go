@@ -45,6 +45,11 @@ func DependentPairsPerSource(ds *claims.Dataset) float64 {
 func runPlugin(ctx context.Context, ds *claims.Dataset, opts Options) (*factfind.Result, error) {
 	hook := runctx.HookFrom(ctx)
 	start := time.Now() //lint:allow seedsource wall-clock timing for the observability hook Elapsed field, not part of results
+	// The coarse fit and the re-score share one Scratch: the caller's, or
+	// one allocated here for both.
+	if opts.Scratch == nil {
+		opts.Scratch = NewScratch()
+	}
 	coarse, err := RunCtx(ctx, ds, VariantSocial, opts)
 	if err != nil {
 		if runctx.Reason(err) != "" {
@@ -68,7 +73,8 @@ func runPlugin(ctx context.Context, ds *claims.Dataset, opts Options) (*factfind
 	}
 	// The re-score shares the run's Scratch (and kernel/worker settings):
 	// under DepModePlugin the coarse fit and this single E-step are the
-	// whole run, so a warm-refit caller sees zero kernel reallocations.
+	// whole run, so a run allocates its kernel buffers once and a
+	// warm-refit caller sees zero kernel reallocations.
 	post, ll, err := PosteriorOpts(ds, params, opts)
 	if err != nil {
 		return nil, err

@@ -1,15 +1,18 @@
 package httpapi
 
 import (
+	"bufio"
+	"cmp"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -135,38 +138,50 @@ func (s *Server) canonicalAlgorithm(name string) (string, bool) {
 // algorithm name, resolved topK, and the server's worker count.
 // Two requests with the same key are entitled to byte-identical responses
 // (trace id aside).
+//
+// The fields go straight into the hash, in that fixed order, each integer
+// as 8 big-endian bytes and each string and list after its length, so two
+// different normalized requests never share an encoding.
 func (s *Server) resultKey(req Request, algorithm string, topK int) string {
-	follows := append([][2]int(nil), req.Follows...)
-	sort.Slice(follows, func(i, j int) bool {
-		if follows[i][0] != follows[j][0] {
-			return follows[i][0] < follows[j][0]
+	follows := slices.Clone(req.Follows)
+	slices.SortFunc(follows, func(a, b [2]int) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
 		}
-		return follows[i][1] < follows[j][1]
+		return cmp.Compare(a[1], b[1])
 	})
-	payload := struct {
-		Sources   int       `json:"sources"`
-		Follows   [][2]int  `json:"follows"`
-		Messages  []Message `json:"messages"`
-		Archive   string    `json:"archive"`
-		Format    string    `json:"format"`
-		Algorithm string    `json:"algorithm"`
-		TopK      int       `json:"topK"`
-		Workers   int       `json:"workers"`
-	}{req.Sources, follows, req.Messages, req.Archive,
-		strings.ToLower(req.Format), algorithm, topK, s.opts.Workers}
-	b, err := json.Marshal(payload)
-	if err != nil {
-		return "" // unreachable: plain data marshals; "" is never stored
+	h := sha256.New()
+	w := bufio.NewWriterSize(h, 4096)
+	putInt := func(v int64) {
+		_, _ = w.Write(binary.BigEndian.AppendUint64(w.AvailableBuffer(), uint64(v)))
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	putString := func(v string) {
+		putInt(int64(len(v)))
+		_, _ = w.WriteString(v)
+	}
+	putInt(int64(req.Sources))
+	putInt(int64(len(follows)))
+	for _, f := range follows {
+		putInt(int64(f[0]))
+		putInt(int64(f[1]))
+	}
+	putInt(int64(len(req.Messages)))
+	for _, m := range req.Messages {
+		putInt(int64(m.Source))
+		putInt(m.Time)
+		putString(m.Text)
+	}
+	putString(req.Archive)
+	putString(strings.ToLower(req.Format))
+	putString(algorithm)
+	putInt(int64(topK))
+	putInt(int64(s.opts.Workers))
+	_ = w.Flush() // a hash's Write never fails
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // cachedResponse looks the key up in the result cache.
 func (s *Server) cachedResponse(key string) (Response, bool) {
-	if key == "" {
-		return Response{}, false
-	}
 	v, ok := s.cache.Get(key, s.clock())
 	if !ok {
 		return Response{}, false
@@ -379,13 +394,11 @@ func (s *Server) computeResult(r *http.Request, req Request, algorithm string, t
 			Dependent: dep,
 		})
 	}
-	if key != "" {
-		// The cached copy carries no TraceID; replays stamp their own.
-		cached := resp
-		cached.TraceID = ""
-		s.cache.Put(key, cached, s.clock())
-		s.reg.Gauge(MetricCacheEntries, "Result cache entries currently held.").
-			Set(float64(s.cache.Len()))
-	}
+	// The cached copy carries no TraceID; replays stamp their own.
+	cached := resp
+	cached.TraceID = ""
+	s.cache.Put(key, cached, s.clock())
+	s.reg.Gauge(MetricCacheEntries, "Result cache entries currently held.").
+		Set(float64(s.cache.Len()))
 	return &servedResult{status: http.StatusOK, body: marshalBody(resp)}
 }

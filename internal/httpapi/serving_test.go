@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -449,5 +450,63 @@ func TestCacheDisabled(t *testing.T) {
 	}
 	if got := runs.Load(); got != 2 {
 		t.Fatalf("pipeline ran %d times with the cache disabled, want 2", got)
+	}
+}
+
+// TestResultKeyCanonical: the cache key ignores what normalization
+// discards (follow order, algorithm and format case) and changes with
+// anything that can change the response (message order, a text, topK),
+// including a byte moved from one string field to the next.
+func TestResultKeyCanonical(t *testing.T) {
+	srv := New(Options{})
+	key := func(req Request) string {
+		t.Helper()
+		alg, ok := srv.canonicalAlgorithm(req.Algorithm)
+		if !ok {
+			t.Fatalf("unknown algorithm %q", req.Algorithm)
+		}
+		return srv.resultKey(req, alg, req.TopK)
+	}
+	base := func() Request {
+		req := sampleRequest()
+		req.Follows = [][2]int{{1, 0}, {2, 0}, {3, 1}, {3, 2}}
+		return req
+	}
+	want := key(base())
+
+	for name, edit := range map[string]func(*Request){
+		"follows reordered": func(r *Request) { slices.Reverse(r.Follows) },
+		"algorithm case":    func(r *Request) { r.Algorithm = "vOTING" },
+	} {
+		req := base()
+		edit(&req)
+		if got := key(req); got != want {
+			t.Errorf("%s: key changed", name)
+		}
+	}
+	archive := func(format string) Request {
+		return Request{Archive: `{"id":1}`, Format: format, Algorithm: "Voting", TopK: 5}
+	}
+	if key(archive("twitter-json")) != key(archive("Twitter-JSON")) {
+		t.Errorf("format case: key changed")
+	}
+	// The archive and the format are adjacent strings: only their lengths
+	// tell a byte moved across the boundary.
+	moved := archive("witter-json")
+	moved.Archive += "t"
+	if key(moved) == key(archive("twitter-json")) {
+		t.Errorf("archive/format boundary: key unchanged")
+	}
+
+	for name, edit := range map[string]func(*Request){
+		"messages swapped": func(r *Request) { r.Messages[0], r.Messages[1] = r.Messages[1], r.Messages[0] },
+		"text changed":     func(r *Request) { r.Messages[2].Text += "!" },
+		"topK changed":     func(r *Request) { r.TopK = 6 },
+	} {
+		req := base()
+		edit(&req)
+		if got := key(req); got == want {
+			t.Errorf("%s: key unchanged", name)
+		}
 	}
 }

@@ -45,34 +45,62 @@ const (
 // usually is) shared process-wide. The hook is internally serialized, so it
 // is safe under parallel fan-outs, but the latency deltas of concurrently
 // interleaved runs of the same algorithm are meaningless.
+//
+// The exporter resolves each algorithm's series handles once, on the first
+// firing that writes each series, and keeps them with that algorithm's
+// last-elapsed state: a later work unit costs one map lookup and the series
+// updates, with no label rendering, registry lock or allocation. Only the
+// once-per-run MetricRuns increment goes through the registry.
 func HookExporter(reg *Registry) runctx.Hook {
 	var mu sync.Mutex
-	last := make(map[string]time.Duration)
+	algs := make(map[string]*algSeries)
 	return func(it runctx.Iteration) {
 		mu.Lock()
 		defer mu.Unlock()
-		alg := L("algorithm", it.Algorithm)
+		a := algs[it.Algorithm]
+		if a == nil {
+			a = &algSeries{}
+			algs[it.Algorithm] = a
+		}
 		if !it.Done || it.Stopped == runctx.StopConverged {
-			reg.Counter(MetricIterations,
-				"Completed estimator work units (EM iterations, Gibbs checkpoints, heuristic rounds) by algorithm.",
-				alg).Inc()
-			prev := last[it.Algorithm]
-			last[it.Algorithm] = it.Elapsed
+			if a.iters == nil {
+				a.iters = reg.Counter(MetricIterations,
+					"Completed estimator work units (EM iterations, Gibbs checkpoints, heuristic rounds) by algorithm.",
+					L("algorithm", it.Algorithm))
+			}
+			a.iters.Inc()
+			prev := a.last
+			a.last = it.Elapsed
 			if d := it.Elapsed - prev; d >= 0 {
-				reg.Histogram(MetricIterationSeconds,
-					"Per-work-unit estimator latency in seconds by algorithm.",
-					nil, alg).Observe(d.Seconds())
+				if a.seconds == nil {
+					a.seconds = reg.Histogram(MetricIterationSeconds,
+						"Per-work-unit estimator latency in seconds by algorithm.",
+						nil, L("algorithm", it.Algorithm))
+				}
+				a.seconds.Observe(d.Seconds())
 			}
 		}
 		if it.HasLL {
-			reg.Gauge(MetricLogLikelihood,
-				"Latest data log-likelihood reported by a model-based estimator, by algorithm.",
-				alg).Set(it.LogLikelihood)
+			if a.ll == nil {
+				a.ll = reg.Gauge(MetricLogLikelihood,
+					"Latest data log-likelihood reported by a model-based estimator, by algorithm.",
+					L("algorithm", it.Algorithm))
+			}
+			a.ll.Set(it.LogLikelihood)
 		}
 		if it.Done {
 			reg.Counter(MetricRuns,
 				"Finished estimator runs by algorithm and stop reason.",
-				alg, L("stopped", it.Stopped)).Inc()
+				L("algorithm", it.Algorithm), L("stopped", it.Stopped)).Inc()
 		}
 	}
+}
+
+// algSeries is one algorithm's cached series handles, each nil until the
+// first firing that writes it, and the Elapsed of its last work unit.
+type algSeries struct {
+	iters   *Counter
+	seconds *Histogram
+	ll      *Gauge
+	last    time.Duration
 }

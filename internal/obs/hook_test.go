@@ -130,3 +130,23 @@ func TestHookExporterLiveRun(t *testing.T) {
 		t.Fatalf("render missing estimator metrics:\n%s", b.String())
 	}
 }
+
+// TestHookExporterSteadyStateAllocFree: once an algorithm's series exist, a
+// non-final firing updates them through the cached handles and allocates
+// nothing.
+func TestHookExporterSteadyStateAllocFree(t *testing.T) {
+	reg := NewRegistry()
+	hook := HookExporter(reg)
+	it := runctx.Iteration{Algorithm: "EM-Social", N: 1, LogLikelihood: -3, HasLL: true, Elapsed: time.Millisecond}
+	hook(it) // the first firing creates the series
+	if allocs := testing.AllocsPerRun(50, func() {
+		it.N++
+		it.Elapsed += time.Millisecond
+		hook(it)
+	}); allocs != 0 {
+		t.Fatalf("%.1f allocs per non-final firing, want 0", allocs)
+	}
+	if got := reg.Counter(MetricIterations, "", L("algorithm", "EM-Social")).Value(); got != 52 {
+		t.Fatalf("iterations = %v, want 52", got)
+	}
+}
