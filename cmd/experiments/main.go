@@ -15,13 +15,12 @@
 // inspect it with ssaudit.
 //
 // The special experiment id "bench" (never part of "all") runs the layer
-// benchmark — hot-path kernels (dense reference vs production sparse,
-// single-threaded), the HTTP serving layer under open-loop load and a
-// saturation burst, and the estimation-quality monitor's overhead — and
-// writes one ledger of rows to -benchout. It doubles as a gate with fixed
-// limits: the run fails unless the kernels agree bit for bit and the sparse
-// kernel is at least 0.9× the dense one, every open-loop request returns
-// 200, every 429 carries Retry-After, the burst sheds, the serving counters
+// benchmark — the EM kernels' E-step, M-step and fit (single-threaded),
+// the HTTP serving layer under open-loop load and a saturation burst, and
+// the estimation-quality monitor's overhead — and writes one ledger of rows
+// to -benchout. It doubles as a gate with fixed limits: the run fails
+// unless every kernel case has a row, every open-loop request returns 200,
+// every 429 carries Retry-After, the burst sheds, the serving counters
 // reconcile, the reuse rate is at least 0.5, and the monitor costs at most
 // 5% of the fits it rides. -quick selects the smoke-scale workloads.
 package main

@@ -18,7 +18,7 @@
 //     exact endpoints, so such comparisons are dead or wrong.
 //
 // The fix is the log-space helpers in depsense/internal/model (SafeLog,
-// Log1m, LogSumExp, LogProd) or an epsilon-aware comparison.
+// LogSumExp, LogProd) or an epsilon-aware comparison.
 package probexpr
 
 import (

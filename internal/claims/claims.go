@@ -33,13 +33,6 @@ type ClaimRef struct {
 	Dependent bool `json:"dependent"`
 }
 
-// SourceRef identifies one assertion touched by a source, mirror of
-// ClaimRef for the by-source index.
-type SourceRef struct {
-	Assertion int  `json:"assertion"`
-	Dependent bool `json:"dependent"`
-}
-
 // Dataset is an immutable fact-finding input: n sources, m assertions, the
 // sparse claim structure, and the sparse dependent-pair structure. Construct
 // one with a Builder or FromRows; a zero Dataset is empty but valid.

@@ -9,30 +9,27 @@ import (
 // TestWarmRefitKernelAllocFree is the regression test for the scratch
 // plumbing: with a warmed Scratch and serial workers, one full EM kernel
 // iteration — refreshLogs, E-step, M-step — performs zero heap
-// allocations, for both kernels and every variant. This is the loop a
-// stream warm refit spends its life in; a regression here (a closure
-// capture, a forgotten buffer, an escaping slice header) shows up as
-// allocs/op > 0.
+// allocations, for every variant. This is the loop a stream warm refit
+// spends its life in; a regression here (a closure capture, a forgotten
+// buffer, an escaping slice header) shows up as allocs/op > 0.
 func TestWarmRefitKernelAllocFree(t *testing.T) {
 	w := genWorld(t, 40, 200, 91)
 	res, err := Run(w.Dataset, VariantExt, Options{DepMode: DepModeJoint})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kernel := range []Kernel{KernelSparse, KernelDense} {
-		for _, v := range []Variant{VariantExt, VariantIndependent, VariantSocial} {
-			params := res.Params.Clone()
-			params.Clamp()
-			eng := newEngine(w.Dataset, v, Options{Scratch: NewScratch(), Kernel: kernel})
-			iterate := func() {
-				eng.refreshLogs(params)
-				eng.eStep(params)
-				eng.mStep(params)
-			}
-			iterate() // warm the scratch
-			if allocs := testing.AllocsPerRun(20, iterate); allocs != 0 {
-				t.Errorf("kernel=%v variant=%v: %.0f allocs per warm iteration, want 0", kernel, v, allocs)
-			}
+	for _, v := range []Variant{VariantExt, VariantIndependent, VariantSocial} {
+		params := res.Params.Clone()
+		params.Clamp()
+		eng := newEngine(w.Dataset, v, Options{Scratch: NewScratch()})
+		iterate := func() {
+			eng.refreshLogs(params)
+			eng.eStep(params)
+			eng.mStep(params)
+		}
+		iterate() // warm the scratch
+		if allocs := testing.AllocsPerRun(20, iterate); allocs != 0 {
+			t.Errorf("variant=%v: %.0f allocs per warm iteration, want 0", v, allocs)
 		}
 	}
 }

@@ -91,11 +91,6 @@ type Options struct {
 	// fixed (see DESIGN.md, "Deterministic parallel execution"). 0 or 1
 	// runs serial.
 	Workers int
-	// Kernel selects the hot-path implementation; the zero value is the
-	// production sparse kernel. Both kernels are bit-identical (see Kernel
-	// and DESIGN.md §13); KernelDense exists as the differential-testing
-	// oracle and benchmark baseline.
-	Kernel Kernel
 	// Scratch, when non-nil, supplies preallocated kernel buffers reused
 	// across fits (see Scratch). It must not be shared by concurrent runs.
 	// Nil allocates internally.
@@ -266,7 +261,6 @@ type engine struct {
 	ds        *claims.Dataset
 	sv        *claims.SparseView
 	variant   Variant
-	kernel    Kernel
 	smooth    float64
 	smoothDep float64
 	workers   int
@@ -290,7 +284,6 @@ func newEngine(ds *claims.Dataset, variant Variant, opts Options) *engine {
 		ds:        ds,
 		sv:        ds.Sparse(),
 		variant:   variant,
-		kernel:    opts.Kernel,
 		smooth:    opts.Smoothing,
 		smoothDep: smoothDep,
 		workers:   opts.Workers,
@@ -437,7 +430,7 @@ func (e *engine) refreshLogs(p *model.Params) {
 // The all-silent baseline Σ_i log(1-a_i) is shared across assertions; each
 // assertion then applies precomputed sparse corrections for its claimants
 // and (under VariantExt) its silent-dependent sources, so the production
-// kernel costs O(n + m + nnz) rather than O(n·m); see eStepBlockSparse.
+// kernel costs O(n + m + nnz) rather than O(n·m); see eStepBlock.
 //
 // Assertions shard into fixed blocks: each block writes its posteriors
 // (disjoint slots) and a block-local log-likelihood partial, and the
@@ -615,26 +608,17 @@ func (e *engine) sumPostBlock(b, m int) float64 {
 	return z
 }
 
-// sigmoidDiff returns exp(w1)/(exp(w1)+exp(w0)) computed stably.
-func sigmoidDiff(w1, w0 float64) float64 {
-	d := w1 - w0
-	if d >= 0 {
-		return 1 / (1 + math.Exp(-d))
-	}
-	ed := math.Exp(d)
-	return ed / (1 + ed)
-}
-
 // logSumExp returns log(exp(a)+exp(b)) computed stably. It delegates to
 // the shared log-space helpers next to the clamp in internal/model.
 func logSumExp(a, b float64) float64 {
 	return model.LogSumExp(a, b)
 }
 
-// posteriorLSE returns sigmoidDiff(w1, w0) and logSumExp(w1, w0) from a
-// single exponential, bit for bit. When w1 ≥ w0, logSumExp exponentiates
-// w0 − w1, which IEEE subtraction makes exactly −(w1 − w0) (a zero
-// difference differs only in sign, and exp(±0) = 1); otherwise it
+// posteriorLSE returns the posterior exp(w1)/(exp(w1)+exp(w0)) and
+// logSumExp(w1, w0) from a single exponential, bit for bit what the stable
+// sigmoid and logSumExp compute apart. When w1 ≥ w0, logSumExp
+// exponentiates w0 − w1, which IEEE subtraction makes exactly −(w1 − w0)
+// (a zero difference differs only in sign, and exp(±0) = 1); otherwise it
 // exponentiates w1 − w0 itself. A NaN difference (NaN inputs, or two equal
 // infinities) takes both unfused paths, keeping logSumExp's −Inf guard.
 func posteriorLSE(w1, w0 float64) (post, lse float64) {

@@ -15,7 +15,7 @@ import (
 // Log-space migration edge cases: inputs that would underflow, divide by
 // zero, or produce -Inf/NaN in raw-probability space must come out of the
 // estimator as finite posteriors in [0, 1] and a finite log-likelihood,
-// under both kernels and every variant.
+// under every variant.
 
 // assertFiniteResult fails if any NaN or infinity escaped into the Result.
 func assertFiniteResult(t *testing.T, res *factfind.Result, label string) {
@@ -89,13 +89,11 @@ func mustBuildDS(t *testing.T, b *claims.Builder) *claims.Dataset {
 func TestEdgeCaseResultsFinite(t *testing.T) {
 	for name, ds := range edgeDatasets(t) {
 		for _, v := range []Variant{VariantExt, VariantIndependent, VariantSocial} {
-			for _, kernel := range []Kernel{KernelSparse, KernelDense} {
-				res, err := Run(ds, v, Options{Kernel: kernel})
-				if err != nil {
-					t.Fatalf("%s %v %v: %v", name, v, kernel, err)
-				}
-				assertFiniteResult(t, res, name+"/"+v.String()+"/"+kernel.String())
+			res, err := Run(ds, v, Options{})
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, v, err)
 			}
+			assertFiniteResult(t, res, name+"/"+v.String())
 		}
 	}
 }
@@ -116,20 +114,18 @@ func TestZeroProbabilityInitFinite(t *testing.T) {
 			boundary.Sources[i] = model.SourceParams{A: 1, B: 0, F: 1, G: 0}
 		}
 	}
-	for _, kernel := range []Kernel{KernelSparse, KernelDense} {
-		res, err := Run(ds, VariantExt, Options{Init: boundary, Kernel: kernel, DepMode: DepModeJoint})
-		if err != nil {
-			t.Fatalf("%v: %v", kernel, err)
-		}
-		assertFiniteResult(t, res, "boundary-init/"+kernel.String())
-
-		post, ll, err := PosteriorOpts(ds, boundary, Options{Kernel: kernel})
-		if err != nil {
-			t.Fatalf("%v posterior: %v", kernel, err)
-		}
-		assertFiniteResult(t, &factfind.Result{Posterior: post, Params: boundary.Clone(), LogLikelihood: ll},
-			"boundary-posterior/"+kernel.String())
+	res, err := Run(ds, VariantExt, Options{Init: boundary, DepMode: DepModeJoint})
+	if err != nil {
+		t.Fatal(err)
 	}
+	assertFiniteResult(t, res, "boundary-init")
+
+	post, ll, err := Posterior(ds, boundary)
+	if err != nil {
+		t.Fatalf("posterior: %v", err)
+	}
+	assertFiniteResult(t, &factfind.Result{Posterior: post, Params: boundary.Clone(), LogLikelihood: ll},
+		"boundary-posterior")
 }
 
 // TestNoProbexprSuppressions: the log-space migration's contract with the
@@ -192,6 +188,17 @@ var posteriorLSEEdges = [][2]float64{
 	{40, -700},
 }
 
+// sigmoidDiff returns exp(w1)/(exp(w1)+exp(w0)) computed stably: the
+// unfused posterior posteriorLSE must reproduce, and refEngine's E-step.
+func sigmoidDiff(w1, w0 float64) float64 {
+	d := w1 - w0
+	if d >= 0 {
+		return 1 / (1 + math.Exp(-d))
+	}
+	ed := math.Exp(d)
+	return ed / (1 + ed)
+}
+
 // requirePosteriorLSEBits fails unless posteriorLSE reproduces the unfused
 // sigmoidDiff + logSumExp pair bit for bit (NaN payloads included).
 func requirePosteriorLSEBits(t *testing.T, w1, w0 float64) {
@@ -205,7 +212,7 @@ func requirePosteriorLSEBits(t *testing.T, w1, w0 float64) {
 }
 
 // TestPosteriorLSEEdges: the fused E-step helper matches the unfused pair
-// the dense kernel still uses at every edge input.
+// refEngine uses at every edge input.
 func TestPosteriorLSEEdges(t *testing.T) {
 	for _, c := range posteriorLSEEdges {
 		requirePosteriorLSEBits(t, c[0], c[1])

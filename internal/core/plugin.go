@@ -71,7 +71,7 @@ func runPlugin(ctx context.Context, ds *claims.Dataset, opts Options) (*factfind
 		s := &params.Sources[i]
 		s.F, s.G = f, g
 	}
-	// The re-score shares the run's Scratch (and kernel/worker settings):
+	// The re-score shares the run's Scratch (and worker setting):
 	// under DepModePlugin the coarse fit and this single E-step are the
 	// whole run, so a run allocates its kernel buffers once and a
 	// warm-refit caller sees zero kernel reallocations.
@@ -177,8 +177,8 @@ func Posterior(ds *claims.Dataset, p *model.Params) ([]float64, float64, error) 
 
 // PosteriorOpts is Posterior with the kernel knobs honored: Options.Scratch
 // supplies reusable buffers (the returned posterior slice is always a fresh
-// copy, never an alias of the scratch), Options.Kernel selects the kernel,
-// and Options.Workers shards the E-step. All other options are ignored.
+// copy, never an alias of the scratch) and Options.Workers shards the
+// E-step. All other options are ignored.
 func PosteriorOpts(ds *claims.Dataset, p *model.Params, opts Options) ([]float64, float64, error) {
 	if ds.N() == 0 || ds.M() == 0 {
 		return nil, 0, ErrEmptyDataset

@@ -273,11 +273,11 @@ func refOnce(ds *claims.Dataset, variant Variant, params *model.Params, seedPost
 	}
 }
 
-// referenceDatasets returns a dense synthetic dataset and a sparse
-// twittersim-derived one, after checking that between them they hold
-// sources with only dependent claims, sources with only silent-dependent
-// pairs, and sources with neither — the patterns whose table entries the
-// production refresh skips.
+// referenceDatasets returns a dense synthetic dataset, a sparse
+// twittersim-derived one and the kernelGrid datasets, after checking that
+// between them they hold sources with only dependent claims, sources with
+// only silent-dependent pairs, and sources with neither — the patterns
+// whose table entries the production refresh skips.
 func referenceDatasets(t *testing.T) map[string]*claims.Dataset {
 	t.Helper()
 	tw, err := twittersim.Generate(twittersim.Small("Ukraine", 60), randutil.New(7))
@@ -298,6 +298,9 @@ func referenceDatasets(t *testing.T) map[string]*claims.Dataset {
 		t.Fatal(err)
 	}
 	out := map[string]*claims.Dataset{"dense": genWorld(t, 30, 90, 41).Dataset, "sparse": sparse}
+	for _, tc := range kernelGrid {
+		out[fmt.Sprintf("n%d_m%d", tc.n, tc.m)] = buildRandomDataset(t, tc.n, tc.m, tc.density, tc.seed)
+	}
 	var onlyDep, onlySilent, neither int
 	for _, ds := range out {
 		sv := ds.Sparse()
@@ -342,9 +345,10 @@ func referenceInit(t *testing.T, ds *claims.Dataset, v Variant, smoothing float6
 
 // TestIterationMatchesReference: production EM returns a byte-equal
 // Result to the reference loop over variants × DepMode × smoothing ×
-// initialization × Workers × kernels, on a dense and a sparse dataset.
+// initialization × Scratch history × Workers, on every reference dataset.
 func TestIterationMatchesReference(t *testing.T) {
-	for name, ds := range referenceDatasets(t) {
+	refs := referenceDatasets(t)
+	for name, ds := range refs {
 		for _, v := range []Variant{VariantExt, VariantIndependent, VariantSocial} {
 			for _, smoothing := range []float64{0, -1} {
 				inits := map[string]*model.Params{"vote": nil, "init": referenceInit(t, ds, v, smoothing)}
@@ -352,11 +356,11 @@ func TestIterationMatchesReference(t *testing.T) {
 					for _, mode := range []DepMode{DepModeAuto, DepModeJoint, DepModePlugin} {
 						opts := Options{DepMode: mode, Smoothing: smoothing, Init: init}
 						want := refRun(ds, v, opts)
-						for _, kernel := range []Kernel{KernelSparse, KernelDense} {
+						for _, h := range scratchHistories {
 							for _, workers := range []int{1, 3} {
 								o := opts
-								o.Kernel, o.Workers = kernel, workers
-								t.Run(fmt.Sprintf("%s/%v/s%v/%s/mode%d/%v/w%d", name, v, smoothing, initName, mode, kernel, workers), func(t *testing.T) {
+								o.Scratch, o.Workers = usedScratch(t, refs, h), workers
+								t.Run(fmt.Sprintf("%s/%v/s%v/%s/mode%d/%s/w%d", name, v, smoothing, initName, mode, h, workers), func(t *testing.T) {
 									got, err := Run(ds, v, o)
 									if err != nil {
 										t.Fatal(err)

@@ -41,7 +41,7 @@ type Scratch struct {
 	// corrF1/corrG0 for a source with a dependent claim and
 	// corrSF1/corrSG0 for one with a silent-dependent pair. Every other
 	// entry is stale, left by an earlier iteration, variant or dataset,
-	// and neither kernel ever reads it.
+	// and the E-step never reads it.
 	corrA1, corrB0   []float64
 	corrF1, corrG0   []float64
 	corrSF1, corrSG0 []float64
@@ -55,7 +55,7 @@ type Scratch struct {
 
 	// memo caches the parameter logs refreshLogs reads; see logMemo.
 	memo logMemo
-	// postMemo caches the serial sparse E-step's posteriors; see postMemo.
+	// postMemo caches the serial E-step's posteriors; see postMemo.
 	postMemo postMemo
 }
 

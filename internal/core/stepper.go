@@ -24,8 +24,7 @@ type KernelStepper struct {
 
 // NewKernelStepper prepares a stepper over ds starting from init, which is
 // cloned and clamped (the caller's value is not mutated). Options supplies
-// the kernel, worker count, smoothing, and optional Scratch exactly as for
-// Run.
+// the worker count, smoothing, and optional Scratch exactly as for Run.
 func NewKernelStepper(ds *claims.Dataset, variant Variant, init *model.Params, opts Options) (*KernelStepper, error) {
 	opts = opts.normalized()
 	if ds.N() == 0 || ds.M() == 0 {

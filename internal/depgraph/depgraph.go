@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"depsense/internal/claims"
 	"depsense/internal/model"
@@ -77,19 +76,6 @@ func (g *Graph) NumEdges() int {
 		total += len(a)
 	}
 	return total
-}
-
-// Followers returns the inverse adjacency: followers[k] lists sources that
-// follow k. Computed on demand; used by the Twitter simulator to propagate
-// retweets.
-func (g *Graph) Followers() [][]int {
-	followers := make([][]int, g.n)
-	for i, ancs := range g.ancestors {
-		for _, k := range ancs {
-			followers[k] = append(followers[k], i)
-		}
-	}
-	return followers
 }
 
 // Event is one timestamped claim: source asserted assertion at time t.
@@ -221,21 +207,6 @@ func dependent(rows [][]stamp, ancestors []int, s stamp) bool {
 
 func newRows(n, m int) *model.CSR {
 	return &model.CSR{NumRows: n, NumCols: m, RowPtr: make([]int32, n+1), Col: []int32{}}
-}
-
-// SortEvents orders events by time, breaking ties by source then assertion,
-// so downstream processing is deterministic.
-func SortEvents(events []Event) {
-	sort.Slice(events, func(a, b int) bool {
-		ea, eb := events[a], events[b]
-		if ea.Time != eb.Time {
-			return ea.Time < eb.Time
-		}
-		if ea.Source != eb.Source {
-			return ea.Source < eb.Source
-		}
-		return ea.Assertion < eb.Assertion
-	})
 }
 
 // Forest builds the paper's synthetic dependency structure (Section V-A): a

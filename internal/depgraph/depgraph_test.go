@@ -60,17 +60,6 @@ func TestGrowKeepsAncestors(t *testing.T) {
 	}
 }
 
-func TestFollowersInverse(t *testing.T) {
-	g := NewGraph(4)
-	_ = g.AddFollow(1, 0)
-	_ = g.AddFollow(2, 0)
-	_ = g.AddFollow(3, 2)
-	f := g.Followers()
-	if len(f[0]) != 2 || len(f[2]) != 1 || len(f[1]) != 0 {
-		t.Fatalf("followers = %v", f)
-	}
-}
-
 // TestFigureOneExample reproduces the running example of Section II-A:
 // John (S1) follows Sally (S2) but not Heather (S3). Sally tweets C1 at t1,
 // Heather tweets C2 at t1, John tweets C1 at t2 and C2 at t3. Only John's
@@ -173,27 +162,6 @@ func TestBuildDatasetValidation(t *testing.T) {
 	}
 	if _, err := BuildDataset(g, []Event{{Source: 0, Assertion: 2, Time: 1}}, 1); err == nil {
 		t.Fatal("out-of-range assertion accepted")
-	}
-}
-
-func TestSortEvents(t *testing.T) {
-	events := []Event{
-		{Source: 2, Assertion: 1, Time: 5},
-		{Source: 1, Assertion: 0, Time: 5},
-		{Source: 1, Assertion: 2, Time: 1},
-		{Source: 1, Assertion: 1, Time: 5},
-	}
-	SortEvents(events)
-	want := []Event{
-		{Source: 1, Assertion: 2, Time: 1},
-		{Source: 1, Assertion: 0, Time: 5},
-		{Source: 1, Assertion: 1, Time: 5},
-		{Source: 2, Assertion: 1, Time: 5},
-	}
-	for i := range want {
-		if events[i] != want[i] {
-			t.Fatalf("SortEvents[%d] = %+v, want %+v", i, events[i], want[i])
-		}
 	}
 }
 

@@ -6,15 +6,14 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
+	"strings"
 	"time"
 )
 
 // The gate limits Check always applies. The committed full-scale run
 // (BENCH_layers.json) clears each by a wide margin.
 const (
-	// minKernelSpeedup: the sparse kernel must never be meaningfully slower
-	// than the dense reference, even at smoke scale where both are fast.
-	minKernelSpeedup = 0.9
 	// minReuseRate: open-loop cache hits plus coalesced requests over all
 	// open-loop requests.
 	minReuseRate = 0.5
@@ -28,11 +27,8 @@ type BenchRow struct {
 	Layer string  `json:"layer"`
 	Case  string  `json:"case"`
 	Value float64 `json:"value"`
-	// Unit is s, ms, us, x (a speedup), ratio, count, or bool (1 = true).
+	// Unit is s, ms, us, ratio, count, or bool (1 = true).
 	Unit string `json:"unit"`
-	// Identical is set only on rows that compare two kernels: whether
-	// their outputs matched bit for bit.
-	Identical *bool `json:"identical,omitempty"`
 }
 
 // BenchReport is the layer ledger -exp bench writes as BENCH_layers.json:
@@ -77,8 +73,7 @@ type benchSizes struct {
 
 var (
 	// benchFull: the paper's Table III Twitter trace shape and the same
-	// shape at 10×, where the dense kernel's O(n·m) grid scan is ~10^4 times
-	// more cell visits than the sparse kernel's nonzeros.
+	// shape at 10×.
 	benchFull = benchSizes{
 		hotScales: []hotScale{
 			{name: "table3", sources: 5403, assertions: 3703, claims: 7192},
@@ -90,9 +85,7 @@ var (
 	}
 	benchQuick = benchSizes{
 		hotScales: []hotScale{{name: "smoke", sources: 400, assertions: 300, claims: 1500}},
-		// Three reps: the kernel gate compares the fastest of each, so one
-		// descheduled rep cannot fail it.
-		hotIters: 2, hotReps: 3,
+		hotIters:  2, hotReps: 3,
 		serveRequests: 150, serveRate: 600, serveUnique: 6, serveBurst: 12,
 		// Large enough that the fit dwarfs timer noise: at smaller scales
 		// the ~0.1 ms monitor share makes the ratio jumpy.
@@ -139,31 +132,23 @@ func (r BenchReport) value(layer, cse string) (float64, bool) {
 }
 
 // Check is the gate, with fixed limits. It fails, naming every breach, when
-// two kernels' outputs differ or a dense/sparse speedup is below
-// minKernelSpeedup; when an open-loop request did not return 200, a 429
-// lacked Retry-After, the blocker never held the compute slot or the burst
-// shed nothing, the serving counters do not reconcile, or the reuse rate is
-// below minReuseRate; when no refit was observed or the monitor overhead
-// exceeds maxQualOverhead. A gated row that is missing is a breach too.
+// the E-step, M-step or fit has no hot row; when an open-loop request did
+// not return 200, a 429 lacked Retry-After, the blocker never held the
+// compute slot or the burst shed nothing, the serving counters do not
+// reconcile, or the reuse rate is below minReuseRate; when no refit was
+// observed or the monitor overhead exceeds maxQualOverhead. A gated row
+// that is missing is a breach too. Hot timings are reported, not gated.
 func (r BenchReport) Check() error {
 	var errs []error
 	fail := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf("eval: bench: "+format, args...))
 	}
-	speedups := 0
-	for _, row := range r.Rows {
-		if row.Identical != nil && !*row.Identical {
-			fail("%s %s: kernel outputs diverged — the dense-reference contract is broken", row.Layer, row.Case)
+	for _, step := range []string{"estep", "mstep", "fit"} {
+		if !slices.ContainsFunc(r.Rows, func(row BenchRow) bool {
+			return row.Layer == "hot" && strings.HasSuffix(row.Case, "/"+step+"/sparse")
+		}) {
+			fail("hot %s: row missing", step)
 		}
-		if row.Unit == "x" {
-			speedups++
-			if row.Value < minKernelSpeedup {
-				fail("%s %s: dense/sparse speedup %.2f is below the required %.2f", row.Layer, row.Case, row.Value, minKernelSpeedup)
-			}
-		}
-	}
-	if speedups == 0 {
-		fail("hot: no kernel speedup measured")
 	}
 	get := func(layer, cse string) (float64, bool) {
 		v, ok := r.value(layer, cse)
@@ -203,13 +188,9 @@ func (r BenchReport) Render(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "layer ledger (GOMAXPROCS=%d, NumCPU=%d, %s)\n", r.GOMAXPROCS, r.NumCPU, r.GoVersion); err != nil {
 		return err
 	}
-	t := &table{header: []string{"layer", "case", "value", "unit", "identical"}}
+	t := &table{header: []string{"layer", "case", "value", "unit"}}
 	for _, row := range r.Rows {
-		identical := ""
-		if row.Identical != nil {
-			identical = fmt.Sprint(*row.Identical)
-		}
-		t.add(row.Layer, row.Case, fmt.Sprintf("%.4g", row.Value), row.Unit, identical)
+		t.add(row.Layer, row.Case, fmt.Sprintf("%.4g", row.Value), row.Unit)
 	}
 	return t.write(w)
 }

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"reflect"
 	"time"
 
 	"depsense/internal/claims"
@@ -20,13 +19,10 @@ type hotScale struct {
 }
 
 // benchHot times the estimator's hot paths — the E-step, the M-step, and a
-// full fixed-iteration EM-Ext fit — under the production sparse kernel
-// against the dense-reference kernel, single-threaded, on Twitter-sparse
-// datasets. Each case also re-verifies the dense-reference contract: the
-// two kernels' outputs must be bit-identical (see DESIGN.md §13; the
-// kernelequiv differential suite is the exhaustive check, this is the
-// at-scale spot check). Per case it adds dense and sparse seconds (fastest
-// rep) and their ratio, the speedup row carrying the identical flag.
+// full fixed-iteration EM-Ext fit — single-threaded on Twitter-sparse
+// datasets, one row of fastest-rep seconds per case. The rows are reported,
+// not gated: TestFitCostIsSparse (internal/core) keeps both steps sparse
+// and TestIterationMatchesReference keeps their output bits.
 func benchHot(c Config, sz benchSizes, rep *BenchReport) error {
 	for _, sc := range sz.hotScales {
 		ds, err := benchHotDataset(sc, c.Seed)
@@ -34,76 +30,54 @@ func benchHot(c Config, sz benchSizes, rep *BenchReport) error {
 			return fmt.Errorf("eval: bench hot %s: %w", sc.name, err)
 		}
 		init := model.InformedInitParams(randutil.New(c.Seed+1), sc.sources)
-
-		// stepOutput freezes everything a step sequence computed, so the
-		// kernels' outputs can be compared bit for bit.
-		type stepOutput struct {
-			LL     float64
-			Post   []float64
-			Params *model.Params
+		stepper := func() (*core.KernelStepper, error) {
+			return core.NewKernelStepper(ds, core.VariantExt, init, core.Options{Workers: 1})
 		}
-		type benchCase struct {
+		cases := []struct {
 			name string
-			run  func(k core.Kernel) (any, error)
-		}
-		cases := []benchCase{
-			{"estep", func(k core.Kernel) (any, error) {
-				st, err := core.NewKernelStepper(ds, core.VariantExt, init, core.Options{Kernel: k, Workers: 1})
+			run  func() error
+		}{
+			{"estep", func() error {
+				st, err := stepper()
 				if err != nil {
-					return nil, err
+					return err
 				}
-				var ll float64
 				for it := 0; it < sz.hotIters; it++ {
-					ll = st.EStep()
+					st.EStep()
 				}
-				return stepOutput{LL: ll, Post: st.Posterior()}, nil
+				return nil
 			}},
-			{"mstep", func(k core.Kernel) (any, error) {
-				st, err := core.NewKernelStepper(ds, core.VariantExt, init, core.Options{Kernel: k, Workers: 1})
+			{"mstep", func() error {
+				st, err := stepper()
 				if err != nil {
-					return nil, err
+					return err
 				}
-				ll := st.EStep() // populate the posteriors the M-step reads
+				st.EStep() // populate the posteriors the M-step reads
 				for it := 0; it < sz.hotIters; it++ {
 					st.MStep()
 				}
-				return stepOutput{LL: ll, Params: st.Params()}, nil
+				return nil
 			}},
-			{"fit", func(k core.Kernel) (any, error) {
-				return core.RunCtx(c.Ctx, ds, core.VariantExt, core.Options{
+			{"fit", func() error {
+				_, err := core.RunCtx(c.Ctx, ds, core.VariantExt, core.Options{
 					MaxIters: sz.hotIters, Tol: 1e-300,
-					DepMode: core.DepModeJoint, Kernel: k, Workers: 1,
+					DepMode: core.DepModeJoint, Workers: 1,
 				})
+				return err
 			}},
 		}
-
 		for _, bc := range cases {
-			var seconds [2]float64
-			var outs [2]any
-			for ki, k := range []core.Kernel{core.KernelDense, core.KernelSparse} {
-				var best time.Duration
-				for r := 0; r < sz.hotReps; r++ {
-					start := time.Now() //lint:allow seedsource wall-clock timing measurement: this benchmark's output IS elapsed seconds
-					v, err := bc.run(k)
-					if err != nil {
-						return fmt.Errorf("eval: bench hot %s %s kernel=%v: %w", sc.name, bc.name, k, err)
-					}
-					if d := time.Since(start); r == 0 || d < best {
-						best = d
-					}
-					outs[ki] = v
+			var best time.Duration
+			for r := 0; r < sz.hotReps; r++ {
+				start := time.Now() //lint:allow seedsource wall-clock timing measurement: this benchmark's output IS elapsed seconds
+				if err := bc.run(); err != nil {
+					return fmt.Errorf("eval: bench hot %s %s: %w", sc.name, bc.name, err)
 				}
-				seconds[ki] = best.Seconds()
+				if d := time.Since(start); r == 0 || d < best {
+					best = d
+				}
 			}
-			identical := reflect.DeepEqual(outs[0], outs[1])
-			var speedup float64
-			if seconds[1] > 0 {
-				speedup = seconds[0] / seconds[1]
-			}
-			name := sc.name + "/" + bc.name
-			rep.add("hot", name+"/dense", seconds[0], "s")
-			rep.add("hot", name+"/sparse", seconds[1], "s")
-			rep.Rows = append(rep.Rows, BenchRow{Layer: "hot", Case: name + "/speedup", Value: speedup, Unit: "x", Identical: &identical})
+			rep.add("hot", sc.name+"/"+bc.name+"/sparse", best.Seconds(), "s")
 		}
 	}
 	return nil

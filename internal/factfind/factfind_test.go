@@ -1,8 +1,6 @@
 package factfind
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -38,76 +36,5 @@ func TestTopK(t *testing.T) {
 	}
 	if got := r.TopK(0); len(got) != 0 {
 		t.Fatalf("TopK(0) = %v", got)
-	}
-}
-
-func TestKendallTau(t *testing.T) {
-	id := []int{0, 1, 2, 3, 4}
-	rev := []int{4, 3, 2, 1, 0}
-	if tau, err := KendallTau(id, id); err != nil || tau != 1 {
-		t.Fatalf("identical tau = %v, %v", tau, err)
-	}
-	if tau, err := KendallTau(id, rev); err != nil || tau != -1 {
-		t.Fatalf("reversed tau = %v, %v", tau, err)
-	}
-	// One adjacent swap: 1 discordant pair of 10 → tau = 0.8.
-	swapped := []int{1, 0, 2, 3, 4}
-	if tau, _ := KendallTau(id, swapped); tau != 0.8 {
-		t.Fatalf("swap tau = %v, want 0.8", tau)
-	}
-	// Degenerate sizes.
-	if tau, _ := KendallTau([]int{0}, []int{0}); tau != 1 {
-		t.Fatal("singleton tau != 1")
-	}
-}
-
-func TestKendallTauErrors(t *testing.T) {
-	if _, err := KendallTau([]int{0, 1}, []int{0}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := KendallTau([]int{0, 5}, []int{0, 1}); err == nil {
-		t.Fatal("out-of-range id accepted")
-	}
-	if _, err := KendallTau([]int{0, 1}, []int{0, 7}); err == nil {
-		t.Fatal("out-of-range id in b accepted")
-	}
-}
-
-// TestKendallTauMatchesBruteForce cross-checks the O(k log k) inversion
-// count against the quadratic definition on random permutations.
-func TestKendallTauMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 30; trial++ {
-		k := 2 + rng.Intn(40)
-		a := rng.Perm(k)
-		b := rng.Perm(k)
-		got, err := KendallTau(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Brute force over pairs.
-		posA := make([]int, k)
-		posB := make([]int, k)
-		for r, id := range a {
-			posA[id] = r
-		}
-		for r, id := range b {
-			posB[id] = r
-		}
-		conc, disc := 0, 0
-		for x := 0; x < k; x++ {
-			for y := x + 1; y < k; y++ {
-				sameOrder := (posA[x] < posA[y]) == (posB[x] < posB[y])
-				if sameOrder {
-					conc++
-				} else {
-					disc++
-				}
-			}
-		}
-		want := float64(conc-disc) / float64(k*(k-1)/2)
-		if math.Abs(got-want) > 1e-12 {
-			t.Fatalf("k=%d tau=%v want %v", k, got, want)
-		}
 	}
 }

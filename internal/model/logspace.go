@@ -20,15 +20,6 @@ func SafeLog(p float64) float64 {
 	return math.Log(p)
 }
 
-// Log1m returns log(1-p) with the same clamp-floor behavior as SafeLog,
-// for complement factors (1-a_i, 1-f_i, ...).
-func Log1m(p float64) float64 {
-	if p > 1-ProbEpsilon {
-		return logProbEpsilon
-	}
-	return math.Log1p(-p)
-}
-
 var logProbEpsilon = math.Log(ProbEpsilon)
 
 // LogSumExp returns log(exp(a)+exp(b)) computed stably; it is how a
@@ -53,13 +44,4 @@ func LogProd(ps ...float64) float64 {
 		sum += SafeLog(p)
 	}
 	return sum
-}
-
-// FromLog maps a log-space value back to a probability, flushing underflow
-// to 0 rather than NaN.
-func FromLog(logp float64) float64 {
-	if math.IsInf(logp, -1) {
-		return 0
-	}
-	return math.Exp(logp)
 }

@@ -26,17 +26,6 @@ func TestSafeLogClampsDegenerate(t *testing.T) {
 	}
 }
 
-func TestLog1m(t *testing.T) {
-	for _, p := range []float64{0, 0.25, 0.5, 1 - ProbEpsilon} {
-		if got, want := Log1m(p), math.Log1p(-p); got != want {
-			t.Errorf("Log1m(%g) = %g, want %g", p, got, want)
-		}
-	}
-	if got := Log1m(1); math.IsInf(got, -1) || math.IsNaN(got) {
-		t.Errorf("Log1m(1) = %g; must clamp, not overflow to -Inf", got)
-	}
-}
-
 func TestLogSumExp(t *testing.T) {
 	cases := []struct{ a, b float64 }{
 		{math.Log(0.3), math.Log(0.7)},
@@ -86,17 +75,5 @@ func TestLogProdSurvivesUnderflow(t *testing.T) {
 	}
 	if math.IsInf(got, -1) || math.IsNaN(got) {
 		t.Errorf("LogProd underflowed: %g", got)
-	}
-}
-
-func TestFromLog(t *testing.T) {
-	if got := FromLog(math.Log(0.25)); math.Abs(got-0.25) > 1e-15 {
-		t.Errorf("FromLog(log .25) = %g", got)
-	}
-	if got := FromLog(math.Inf(-1)); got != 0 {
-		t.Errorf("FromLog(-Inf) = %g, want 0", got)
-	}
-	if got := FromLog(0); got != 1 {
-		t.Errorf("FromLog(0) = %g, want 1", got)
 	}
 }

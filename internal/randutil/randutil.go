@@ -85,14 +85,6 @@ func SampleWithoutReplacement(rng *rand.Rand, n, k int) []int {
 	return chosen
 }
 
-// Zipf draws from a bounded Zipf-like distribution over [0, n) with exponent
-// s, used by the Twitter simulator to model heavy-tailed source activity.
-// It precomputes nothing; for repeated draws use NewZipfPicker.
-func Zipf(rng *rand.Rand, n int, s float64) int {
-	p := NewZipfPicker(n, s)
-	return p.Pick(rng)
-}
-
 // ZipfPicker samples indices in [0, n) with P(i) proportional to 1/(i+1)^s.
 type ZipfPicker struct {
 	cdf []float64

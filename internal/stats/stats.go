@@ -101,22 +101,6 @@ func (s *Series) StdErr() float64 {
 // interval around the mean.
 func (s *Series) CI95() float64 { return 1.96 * s.StdErr() }
 
-// MaxAbsDiff returns max_i |a_i - b_i| for two equal-length float slices,
-// used to report the "maximum difference between exact and approximated
-// error bound" numbers of Figs. 3-5.
-func MaxAbsDiff(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrLengthMismatch, len(a), len(b))
-	}
-	d := 0.0
-	for i := range a {
-		if v := math.Abs(a[i] - b[i]); v > d {
-			d = v
-		}
-	}
-	return d, nil
-}
-
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -114,19 +114,6 @@ func TestSeriesMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestMaxAbsDiff(t *testing.T) {
-	d, err := MaxAbsDiff([]float64{1, 2, 3}, []float64{1.5, 2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 1 {
-		t.Fatalf("diff = %v", d)
-	}
-	if _, err := MaxAbsDiff([]float64{1}, []float64{1, 2}); !errors.Is(err, ErrLengthMismatch) {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
 func TestMean(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Fatal("empty mean != 0")

@@ -79,14 +79,6 @@ func (f *Firehose) TweetTime(id int) time.Time {
 	return f.opts.Epoch.Add(time.Duration(id) * f.opts.Interval)
 }
 
-// Remaining returns how many tweets are left to emit.
-func (f *Firehose) Remaining() int {
-	if f.next >= len(f.world.Tweets) {
-		return 0
-	}
-	return len(f.world.Tweets) - f.next
-}
-
 // Seek repositions the firehose so the next emission is tweet id (clamped
 // to the stream bounds); a restarted service seeks to its replayed
 // position before resuming.
