@@ -126,6 +126,47 @@ func TestRunCtxStoppedReasons(t *testing.T) {
 	}
 }
 
+// TestIterationsMatchLastHook: a result reports the iteration count its last
+// hook firing carries, for every variant and for the plug-in, converged or
+// capped; at the cap that is MaxIters, plus the plug-in's re-score.
+func TestIterationsMatchLastHook(t *testing.T) {
+	w := genWorld(t, 10, 30, 99)
+	const maxIters = 4
+	for _, tc := range []struct {
+		name    string
+		variant Variant
+		mode    DepMode
+		capped  int // Iterations at the cap
+	}{
+		{"ext", VariantExt, DepModeJoint, maxIters},
+		{"independent", VariantIndependent, DepModeJoint, maxIters},
+		{"social", VariantSocial, DepModeJoint, maxIters},
+		{"plugin", VariantExt, DepModePlugin, maxIters + 1},
+	} {
+		for _, capped := range []bool{false, true} {
+			opts := Options{DepMode: tc.mode}
+			if capped {
+				opts.MaxIters, opts.Tol = maxIters, 1e-300
+			}
+			var last runctx.Iteration
+			ctx := runctx.WithHook(context.Background(), func(it runctx.Iteration) { last = it })
+			res, err := RunCtx(ctx, w.Dataset, tc.variant, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Converged == capped || !last.Done {
+				t.Fatalf("%s capped=%v: Converged=%v, last hook %+v", tc.name, capped, res.Converged, last)
+			}
+			if res.Iterations != last.N {
+				t.Errorf("%s capped=%v: Iterations %d, last hook N %d", tc.name, capped, res.Iterations, last.N)
+			}
+			if capped && res.Iterations != tc.capped {
+				t.Errorf("%s: capped fit reports %d iterations, want %d", tc.name, res.Iterations, tc.capped)
+			}
+		}
+	}
+}
+
 func TestRunCtxHookObservesLogLikelihood(t *testing.T) {
 	w := genWorld(t, 10, 30, 42)
 	var iters []runctx.Iteration

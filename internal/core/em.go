@@ -361,8 +361,10 @@ func runOnce(ctx context.Context, ds *claims.Dataset, variant Variant, params *m
 	eng.refreshLogs(params)
 	ll = eng.eStep(params)
 	if !converged {
+		// The loop left iter one past the cap; the fit ran MaxIters.
+		iter = opts.MaxIters
 		hook.Emit(runctx.Iteration{
-			Algorithm: variant.String(), N: opts.MaxIters,
+			Algorithm: variant.String(), N: iter,
 			LogLikelihood: ll, HasLL: true,
 			Elapsed: time.Since(start), Done: true, Stopped: runctx.StopIterationCap,
 		})

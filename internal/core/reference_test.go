@@ -265,6 +265,9 @@ func refOnce(ds *claims.Dataset, variant Variant, params *model.Params, seedPost
 		copy(prev.Sources, params.Sources)
 		prev.Z = params.Z
 	}
+	if !converged {
+		iter = opts.MaxIters
+	}
 	e.refreshLogs(params)
 	ll = e.eStep(params)
 	return &factfind.Result{

@@ -5,8 +5,9 @@
 package factfind
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"depsense/internal/claims"
 	"depsense/internal/model"
@@ -80,22 +81,66 @@ func (r *Result) Ranking() []int {
 	for j := range ids {
 		ids[j] = j
 	}
-	sort.SliceStable(ids, func(a, b int) bool {
-		pa, pb := r.Posterior[ids[a]], r.Posterior[ids[b]]
-		if pa != pb {
-			return pa > pb
-		}
-		return ids[a] < ids[b]
-	})
+	slices.SortFunc(ids, r.compare)
 	return ids
 }
 
-// TopK returns the K highest-credibility assertion ids (fewer if the
-// dataset is smaller).
-func (r *Result) TopK(k int) []int {
-	ranked := r.Ranking()
-	if k > len(ranked) {
-		k = len(ranked)
+// compare orders assertions as Ranking does: higher posterior first, then
+// lower id. On finite posteriors it is a total order, so an unstable sort
+// or a selection yields the one order a stable sort would.
+func (r *Result) compare(a, b int) int {
+	pa, pb := r.Posterior[a], r.Posterior[b]
+	switch {
+	case pa > pb:
+		return -1
+	case pa < pb:
+		return 1
 	}
-	return ranked[:k]
+	return cmp.Compare(a, b)
+}
+
+// TopK returns the K highest-credibility assertion ids (fewer if the
+// dataset is smaller): Ranking()[:K], found without sorting every id.
+func (r *Result) TopK(k int) []int {
+	if k >= len(r.Posterior) {
+		return r.Ranking()
+	}
+	if k <= 0 {
+		return []int{}
+	}
+	// A heap of the best k ids seen so far, the lowest-ranked at the root.
+	top := make([]int, k)
+	for j := range top {
+		top[j] = j
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		r.siftDown(top, i)
+	}
+	for j := k; j < len(r.Posterior); j++ {
+		if r.compare(j, top[0]) < 0 {
+			top[0] = j
+			r.siftDown(top, 0)
+		}
+	}
+	slices.SortFunc(top, r.compare)
+	return top
+}
+
+// siftDown restores the heap property below h[i]: every id ranks no
+// higher than its children.
+func (r *Result) siftDown(h []int, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && r.compare(h[c+1], h[c]) > 0 {
+			c++
+		}
+		if r.compare(h[c], h[i]) <= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }

@@ -1,6 +1,9 @@
 package factfind
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -36,5 +39,32 @@ func TestTopK(t *testing.T) {
 	}
 	if got := r.TopK(0); len(got) != 0 {
 		t.Fatalf("TopK(0) = %v", got)
+	}
+}
+
+// TestTopKMatchesRanking: on posteriors with many exact ties, TopK(k) is
+// Ranking()[:k], and Ranking is the stable sort by decreasing posterior.
+func TestTopKMatchesRanking(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, m := range []int{1, 2, 7, 64, 301} {
+		post := make([]float64, m)
+		for j := range post {
+			post[j] = float64(rng.Intn(5)) / 4 // five distinct values
+		}
+		r := &Result{Posterior: post}
+		want := make([]int, m)
+		for j := range want {
+			want[j] = j
+		}
+		sort.SliceStable(want, func(a, b int) bool { return post[want[a]] > post[want[b]] })
+		ranked := r.Ranking()
+		if !slices.Equal(ranked, want) {
+			t.Fatalf("m=%d: Ranking %v, want %v", m, ranked, want)
+		}
+		for _, k := range []int{0, 1, m - 1, m, m + 5} {
+			if got := r.TopK(k); !slices.Equal(got, ranked[:min(k, m)]) {
+				t.Fatalf("m=%d: TopK(%d) = %v, want %v", m, k, got, ranked[:min(k, m)])
+			}
+		}
 	}
 }

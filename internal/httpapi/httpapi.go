@@ -281,11 +281,8 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 // (serving.go), which also owns admission control and the deadline-aware
 // budget check.
 func (s *Server) handleFactFind(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	var req Request
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	body, err := readBody(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), r.ContentLength)
+	if err != nil {
 		// An oversized body is the client exceeding the configured limit,
 		// not a malformed payload: report 413 with the limit, not a
 		// generic 400.
@@ -295,22 +292,12 @@ func (s *Server) handleFactFind(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("request body exceeds the %d-byte limit", tooLarge.Limit))
 			return
 		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		writeError(w, http.StatusBadRequest, fmt.Errorf("read request: %w", err))
 		return
 	}
-	// A conforming payload is exactly one JSON object. Trailing data (a
-	// second object, stray tokens) is a malformed request — and would also
-	// poison the content-hash cache key, which covers only the decoded
-	// fields — so reject it instead of silently ignoring it.
-	if err := dec.Decode(&json.RawMessage{}); !errors.Is(err, io.EOF) {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds the %d-byte limit", tooLarge.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest,
-			errors.New("decode request: unexpected data after the JSON payload"))
+	req, err := decodeRequest(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 

@@ -126,6 +126,26 @@ func (p *Pipeline) writeSnapshot() error {
 	return nil
 }
 
+// checkEnvelope refuses a snapshot whose parts disagree, which no run
+// writes. Assertion ids are cluster ids, one text per cluster, so a short
+// Texts would publish empty texts and put every later batch's texts on the
+// wrong ids; the estimator learns an assertion id only from a clustered
+// tweet, so it cannot know more assertions than there are clusters.
+func checkEnvelope(st *persistedState, clusters, assertions int) error {
+	if st.Batches < 0 || st.Tweets < 0 || st.ResumeSeq < 0 {
+		return fmt.Errorf("ingest: snapshot has negative counters (%d batches, %d tweets, resume seq %d)",
+			st.Batches, st.Tweets, st.ResumeSeq)
+	}
+	if len(st.Texts) != clusters {
+		return fmt.Errorf("ingest: snapshot has %d texts for %d clusters", len(st.Texts), clusters)
+	}
+	if assertions > clusters {
+		return fmt.Errorf("ingest: snapshot estimator has %d assertions but the clusterer %d clusters",
+			assertions, clusters)
+	}
+	return nil
+}
+
 // loggedBatch is one committed batch reconstructed from the claim log.
 type loggedBatch struct {
 	seq    int
@@ -192,6 +212,9 @@ func (p *Pipeline) recover(ctx context.Context, streamOpts stream.Options) error
 		est, err := stream.Restore(st.Stream, streamOpts)
 		if err != nil {
 			return fmt.Errorf("ingest: restore estimator: %w", err)
+		}
+		if err := checkEnvelope(&st, inc.NumClusters(), est.Stats().Assertions); err != nil {
+			return err
 		}
 		p.inc = inc
 		p.est = est

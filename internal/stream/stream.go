@@ -47,8 +47,8 @@ const (
 
 // Options tunes the incremental estimator.
 type Options struct {
-	// EM configures the underlying estimator; Smoothing, Workers and
-	// Kernel are honored on every fit. DepMode and MaxIters apply to the
+	// EM configures the underlying estimator; Smoothing and Workers are
+	// honored on every fit. DepMode and MaxIters apply to the
 	// cold first fit only: a warm refit starts from the previous estimate
 	// through core.Options.Init, which core.RunCtx always fits with the
 	// joint EM-Ext, whatever DepMode says.
