@@ -81,7 +81,8 @@ func TestCSVOutput(t *testing.T) {
 }
 
 // TestRunBenchQuick runs the CI bench step through run(): the ledger file
-// holds hot, serve and qual rows, and the fixed-limit gate passed on it.
+// holds hot, qual and bound rows and nothing else, and the fixed-limit gate
+// passed on it.
 func TestRunBenchQuick(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_layers.json")
 	var sb strings.Builder
@@ -100,8 +101,8 @@ func TestRunBenchQuick(t *testing.T) {
 	for _, row := range rep.Rows {
 		layers[row.Layer] = true
 	}
-	if !layers["hot"] || !layers["serve"] || !layers["qual"] {
-		t.Fatalf("ledger layers = %v, want hot, serve and qual", layers)
+	if !layers["hot"] || !layers["qual"] || !layers["bound"] || len(layers) != 3 {
+		t.Fatalf("ledger layers = %v, want hot, qual and bound", layers)
 	}
 	if err := rep.Check(); err != nil {
 		t.Fatalf("decoded ledger fails the gate: %v", err)

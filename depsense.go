@@ -9,7 +9,8 @@
 //  1. Build a source-claim matrix with dependency indicators — directly
 //     with a DatasetBuilder, or from a timestamped claim log plus a follow
 //     Graph (BuildDataset), or from raw text messages through the Apollo
-//     pipeline (RunPipeline).
+//     pipeline (RunPipeline), fed by a simulated stream or a tweet archive
+//     (ReadTweetArchive).
 //  2. Run a fact-finder: EM-Ext (the paper's dependency-aware estimator),
 //     or any of the baselines it is evaluated against.
 //  3. Bound what any estimator could do on the same data: the fundamental
@@ -28,26 +29,30 @@
 // iteration (Result.Stopped records why it stopped), and a per-iteration
 // IterationHook attached via WithIterationHook reports live progress.
 //
-// The cmd/ tools and examples/ directories demonstrate every entry point;
+// The examples/ programs are written against this package alone;
 // DESIGN.md and EXPERIMENTS.md document the paper reproduction.
 package depsense
 
 import (
 	"context"
+	"io"
 	"math/rand"
 
 	"depsense/internal/apollo"
 	"depsense/internal/baselines"
 	"depsense/internal/bound"
 	"depsense/internal/claims"
-	"depsense/internal/cluster"
 	"depsense/internal/core"
 	"depsense/internal/depgraph"
 	"depsense/internal/factfind"
+	"depsense/internal/grader"
 	"depsense/internal/model"
+	"depsense/internal/randutil"
+	"depsense/internal/report"
 	"depsense/internal/runctx"
 	"depsense/internal/stream"
 	"depsense/internal/synthetic"
+	"depsense/internal/tweetjson"
 	"depsense/internal/twittersim"
 )
 
@@ -59,10 +64,6 @@ type (
 	Dataset = claims.Dataset
 	// DatasetBuilder accumulates claims and silent-dependent marks.
 	DatasetBuilder = claims.Builder
-	// ClaimRef identifies one claimant of an assertion.
-	ClaimRef = claims.ClaimRef
-	// DatasetSummary aggregates Table III-style statistics.
-	DatasetSummary = claims.Summary
 )
 
 // NewDatasetBuilder creates a builder for n sources and m assertions.
@@ -116,10 +117,6 @@ type (
 	EMExt = core.EMExt
 )
 
-// DefaultThreshold is the posterior decision threshold used throughout the
-// paper's simulations.
-const DefaultThreshold = factfind.DefaultThreshold
-
 // NewEMExt constructs the dependency-aware estimator.
 func NewEMExt(opts EMOptions) *EMExt { return &core.EMExt{Opts: opts} }
 
@@ -137,21 +134,8 @@ type (
 	Iteration = runctx.Iteration
 	// IterationHook receives Iteration observations. Attach one to a
 	// context with WithIterationHook and pass the context to any
-	// fact-finder's RunContext (or to ErrorBoundContext /
-	// RunPipelineContext).
+	// fact-finder's RunContext or to StreamEstimator.AddBatchContext.
 	IterationHook = runctx.Hook
-)
-
-// Stop reasons reported in Result.Stopped and Iteration.Stopped.
-const (
-	// StopConverged: the algorithm met its convergence criterion.
-	StopConverged = runctx.StopConverged
-	// StopIterationCap: the iteration budget ran out first.
-	StopIterationCap = runctx.StopIterationCap
-	// StopCancelled: the run context was cancelled mid-run.
-	StopCancelled = runctx.StopCancelled
-	// StopDeadline: the run context's deadline expired mid-run.
-	StopDeadline = runctx.StopDeadline
 )
 
 // WithIterationHook returns a context carrying h; estimators fire it once
@@ -162,30 +146,8 @@ func WithIterationHook(ctx context.Context, h IterationHook) context.Context {
 }
 
 // StopReason maps an error returned by a RunContext-style call to
-// StopCancelled, StopDeadline, or "" (not a context error).
+// "cancelled", "deadline", or "" (not a context error).
 func StopReason(err error) string { return runctx.Reason(err) }
-
-// Posterior scores every assertion under known (or externally estimated)
-// parameters — the E-step of Eq. (9) without any fitting. It returns the
-// posteriors and the data log-likelihood.
-func Posterior(ds *Dataset, p *Params) ([]float64, float64, error) {
-	return core.Posterior(ds, p)
-}
-
-type (
-	// Confidence quantifies the uncertainty of an estimated parameter set
-	// via complete-data Fisher information (Cramér-Rao style Wald
-	// intervals).
-	Confidence = core.Confidence
-	// Interval is one parameter's confidence interval.
-	Interval = core.Interval
-)
-
-// ConfidenceIntervals computes parameter confidence intervals for an
-// estimated θ and its posteriors at the given nominal level (e.g. 0.95).
-func ConfidenceIntervals(ds *Dataset, p *Params, posterior []float64, level float64) (*Confidence, error) {
-	return core.ConfidenceIntervals(ds, p, posterior, level)
-}
 
 // ---- Streaming --------------------------------------------------------------
 
@@ -218,9 +180,6 @@ const (
 	BoundExact = bound.MethodExact
 	// BoundApprox runs the Gibbs-sampling approximation of Algorithm 1.
 	BoundApprox = bound.MethodApprox
-	// BoundConvolution runs the deterministic log-likelihood-ratio DP, an
-	// O(n·bins) alternative that scales to hundreds of sources.
-	BoundConvolution = bound.MethodConvolution
 )
 
 // ErrorBound computes the fundamental error bound of Section III for a
@@ -232,12 +191,11 @@ func ErrorBound(ds *Dataset, p *Params, opts BoundOptions, rng *rand.Rand) (Boun
 	return bound.ForDataset(ds, p, opts, rng)
 }
 
-// ErrorBoundContext is ErrorBound under a cancellable run-context: exact
-// enumeration checks the context every block of patterns, the Gibbs
-// approximation every sweep, and the convolution every node of its
-// column tree.
-func ErrorBoundContext(ctx context.Context, ds *Dataset, p *Params, opts BoundOptions, rng *rand.Rand) (BoundResult, error) {
-	return bound.ForDatasetContext(ctx, ds, p, opts, rng)
+// PatternTableBound computes the error bound from tabulated per-pattern
+// likelihoods P(SC_j|C_j=1) (p1) and P(SC_j|C_j=0) (p0) under prior z, the
+// form of the paper's Table I walk-through: Err = Σ min(z·p1, (1-z)·p0).
+func PatternTableBound(p1, p0 []float64, z float64) (BoundResult, error) {
+	return bound.FromPatternTable(p1, p0, z)
 }
 
 // ---- Pipeline ----------------------------------------------------------------
@@ -253,10 +211,8 @@ type (
 	// PipelineOutput carries the derived dataset, the clustering, and the
 	// fact-finder's ranking.
 	PipelineOutput = apollo.Output
-	// Clusterer groups near-duplicate messages into assertions.
-	Clusterer = cluster.Clusterer
-	// LeaderClusterer is the single-pass inverted-index clusterer.
-	LeaderClusterer = cluster.Leader
+	// ReportInput collects what WriteReport renders.
+	ReportInput = report.Input
 )
 
 // RunPipeline executes the end-to-end fact-finding pipeline: cluster
@@ -266,14 +222,30 @@ func RunPipeline(in PipelineInput, finder FactFinder, opts PipelineOptions) (*Pi
 	return apollo.Run(in, finder, opts)
 }
 
-// RunPipelineContext is RunPipeline under a cancellable run-context; on
-// cancellation mid-estimation the partial output is returned alongside the
-// context's error.
-func RunPipelineContext(ctx context.Context, in PipelineInput, finder FactFinder, opts PipelineOptions) (*PipelineOutput, error) {
-	return apollo.RunContext(ctx, in, finder, opts)
+// ReadTweetArchive parses a Twitter API v1.1 JSONL archive into a pipeline
+// input: sources are densely renumbered, messages sorted chronologically,
+// and every retweet adds a follow edge retweeter -> original author.
+// screenNames[i] is the display name of dense source id i.
+func ReadTweetArchive(r io.Reader) (in PipelineInput, screenNames []string, err error) {
+	tweets, err := tweetjson.Parse(r)
+	if err != nil {
+		return PipelineInput{}, nil, err
+	}
+	in, mapping, err := tweetjson.ToPipeline(tweets)
+	if err != nil {
+		return PipelineInput{}, nil, err
+	}
+	return in, mapping.ScreenNames, nil
 }
 
+// WriteReport renders a pipeline run as a self-contained HTML document.
+func WriteReport(w io.Writer, in ReportInput) error { return report.Render(w, in) }
+
 // ---- Generators ---------------------------------------------------------------
+
+// NewRand returns a generator seeded with seed, for GenerateSynthetic,
+// GenerateTwitter and ErrorBound: the same seed reproduces the same draws.
+func NewRand(seed int64) *rand.Rand { return randutil.New(seed) }
 
 type (
 	// SyntheticConfig parameterizes the paper's Section V-A simulation
@@ -297,10 +269,39 @@ func GenerateSynthetic(cfg SyntheticConfig, rng *rand.Rand) (*SyntheticWorld, er
 	return synthetic.Generate(cfg, rng)
 }
 
-// TwitterScenarios returns the five Table III-scale scenario presets.
-func TwitterScenarios() []TwitterScenario { return twittersim.Presets() }
+// SmallTwitterScenario returns the Table III preset called name (the
+// first preset if no preset has that name) at 1/scale of its volume.
+func SmallTwitterScenario(name string, scale int) TwitterScenario {
+	return twittersim.Small(name, scale)
+}
 
 // GenerateTwitter simulates one tweet stream.
 func GenerateTwitter(sc TwitterScenario, rng *rand.Rand) (*TwitterWorld, error) {
 	return twittersim.Generate(sc, rng)
 }
+
+// ---- Grading --------------------------------------------------------------------
+
+// Kind is a grader's label for an assertion (Section V-C).
+type Kind = twittersim.Kind
+
+// Assertion kinds.
+const (
+	KindTrue    = twittersim.KindTrue
+	KindFalse   = twittersim.KindFalse
+	KindOpinion = twittersim.KindOpinion
+)
+
+// Score counts the labels of a ranked cut-off; Accuracy is the paper's
+// #True/(#True+#False+#Opinion).
+type Score = grader.Score
+
+// Grade labels the clusters of a pipeline run over w's tweets (in stream
+// order) the way the paper's human graders would: each cluster takes the
+// kind of the majority ground-truth assertion among its tweets.
+func Grade(out *PipelineOutput, w *TwitterWorld) ([]Kind, error) {
+	return grader.Grade(out.MessageAssertion, w.Tweets, w.Kinds)
+}
+
+// ScoreTopK grades a ranked prefix against per-assertion labels.
+func ScoreTopK(ranked []int, labels []Kind) (Score, error) { return grader.ScoreTopK(ranked, labels) }

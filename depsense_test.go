@@ -4,10 +4,7 @@ package depsense
 // exercised the way README documents it.
 
 import (
-	"math"
 	"testing"
-
-	"depsense/internal/randutil"
 )
 
 func TestFacadeManualDataset(t *testing.T) {
@@ -60,7 +57,7 @@ func TestFacadeBaselineLineup(t *testing.T) {
 func TestFacadeSyntheticAndBound(t *testing.T) {
 	cfg := DefaultSyntheticConfig()
 	cfg.Sources = 10
-	rng := randutil.New(3)
+	rng := NewRand(3)
 	w, err := GenerateSynthetic(cfg, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -72,23 +69,11 @@ func TestFacadeSyntheticAndBound(t *testing.T) {
 	if res.Err <= 0 || res.Err >= 0.5 {
 		t.Fatalf("bound = %v", res.Err)
 	}
-	post, ll, err := Posterior(w.Dataset, w.TrueParams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(post) != w.Dataset.M() || math.IsNaN(ll) {
-		t.Fatal("posterior scoring broken")
-	}
 }
 
 func TestFacadePipeline(t *testing.T) {
-	sc := TwitterScenarios()[1] // Kirkuk
-	scaled := sc
-	scaled.Sources /= 40
-	scaled.Assertions /= 40
-	scaled.Claims /= 40
-	scaled.OriginalClaims /= 40
-	w, err := GenerateTwitter(scaled, randutil.New(5))
+	scaled := SmallTwitterScenario("Kirkuk", 40)
+	w, err := GenerateTwitter(scaled, NewRand(5))
 	if err != nil {
 		t.Fatal(err)
 	}

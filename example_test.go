@@ -7,7 +7,6 @@ import (
 	"fmt"
 
 	"depsense"
-	"depsense/internal/randutil"
 )
 
 // ExampleNewDatasetBuilder shows the core workflow: build a source-claim
@@ -54,7 +53,7 @@ func ExampleBuildDataset() {
 func ExampleNewEMExt() {
 	cfg := depsense.DefaultSyntheticConfig()
 	cfg.Sources = 10
-	world, err := depsense.GenerateSynthetic(cfg, randutil.New(7))
+	world, err := depsense.GenerateSynthetic(cfg, depsense.NewRand(7))
 	if err != nil {
 		fmt.Println("generate:", err)
 		return
@@ -80,7 +79,7 @@ func ExampleErrorBound() {
 
 	p := depsense.NewParams(1, 0.3)
 	p.Sources[0] = depsense.SourceParams{A: 0.5, B: 0.5, F: 0.5, G: 0.5}
-	res, err := depsense.ErrorBound(ds, p, depsense.BoundOptions{Method: depsense.BoundExact}, randutil.New(1))
+	res, err := depsense.ErrorBound(ds, p, depsense.BoundOptions{Method: depsense.BoundExact}, depsense.NewRand(1))
 	if err != nil {
 		fmt.Println("bound:", err)
 		return
@@ -88,4 +87,18 @@ func ExampleErrorBound() {
 	fmt.Printf("Err = %.2f\n", res.Err)
 	// Output:
 	// Err = 0.30
+}
+
+// ExampleScoreTopK grades a ranked cut-off the way the paper's evaluation
+// does (Section V-C): opinions count against the ranking, like rumours.
+func ExampleScoreTopK() {
+	labels := []depsense.Kind{depsense.KindTrue, depsense.KindOpinion, depsense.KindTrue, depsense.KindFalse}
+	score, err := depsense.ScoreTopK([]int{2, 0, 1}, labels)
+	if err != nil {
+		fmt.Println("score:", err)
+		return
+	}
+	fmt.Printf("%+v accuracy=%.3f\n", score, score.Accuracy())
+	// Output:
+	// {True:2 False:0 Opinion:1} accuracy=0.667
 }

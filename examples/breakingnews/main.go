@@ -9,66 +9,64 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
-	"depsense/internal/apollo"
-	"depsense/internal/baselines"
-	"depsense/internal/grader"
-	"depsense/internal/randutil"
-	"depsense/internal/twittersim"
+	"depsense"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	// A 1/5-scale Paris-Attack-like event: ~7.7k sources, ~4.7k assertions.
-	scenario := twittersim.Small("Paris Attack", 5)
-	world, err := twittersim.Generate(scenario, randutil.New(2015))
+	scenario := depsense.SmallTwitterScenario("Paris Attack", 5)
+	world, err := depsense.GenerateTwitter(scenario, depsense.NewRand(2015))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("simulated stream: %+v\n\n", world.Summarize())
+	fmt.Fprintf(w, "simulated stream: %+v\n\n", world.Summarize())
 
-	msgs := make([]apollo.Message, len(world.Tweets))
+	msgs := make([]depsense.Message, len(world.Tweets))
 	for i, t := range world.Tweets {
-		msgs[i] = apollo.Message{Source: t.Source, Time: int64(t.ID), Text: t.Text}
+		msgs[i] = depsense.Message{Source: t.Source, Time: int64(t.ID), Text: t.Text}
 	}
-	input := apollo.Input{
+	input := depsense.PipelineInput{
 		NumSources: scenario.Sources,
 		Messages:   msgs,
 		Graph:      world.Graph,
 	}
 
 	const topK = 100
-	fmt.Printf("top-%d graded accuracy, #True/(#True+#False+#Opinion):\n", topK)
-	var best *apollo.Output
-	for _, alg := range baselines.All() {
-		out, err := apollo.Run(input, alg, apollo.Options{TopK: topK})
+	fmt.Fprintf(w, "top-%d graded accuracy, #True/(#True+#False+#Opinion):\n", topK)
+	var best *depsense.PipelineOutput
+	for _, alg := range depsense.Baselines() {
+		out, err := depsense.RunPipeline(input, alg, depsense.PipelineOptions{TopK: topK})
 		if err != nil {
 			return fmt.Errorf("%s: %w", alg.Name(), err)
 		}
-		labels, err := grader.Grade(out.MessageAssertion, world.Tweets, world.Kinds)
+		labels, err := depsense.Grade(out, world)
 		if err != nil {
 			return err
 		}
-		score, err := grader.ScoreTopK(out.Ranked, labels)
+		score, err := depsense.ScoreTopK(out.Ranked, labels)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  %-12s %.3f  (True=%d False=%d Opinion=%d)\n",
+		fmt.Fprintf(w, "  %-12s %.3f  (True=%d False=%d Opinion=%d)\n",
 			alg.Name(), score.Accuracy(), score.True, score.False, score.Opinion)
 		if alg.Name() == "EM-Ext" {
 			best = out
 		}
 	}
 
-	fmt.Println("\nEM-Ext's five most credible assertions:")
+	fmt.Fprintln(w, "\nEM-Ext's five most credible assertions:")
 	for rank, c := range best.Ranked[:5] {
-		fmt.Printf("  %d. p=%.4f %q\n", rank+1, best.Result.Posterior[c], best.RepresentativeText[c])
+		fmt.Fprintf(w, "  %d. p=%.4f %q\n", rank+1, best.Result.Posterior[c], best.RepresentativeText[c])
 	}
 	return nil
 }

@@ -1,4 +1,4 @@
-// Quickstart: build a source-claim matrix with the claims.Builder, run the
+// Quickstart: build a source-claim matrix with a DatasetBuilder, run the
 // dependency-aware EM-Ext estimator, and print per-assertion truth
 // posteriors alongside the estimated source parameters.
 //
@@ -13,14 +13,11 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
-	"time"
+	"os"
 
-	"depsense/internal/claims"
-	"depsense/internal/core"
-	"depsense/internal/randutil"
-	"depsense/internal/runctx"
-	"depsense/internal/stats"
+	"depsense"
 )
 
 const (
@@ -30,20 +27,20 @@ const (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
-	rng := randutil.New(7)
+func run(w io.Writer) error {
+	rng := depsense.NewRand(7)
 	truth := make([]bool, numAssertions)
 	for j := 0; j < numTrue; j++ {
 		truth[j] = true
 	}
 	rng.Shuffle(numAssertions, func(a, b int) { truth[a], truth[b] = truth[b], truth[a] })
 
-	b := claims.NewBuilder(numSources, numAssertions)
+	b := depsense.NewDatasetBuilder(numSources, numAssertions)
 
 	// Independent reporters: claim true events often, false ones rarely.
 	reporterTrueRate := [...]float64{0.8, 0.7, 0.6}
@@ -83,41 +80,47 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("dataset:", ds.Summarize())
+	fmt.Fprintln(w, "dataset:", ds.Summarize())
 
 	// An IterationHook on the run context observes the fit live: one call
 	// per EM iteration with the current log-likelihood. The same context
 	// would also carry a deadline or cancellation in a service setting.
-	fmt.Println("\nEM-Ext progress:")
-	ctx := runctx.WithHook(context.Background(), func(it runctx.Iteration) {
+	fmt.Fprintln(w, "\nEM-Ext progress:")
+	ctx := depsense.WithIterationHook(context.Background(), func(it depsense.Iteration) {
 		if it.N%5 == 0 || it.Done {
-			fmt.Printf("  iter %2d  log-likelihood=%.2f  (%s)\n", it.N, it.LogLikelihood, it.Elapsed.Round(10*time.Microsecond))
+			fmt.Fprintf(w, "  iter %2d  log-likelihood=%.2f\n", it.N, it.LogLikelihood)
 		}
 	})
-	est := &core.EMExt{}
-	res, err := est.RunContext(ctx, ds)
+	res, err := depsense.NewEMExt(depsense.EMOptions{}).RunContext(ctx, ds)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nconverged=%v after %d iterations, log-likelihood=%.2f, ẑ=%.3f\n",
+	fmt.Fprintf(w, "\nconverged=%v after %d iterations, log-likelihood=%.2f, ẑ=%.3f\n",
 		res.Converged, res.Iterations, res.LogLikelihood, res.Params.Z)
 
-	cl, err := stats.Classify(res.Decisions(0.5), truth)
-	if err != nil {
-		return err
+	var correct, falsePos, falseNeg int
+	for j, decided := range res.Decisions(0.5) {
+		switch {
+		case decided == truth[j]:
+			correct++
+		case decided:
+			falsePos++
+		default:
+			falseNeg++
+		}
 	}
-	fmt.Printf("accuracy vs ground truth: %.1f%% (FP=%.2f FN=%.2f)\n",
-		100*cl.Accuracy, cl.FalsePosRate, cl.FalseNegRate)
+	fmt.Fprintf(w, "accuracy vs ground truth: %.1f%% (FP=%.2f FN=%.2f)\n",
+		100*(float64(correct)/numAssertions), float64(falsePos)/numAssertions, float64(falseNeg)/numAssertions)
 
-	fmt.Println("\nfirst ten assertion posteriors:")
+	fmt.Fprintln(w, "\nfirst ten assertion posteriors:")
 	for j := 0; j < 10; j++ {
-		fmt.Printf("  C%-2d p=%.3f  truth=%-5v  (%d claims)\n",
+		fmt.Fprintf(w, "  C%-2d p=%.3f  truth=%-5v  (%d claims)\n",
 			j, res.Posterior[j], truth[j], len(ds.Claimants(j)))
 	}
-	fmt.Println("\nmost credible assertions:", res.TopK(5))
-	fmt.Println("\nestimated source channels (a/b independent, f/g dependent):")
+	fmt.Fprintln(w, "\nmost credible assertions:", res.TopK(5))
+	fmt.Fprintln(w, "\nestimated source channels (a/b independent, f/g dependent):")
 	for i, s := range res.Params.Sources {
-		fmt.Printf("  S%d a=%.3f b=%.3f f=%.3f g=%.3f\n", i, s.A, s.B, s.F, s.G)
+		fmt.Fprintf(w, "  S%d a=%.3f b=%.3f f=%.3f g=%.3f\n", i, s.A, s.B, s.F, s.G)
 	}
 	return nil
 }

@@ -2,21 +2,22 @@
 // embedded archive in the Twitter API v1.1 JSONL format (the format of the
 // paper's 2015 datasets) flows through ingestion — dense source ids, a
 // follow graph from retweet edges, chronological ordering — and the full
-// pipeline, finishing with an HTML report on disk.
+// pipeline, finishing with an HTML report on disk. The report goes to a
+// new temporary directory, whose path is printed on stderr.
 //
 //	go run ./examples/realdata
 package main
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"path/filepath"
 	"strings"
 
-	"depsense/internal/apollo"
-	"depsense/internal/core"
-	"depsense/internal/report"
-	"depsense/internal/tweetjson"
+	"depsense"
 )
 
 // archive is a miniature incident stream: two reporters, a news desk, a
@@ -32,48 +33,53 @@ const archive = `
 {"id_str":"8","text":"official2 confirmed evacuation near station3 n12 #metro","created_at":"Sat Mar 14 08:15:00 +0000 2015","user":{"id_str":"107","screen_name":"metro_watch"}}
 `
 
+// reportName is the report's file name inside the output directory.
+const reportName = "report.html"
+
 func main() {
-	if err := run(); err != nil {
+	dir, err := os.MkdirTemp("", "depsense-report-")
+	if err != nil {
 		log.Fatal(err)
 	}
+	if err := run(os.Stdout, dir); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Fprintln(os.Stderr, "report written to", filepath.Join(dir, reportName))
 }
 
-func run() error {
-	tweets, err := tweetjson.Parse(strings.NewReader(archive))
+// run prints the pipeline's results to w and writes the HTML report to
+// dir/report.html.
+func run(w io.Writer, dir string) error {
+	input, screenNames, err := depsense.ReadTweetArchive(strings.NewReader(archive))
 	if err != nil {
 		return err
 	}
-	input, mapping, err := tweetjson.ToPipeline(tweets)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("ingested %d tweets from %d accounts, %d retweet edges\n",
+	fmt.Fprintf(w, "ingested %d tweets from %d accounts, %d retweet edges\n",
 		len(input.Messages), input.NumSources, input.Graph.NumEdges())
 
-	finder := &core.EMExt{}
-	out, err := apollo.Run(input, finder, apollo.Options{TopK: 10})
+	finder := depsense.NewEMExt(depsense.EMOptions{})
+	out, err := depsense.RunPipeline(input, finder, depsense.PipelineOptions{TopK: 10})
 	if err != nil {
 		return err
 	}
-	fmt.Println("derived:", out.Dataset.Summarize())
-	fmt.Println("\nranked assertions:")
+	fmt.Fprintln(w, "derived:", out.Dataset.Summarize())
+	fmt.Fprintln(w, "\nranked assertions:")
 	for rank, c := range out.Ranked {
-		fmt.Printf("  %d. p=%.3f %s\n", rank+1, out.Result.Posterior[c], out.RepresentativeText[c])
+		fmt.Fprintf(w, "  %d. p=%.3f %s\n", rank+1, out.Result.Posterior[c], out.RepresentativeText[c])
 	}
 
-	f, err := os.CreateTemp("", "depsense-report-*.html")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := report.Render(f, report.Input{
+	var html bytes.Buffer
+	if err := depsense.WriteReport(&html, depsense.ReportInput{
 		Title:       "Metro incident",
 		Algorithm:   finder.Name(),
 		Pipeline:    out,
-		SourceNames: mapping.ScreenNames,
+		SourceNames: screenNames,
 	}); err != nil {
 		return err
 	}
-	fmt.Println("\nHTML report:", f.Name())
+	if err := os.WriteFile(filepath.Join(dir, reportName), html.Bytes(), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "\nHTML report: %s (%d bytes)\n", reportName, html.Len())
 	return nil
 }

@@ -16,35 +16,32 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
 	"syscall"
 
-	"depsense/internal/grader"
-	"depsense/internal/randutil"
-	"depsense/internal/runctx"
-	"depsense/internal/stream"
-	"depsense/internal/twittersim"
+	"depsense"
 )
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx); err != nil {
+	if err := run(ctx, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(ctx context.Context) error {
-	sc := twittersim.Small("Ukraine", 10)
-	world, err := twittersim.Generate(sc, randutil.New(99))
+func run(ctx context.Context, w io.Writer) error {
+	sc := depsense.SmallTwitterScenario("Ukraine", 10)
+	world, err := depsense.GenerateTwitter(sc, depsense.NewRand(99))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("stream: %+v\n\n", world.Summarize())
+	fmt.Fprintf(w, "stream: %+v\n\n", world.Summarize())
 
-	est := stream.New(stream.Options{})
+	est := depsense.NewStreamEstimator(depsense.StreamOptions{})
 	// The follow graph is observed up front (it comes from the account
 	// relationships, not the claim stream).
 	for i := 0; i < world.Graph.N(); i++ {
@@ -74,19 +71,19 @@ func run(ctx context.Context) error {
 			var cancel context.CancelFunc
 			batchCtx, cancel = context.WithCancel(ctx)
 			defer cancel()
-			batchCtx = runctx.WithHook(batchCtx, func(it runctx.Iteration) {
+			batchCtx = depsense.WithIterationHook(batchCtx, func(it depsense.Iteration) {
 				if it.N >= 2 {
 					cancel()
 				}
 			})
 		}
 		res, err := est.AddBatchContext(batchCtx, events[lo:hi])
-		if reason := runctx.Reason(err); reason != "" {
+		if reason := depsense.StopReason(err); reason != "" {
 			partial := 0
 			if res != nil {
 				partial = res.Iterations
 			}
-			fmt.Printf("hour %d: refit %s after %d iterations — serving the hour-%d estimate instead\n",
+			fmt.Fprintf(w, "hour %d: refit %s after %d iterations — serving the hour-%d estimate instead\n",
 				b+1, reason, partial, b)
 			continue
 		}
@@ -96,15 +93,15 @@ func run(ctx context.Context) error {
 		st := est.Stats()
 		correct, graded := 0, 0
 		for j, p := range res.Posterior {
-			if j >= len(world.Kinds) || world.Kinds[j] == twittersim.KindOpinion {
+			if j >= len(world.Kinds) || world.Kinds[j] == depsense.KindOpinion {
 				continue
 			}
 			graded++
-			if (p > 0.5) == (world.Kinds[j] == twittersim.KindTrue) {
+			if (p > 0.5) == (world.Kinds[j] == depsense.KindTrue) {
 				correct++
 			}
 		}
-		fmt.Printf("hour %d: %4d claims, %4d assertions | EM iters=%2d | factual accuracy %.1f%%\n",
+		fmt.Fprintf(w, "hour %d: %4d claims, %4d assertions | EM iters=%2d | factual accuracy %.1f%%\n",
 			b+1, st.Claims, st.Assertions, res.Iterations, 100*float64(correct)/float64(graded))
 	}
 
@@ -115,25 +112,18 @@ func run(ctx context.Context) error {
 	}
 	labels := world.Kinds
 	top := res.TopK(10)
-	fmt.Println("\nfinal top 10:")
+	fmt.Fprintln(w, "\nfinal top 10:")
 	for rank, j := range top {
 		label := "?"
 		if j < len(labels) {
 			label = labels[j].String()
 		}
-		fmt.Printf("  %2d. p=%.3f [%s] %v\n", rank+1, res.Posterior[j], label, world.AssertionTokens[j])
+		fmt.Fprintf(w, "  %2d. p=%.3f [%s] %v\n", rank+1, res.Posterior[j], label, world.AssertionTokens[j])
 	}
-	score, err := grader.ScoreTopK(top, labels)
+	score, err := depsense.ScoreTopK(top, labels)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("top-10 accuracy: %.2f\n", score.Accuracy())
+	fmt.Fprintf(w, "top-10 accuracy: %.2f\n", score.Accuracy())
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -10,11 +10,11 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
-	"depsense/internal/core"
-	"depsense/internal/depgraph"
-	"depsense/internal/randutil"
+	"depsense"
 )
 
 const (
@@ -27,13 +27,13 @@ const (
 var names = [...]string{"John", "Sally", "Heather"}
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
-	graph := depgraph.NewGraph(numCommuters)
+func run(w io.Writer) error {
+	graph := depsense.NewGraph(numCommuters)
 	if err := graph.AddFollow(john, sally); err != nil { // John follows Sally
 		return err
 	}
@@ -43,19 +43,19 @@ func run() error {
 		mainStreet    = 0 // "Main Street, Urbana, IL is congested"
 		universityAve = 1 // "University Ave., Urbana, IL is congested"
 	)
-	events := []depgraph.Event{
+	events := []depsense.Event{
 		{Source: sally, Assertion: mainStreet, Time: 1},
 		{Source: heather, Assertion: universityAve, Time: 1},
 		{Source: john, Assertion: mainStreet, Time: 2},    // repeat of Sally: dependent
 		{Source: john, Assertion: universityAve, Time: 3}, // John doesn't follow Heather: independent
 	}
-	ds, err := depgraph.BuildDataset(graph, events, 2)
+	ds, err := depsense.BuildDataset(graph, events, 2)
 	if err != nil {
 		return err
 	}
-	fmt.Println("Figure 1 dependency indicators:")
+	fmt.Fprintln(w, "Figure 1 dependency indicators:")
 	for _, e := range events {
-		fmt.Printf("  %-8s asserts C%d at t%d  -> D=%v\n",
+		fmt.Fprintf(w, "  %-8s asserts C%d at t%d  -> D=%v\n",
 			names[e.Source], e.Assertion+1, e.Time, ds.Dependent(e.Source, e.Assertion))
 	}
 
@@ -66,7 +66,7 @@ func run() error {
 		numAssertions = 120
 		numTrue       = 60
 	)
-	rng := randutil.New(7)
+	rng := depsense.NewRand(7)
 	congested := make([]bool, numAssertions)
 	for j := 0; j < numTrue; j++ {
 		congested[j] = true
@@ -75,41 +75,41 @@ func run() error {
 		congested[a], congested[b] = congested[b], congested[a]
 	})
 
-	var season []depgraph.Event
+	var season []depsense.Event
 	now := int64(0)
 	claim := func(src, assertion int) {
 		now++
-		season = append(season, depgraph.Event{Source: src, Assertion: assertion, Time: now})
+		season = append(season, depsense.Event{Source: src, Assertion: assertion, Time: now})
 	}
 	for j := 0; j < numAssertions; j++ {
 		// Sally: reports congested streets 70% of the time, clear ones 15%.
 		sallyClaimed := false
-		if p := 0.15; congested[j] && randutil.Bernoulli(rng, 0.7) || !congested[j] && randutil.Bernoulli(rng, p) {
+		if congested[j] && rng.Float64() < 0.7 || !congested[j] && rng.Float64() < 0.15 {
 			claim(sally, j)
 			sallyClaimed = true
 		}
 		// Heather: 80% / 5%.
-		if congested[j] && randutil.Bernoulli(rng, 0.8) || !congested[j] && randutil.Bernoulli(rng, 0.05) {
+		if congested[j] && rng.Float64() < 0.8 || !congested[j] && rng.Float64() < 0.05 {
 			claim(heather, j)
 		}
 		// John: repeats Sally 60% of the time regardless of the street,
 		// and occasionally reports independently (40% / 10%).
 		switch {
-		case sallyClaimed && randutil.Bernoulli(rng, 0.6):
+		case sallyClaimed && rng.Float64() < 0.6:
 			claim(john, j)
-		case congested[j] && randutil.Bernoulli(rng, 0.4):
+		case congested[j] && rng.Float64() < 0.4:
 			claim(john, j)
-		case !congested[j] && randutil.Bernoulli(rng, 0.1):
+		case !congested[j] && rng.Float64() < 0.1:
 			claim(john, j)
 		}
 	}
-	seasonDS, err := depgraph.BuildDataset(graph, season, numAssertions)
+	seasonDS, err := depsense.BuildDataset(graph, season, numAssertions)
 	if err != nil {
 		return err
 	}
-	fmt.Println("\ncommute season:", seasonDS.Summarize())
+	fmt.Fprintln(w, "\ncommute season:", seasonDS.Summarize())
 
-	res, err := (&core.EMExt{}).Run(seasonDS)
+	res, err := depsense.NewEMExt(depsense.EMOptions{}).Run(seasonDS)
 	if err != nil {
 		return err
 	}
@@ -119,10 +119,10 @@ func run() error {
 			correct++
 		}
 	}
-	fmt.Printf("EM-Ext accuracy over the season: %.1f%% (%d/%d assertions)\n",
+	fmt.Fprintf(w, "EM-Ext accuracy over the season: %.1f%% (%d/%d assertions)\n",
 		100*float64(correct)/numAssertions, correct, numAssertions)
 	for i, s := range res.Params.Sources {
-		fmt.Printf("  %-8s a=%.2f b=%.2f f=%.2f g=%.2f\n", names[i], s.A, s.B, s.F, s.G)
+		fmt.Fprintf(w, "  %-8s a=%.2f b=%.2f f=%.2f g=%.2f\n", names[i], s.A, s.B, s.F, s.G)
 	}
 	return nil
 }

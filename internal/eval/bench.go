@@ -11,16 +11,10 @@ import (
 	"time"
 )
 
-// The gate limits Check always applies. The committed full-scale run
-// (BENCH_layers.json) clears each by a wide margin.
-const (
-	// minReuseRate: open-loop cache hits plus coalesced requests over all
-	// open-loop requests.
-	minReuseRate = 0.5
-	// maxQualOverhead: the quality monitor's cost as a fraction of the
-	// fits it rides.
-	maxQualOverhead = 0.05
-)
+// maxQualOverhead is the gate limit Check always applies: the quality
+// monitor's cost as a fraction of the fits it rides. The committed
+// full-scale run (BENCH_layers.json) clears it by a wide margin.
+const maxQualOverhead = 0.05
 
 // BenchRow is one line of the layer ledger.
 type BenchRow struct {
@@ -32,8 +26,7 @@ type BenchRow struct {
 }
 
 // BenchReport is the layer ledger -exp bench writes as BENCH_layers.json:
-// the hot-path kernel, serving, quality-monitor and error-bound rows of one
-// run, with the host they were measured on.
+// the hot-path kernel, quality-monitor and error-bound rows of one run, with the host they were measured on.
 type BenchReport struct {
 	GOMAXPROCS  int        `json:"gomaxprocs"`
 	NumCPU      int        `json:"numcpu"`
@@ -60,12 +53,6 @@ type benchSizes struct {
 	// hotIters is the isolated E-steps (and M-steps) per rep and the full
 	// fit's EM iterations; hotReps keeps the fastest of that many reps.
 	hotIters, hotReps int
-	// serveRequests open-loop arrivals at serveRate per second cycle over
-	// serveUnique payloads; serveBurst requests then hit a one-slot server.
-	serveRequests int
-	serveRate     float64
-	serveUnique   int
-	serveBurst    int
 	// qualScale divides the Ukraine scenario replayed qualReps times; the
 	// bound layer evaluates the final refit of that replay qualReps times.
 	qualScale, qualReps int
@@ -80,21 +67,19 @@ var (
 			{name: "table3x10", sources: 54030, assertions: 37030, claims: 71920},
 		},
 		hotIters: 3, hotReps: 2,
-		serveRequests: 2000, serveRate: 500, serveUnique: 32, serveBurst: 16,
 		qualScale: 10, qualReps: 3,
 	}
 	benchQuick = benchSizes{
 		hotScales: []hotScale{{name: "smoke", sources: 400, assertions: 300, claims: 1500}},
 		hotIters:  2, hotReps: 3,
-		serveRequests: 150, serveRate: 600, serveUnique: 6, serveBurst: 12,
 		// Large enough that the fit dwarfs timer noise: at smaller scales
 		// the ~0.1 ms monitor share makes the ratio jumpy.
 		qualScale: 20, qualReps: 2,
 	}
 )
 
-// Bench runs the layer benchmark — hot-path kernels, serving under load,
-// quality-monitor overhead and the monitor's error bound — on the
+// Bench runs the layer benchmark — hot-path kernels, quality-monitor
+// overhead and the monitor's error bound — on the
 // benchFull table, or benchQuick when quick is set. clock stamps
 // GeneratedAt (nil means time.Now); the timings themselves always read the
 // wall clock, which is what they measure. The gate is separate: see Check.
@@ -113,7 +98,7 @@ func Bench(c Config, quick bool, clock func() time.Time) (BenchReport, error) {
 		GoVersion:   runtime.Version(),
 		GeneratedAt: clock().UTC().Format(time.RFC3339),
 	}
-	for _, layer := range []func(Config, benchSizes, *BenchReport) error{benchHot, benchServe, benchQual} {
+	for _, layer := range []func(Config, benchSizes, *BenchReport) error{benchHot, benchQual} {
 		if err := layer(c, sz, &rep); err != nil {
 			return rep, err
 		}
@@ -132,12 +117,9 @@ func (r BenchReport) value(layer, cse string) (float64, bool) {
 }
 
 // Check is the gate, with fixed limits. It fails, naming every breach, when
-// the E-step, M-step or fit has no hot row; when an open-loop request did
-// not return 200, a 429 lacked Retry-After, the blocker never held the
-// compute slot or the burst shed nothing, the serving counters do not
-// reconcile, or the reuse rate is below minReuseRate; when no refit was
-// observed or the monitor overhead exceeds maxQualOverhead. A gated row
-// that is missing is a breach too. Hot timings are reported, not gated.
+// the E-step, M-step or fit has no hot row, when no refit was observed, or
+// when the monitor overhead exceeds maxQualOverhead. A gated row that is
+// missing is a breach too. Hot timings are reported, not gated.
 func (r BenchReport) Check() error {
 	var errs []error
 	fail := func(format string, args ...any) {
@@ -156,23 +138,6 @@ func (r BenchReport) Check() error {
 			fail("%s %s: row missing", layer, cse)
 		}
 		return v, ok
-	}
-	if n, ok := get("serve", "open_loop_non200"); ok && n != 0 {
-		fail("serve: %g open-loop requests did not return 200", n)
-	}
-	if n, ok := get("serve", "retry_after_missing"); ok && n != 0 {
-		fail("serve: %g 429 responses were missing Retry-After", n)
-	}
-	if held, ok := get("serve", "blocker_held"); ok && held != 1 {
-		fail("serve: the blocker never took the compute slot, so the burst could not be shed")
-	} else if n, ok := get("serve", "burst_shed"); ok && n == 0 {
-		fail("serve: the saturation burst shed nothing")
-	}
-	if rec, ok := get("serve", "counters_reconcile"); ok && rec != 1 {
-		fail("serve: serving counters do not reconcile (hits+misses != requests, shed counter != 429s, or gauges did not drain)")
-	}
-	if rr, ok := get("serve", "reuse_rate"); ok && rr < minReuseRate {
-		fail("serve: reuse rate %.3f is below the required %.2f", rr, minReuseRate)
 	}
 	if n, ok := get("qual", "ticks"); ok && n == 0 {
 		fail("qual: no refits measured")

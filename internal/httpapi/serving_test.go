@@ -272,6 +272,25 @@ func TestCoalescing(t *testing.T) {
 	if added, _ := srv.Flight().Stats(); added != 1 {
 		t.Fatalf("flight recorder saw %d runs, want 1", added)
 	}
+
+	// One more identical request is a cache hit. The counters reconcile:
+	// every validated request is either a hit or a miss (coalesced
+	// followers count as misses), and the compute gauges have drained.
+	resp, err := http.Post(ts.URL+"/v1/factfind", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if state := resp.Header.Get("X-Cache"); resp.StatusCode != http.StatusOK || state != "hit" {
+		t.Fatalf("follow-up request: status %d, X-Cache %q; want 200 hit", resp.StatusCode, state)
+	}
+	hits, misses := reg.Counter(MetricCacheHits, "").Value(), reg.Counter(MetricCacheMisses, "").Value()
+	if hits != 1 || hits+misses != K+1 {
+		t.Fatalf("cache hits %v + misses %v, want 1 + %d: one per request", hits, misses, K)
+	}
+	if inFlight, queued := reg.Gauge(MetricComputeInFlight, "").Value(), reg.Gauge(MetricComputeQueued, "").Value(); inFlight != 0 || queued != 0 {
+		t.Fatalf("compute gauges did not drain: in flight %v, queued %v", inFlight, queued)
+	}
 }
 
 // TestShedOverCapacity: with the pool saturated and no queue, additional

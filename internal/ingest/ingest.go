@@ -216,18 +216,11 @@ type Options struct {
 	// Stream configures the estimator stage (EM options, warm-refit caps).
 	// Its Metrics and Clock are overridden by the pipeline's.
 	Stream stream.Options
-	// Leader configures the incremental clusterer (threshold, postings
-	// cap). Ignored on warm restart: the persisted cluster state carries
-	// its own configuration.
-	Leader cluster.Leader
 	// BatchSize is the number of accepted tweets per batch (default 64).
 	BatchSize int
 	// RawQueue bounds the collector->clusterer queue (default 1024). When
 	// full, raw tweets are shed (counted) unless DisableShedding.
 	RawQueue int
-	// BatchQueue bounds the clusterer->estimator queue (default 4); a full
-	// queue backpressures the clusterer, never drops.
-	BatchQueue int
 	// DisableShedding makes the collector block instead of dropping when
 	// the raw queue is full — lossless mode for replays and tests.
 	DisableShedding bool
@@ -277,9 +270,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if opts.RawQueue <= 0 {
 		opts.RawQueue = 1024
-	}
-	if opts.BatchQueue <= 0 {
-		opts.BatchQueue = 4
 	}
 	if opts.TopK <= 0 {
 		opts.TopK = 100

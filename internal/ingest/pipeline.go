@@ -54,6 +54,10 @@ type Pipeline struct {
 	batchCh chan Batch
 }
 
+// batchQueue bounds the clusterer->estimator queue; a full queue
+// backpressures the clusterer, never drops.
+const batchQueue = 4
+
 // New builds a pipeline over the source. When opts.Dir is set, it replays
 // the persisted snapshot and claim log first (refitting any batches
 // committed after the last snapshot), so the returned pipeline resumes
@@ -72,7 +76,7 @@ func New(ctx context.Context, source Source, opts Options) (*Pipeline, error) {
 	// The inter-stage queues exist from construction so the HTTP layer can
 	// report their occupancy before and during Run without racing it.
 	p.rawCh = make(chan Tweet, o.RawQueue)
-	p.batchCh = make(chan Batch, o.BatchQueue)
+	p.batchCh = make(chan Batch, batchQueue)
 
 	streamOpts := o.Stream
 	streamOpts.Metrics = p.reg
@@ -100,7 +104,9 @@ func New(ctx context.Context, source Source, opts Options) (*Pipeline, error) {
 		}
 	}
 	p.est = stream.New(streamOpts)
-	p.inc = o.Leader.Incremental()
+	// The default leader clusterer; a warm restart replaces it with the
+	// persisted cluster state.
+	p.inc = (&cluster.Leader{}).Incremental()
 	p.lastClusterState = p.inc.State()
 
 	if o.Dir != "" {

@@ -26,13 +26,12 @@ type FirehoseOptions struct {
 	// epoch. Persist it alongside stream state so a restarted service
 	// resumes with identical timestamps.
 	Epoch time.Time
-	// Offset skips the first Offset tweets, resuming mid-stream after a
-	// restart. Skipped tweets keep their ids and timestamps.
-	Offset int
 	// Pace throttles emission to the interval cadence, making the firehose
 	// stand in for a live stream; unset replays as fast as the consumer
-	// drains. Pacing is measured on Clock relative to the firehose's
-	// creation instant, independent of the stamped timestamps.
+	// drains. Pacing is measured on Clock from the firehose's creation, or
+	// its last Seek: the first tweet after either is due at once, each
+	// later one an Interval after the one before. It is independent of the
+	// stamped timestamps.
 	Pace bool
 	// Clock supplies the pacing clock; nil means the wall clock. Injected
 	// so paced emission is testable with a fake clock under the
@@ -48,10 +47,13 @@ type FirehoseOptions struct {
 // injected clock. It is the ingestion pipeline's stand-in for a live
 // tweet stream; it is not safe for concurrent use.
 type Firehose struct {
-	world   *World
-	opts    FirehoseOptions
-	created time.Time
-	next    int
+	world *World
+	opts  FirehoseOptions
+	// anchor is the Clock instant at which tweet anchorID was due: the
+	// creation instant with tweet 0, re-set by every Seek.
+	anchor   time.Time
+	anchorID int
+	next     int
 }
 
 // Firehose starts a replay of the world's stream.
@@ -62,15 +64,12 @@ func (w *World) Firehose(opts FirehoseOptions) *Firehose {
 	if opts.Epoch.IsZero() {
 		opts.Epoch = time.Unix(0, 0).UTC()
 	}
-	if opts.Offset < 0 {
-		opts.Offset = 0
-	}
 	clock := opts.Clock
 	if clock == nil {
 		clock = time.Now
 	}
 	opts.Clock = clock
-	return &Firehose{world: w, opts: opts, created: clock(), next: opts.Offset}
+	return &Firehose{world: w, opts: opts, anchor: clock()}
 }
 
 // TweetTime returns the stable timestamp of tweet id under the firehose's
@@ -81,7 +80,8 @@ func (f *Firehose) TweetTime(id int) time.Time {
 
 // Seek repositions the firehose so the next emission is tweet id (clamped
 // to the stream bounds); a restarted service seeks to its replayed
-// position before resuming.
+// position before resuming. Pacing restarts from the seek: tweet id is due
+// at once.
 func (f *Firehose) Seek(id int) {
 	if id < 0 {
 		id = 0
@@ -90,6 +90,7 @@ func (f *Firehose) Seek(id int) {
 		id = len(f.world.Tweets)
 	}
 	f.next = id
+	f.anchor, f.anchorID = f.opts.Clock(), id
 }
 
 // Next emits the next tweet, sleeping out the pacing gap first when Pace
@@ -99,7 +100,7 @@ func (f *Firehose) Next(ctx context.Context) (TimedTweet, bool) {
 		return TimedTweet{}, false
 	}
 	if f.opts.Pace {
-		due := f.created.Add(time.Duration(f.next-f.opts.Offset) * f.opts.Interval)
+		due := f.anchor.Add(time.Duration(f.next-f.anchorID) * f.opts.Interval)
 		if wait := due.Sub(f.opts.Clock()); wait > 0 {
 			if !f.sleep(ctx, wait) {
 				return TimedTweet{}, false

@@ -46,9 +46,10 @@ func TestFirehoseEmitsAllTweetsInOrder(t *testing.T) {
 	}
 }
 
-// TestFirehoseStampsStableAcrossResume: a firehose resumed at an offset (or
-// re-seeked) stamps every tweet identically to the uninterrupted run — the
-// timestamp is a function of the tweet id, not of when emission happens.
+// TestFirehoseStampsStableAcrossResume: a firehose resumed by Seek — a new
+// one, as after a restart, or the same one re-seeked — stamps every tweet
+// identically to the uninterrupted run: the timestamp is a function of the
+// tweet id, not of when emission happens.
 func TestFirehoseStampsStableAcrossResume(t *testing.T) {
 	w := firehoseWorld(t)
 	ctx := context.Background()
@@ -66,9 +67,8 @@ func TestFirehoseStampsStableAcrossResume(t *testing.T) {
 	}
 
 	cut := len(want) / 2
-	resumedOpts := opts
-	resumedOpts.Offset = cut
-	resumed := w.Firehose(resumedOpts)
+	resumed := w.Firehose(opts)
+	resumed.Seek(cut)
 	for i := cut; ; i++ {
 		tt, ok := resumed.Next(ctx)
 		if !ok {
@@ -134,6 +134,51 @@ func TestFirehosePacesOnInjectedClock(t *testing.T) {
 	}
 	if len(waits) != before {
 		t.Fatal("firehose slept while behind schedule")
+	}
+}
+
+// TestFirehosePacingRestartsAtSeek: a restarted, paced service seeks to its
+// resume position; the first tweet after the Seek is due at once, not
+// resume·Interval after the firehose was created, and each later tweet
+// waits one interval.
+func TestFirehosePacingRestartsAtSeek(t *testing.T) {
+	w := firehoseWorld(t)
+	now := time.Unix(5000, 0)
+	var waits []time.Duration
+	fh := w.Firehose(FirehoseOptions{
+		Interval: 10 * time.Millisecond,
+		Pace:     true,
+		Clock:    func() time.Time { return now },
+		Sleep: func(d time.Duration) {
+			waits = append(waits, d)
+			now = now.Add(d)
+		},
+	})
+	const resume = 179
+	if len(w.Tweets) < resume+4 {
+		t.Fatalf("world has %d tweets, want more than %d", len(w.Tweets), resume+3)
+	}
+	fh.Seek(resume)
+	ctx := context.Background()
+	tt, ok := fh.Next(ctx)
+	if !ok || tt.ID != w.Tweets[resume].ID {
+		t.Fatalf("first tweet after Seek(%d): id %d, ok=%v; want id %d", resume, tt.ID, ok, w.Tweets[resume].ID)
+	}
+	if len(waits) != 0 {
+		t.Fatalf("first tweet after Seek(%d) slept %v, want no wait", resume, waits)
+	}
+	for i := 0; i < 3; i++ {
+		if _, ok := fh.Next(ctx); !ok {
+			t.Fatalf("stream ended early at %d", resume+1+i)
+		}
+	}
+	if len(waits) != 3 {
+		t.Fatalf("slept %d times over 3 later tweets, want 3: %v", len(waits), waits)
+	}
+	for i, d := range waits {
+		if d != 10*time.Millisecond {
+			t.Fatalf("wait %d after Seek = %v, want 10ms", i, d)
+		}
 	}
 }
 
