@@ -6,6 +6,7 @@ package depsense
 // b.ReportMetric so a -bench run doubles as an ablation table.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -40,7 +41,7 @@ func BenchmarkAblationDepMode(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := core.Run(w.Dataset, core.VariantExt, core.Options{
+				res, err := core.RunCtx(context.Background(), w.Dataset, core.VariantExt, core.Options{
 					DepMode: mode.mode,
 				})
 				if err != nil {
@@ -75,7 +76,7 @@ func BenchmarkAblationSmoothing(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := core.Run(w.Dataset, core.VariantExt, core.Options{
+				res, err := core.RunCtx(context.Background(), w.Dataset, core.VariantExt, core.Options{
 					Smoothing: smooth,
 				})
 				if err != nil {

@@ -7,6 +7,7 @@
 package depsense
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -160,7 +161,7 @@ func benchEstimatorPoint(b *testing.B, cfg synthetic.Config) {
 			&baselines.EM{},
 			&baselines.EMSocial{},
 		} {
-			res, err := alg.Run(w.Dataset)
+			res, err := alg.RunContext(context.Background(), w.Dataset)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -78,6 +78,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if _, ok := twittersim.Preset(*scenario); !ok {
+		return fmt.Errorf("unknown scenario %q (try one of the Table III names)", *scenario)
+	}
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	if *traceDir != "" {

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"depsense/internal/trace"
@@ -60,5 +61,11 @@ func TestRunOnce(t *testing.T) {
 func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-no-such-flag"}); err == nil {
 		t.Fatal("bad flag accepted")
+	}
+	// A misspelt preset ("Paris Attack" is the Table III name) must not run
+	// another scenario under its label.
+	if err := run([]string{"-scenario", "Paris attack", "-once", "-addr", ""}); err == nil ||
+		!strings.Contains(err.Error(), `"Paris attack"`) {
+		t.Fatalf("unknown scenario: err = %v, want one naming it", err)
 	}
 }

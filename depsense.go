@@ -21,13 +21,14 @@
 //	b := depsense.NewDatasetBuilder(nSources, mAssertions)
 //	b.AddClaim(i, j, dependent)
 //	ds, err := b.Build()
-//	res, err := depsense.NewEMExt(depsense.EMOptions{}).Run(ds)
+//	res, err := depsense.NewEMExt(depsense.EMOptions{}).RunContext(context.Background(), ds)
 //	ranked := res.Ranking()
 //
-// Every fact-finder also implements RunContext(ctx, ds) for cancellable,
-// observable runs: deadlines and cancellation stop a run within one
-// iteration (Result.Stopped records why it stopped), and a per-iteration
-// IterationHook attached via WithIterationHook reports live progress.
+// RunContext(ctx, ds) is every fact-finder's one entry point, and the
+// context makes the run cancellable and observable: deadlines and
+// cancellation stop a run within one iteration (Result.Stopped records why
+// it stopped), and a per-iteration IterationHook attached via
+// WithIterationHook reports live progress.
 //
 // The examples/ programs are written against this package alone;
 // DESIGN.md and EXPERIMENTS.md document the paper reproduction.
@@ -269,8 +270,9 @@ func GenerateSynthetic(cfg SyntheticConfig, rng *rand.Rand) (*SyntheticWorld, er
 	return synthetic.Generate(cfg, rng)
 }
 
-// SmallTwitterScenario returns the Table III preset called name (the
-// first preset if no preset has that name) at 1/scale of its volume.
+// SmallTwitterScenario returns the Table III preset called name at 1/scale
+// of its volume. An unknown name yields a zero-volume scenario that
+// GenerateTwitter rejects.
 func SmallTwitterScenario(name string, scale int) TwitterScenario {
 	return twittersim.Small(name, scale)
 }

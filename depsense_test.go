@@ -4,6 +4,7 @@ package depsense
 // exercised the way README documents it.
 
 import (
+	"context"
 	"testing"
 )
 
@@ -21,7 +22,7 @@ func TestFacadeManualDataset(t *testing.T) {
 		t.Fatalf("summary: %+v", ds.Summarize())
 	}
 
-	res, err := NewEMExt(EMOptions{}).Run(ds)
+	res, err := NewEMExt(EMOptions{}).RunContext(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}

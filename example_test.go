@@ -4,6 +4,7 @@ package depsense_test
 // runs under `go test`, and its output is verified against the comment.
 
 import (
+	"context"
 	"fmt"
 
 	"depsense"
@@ -58,7 +59,7 @@ func ExampleNewEMExt() {
 		fmt.Println("generate:", err)
 		return
 	}
-	res, err := depsense.NewEMExt(depsense.EMOptions{}).Run(world.Dataset)
+	res, err := depsense.NewEMExt(depsense.EMOptions{}).RunContext(context.Background(), world.Dataset)
 	if err != nil {
 		fmt.Println("run:", err)
 		return

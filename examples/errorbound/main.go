@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -82,7 +83,7 @@ func run(w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			res, err := depsense.NewEMExt(depsense.EMOptions{}).Run(sw.Dataset)
+			res, err := depsense.NewEMExt(depsense.EMOptions{}).RunContext(context.Background(), sw.Dataset)
 			if err != nil {
 				return err
 			}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -109,7 +110,7 @@ func run(w io.Writer) error {
 	}
 	fmt.Fprintln(w, "\ncommute season:", seasonDS.Summarize())
 
-	res, err := depsense.NewEMExt(depsense.EMOptions{}).Run(seasonDS)
+	res, err := depsense.NewEMExt(depsense.EMOptions{}).RunContext(context.Background(), seasonDS)
 	if err != nil {
 		return err
 	}

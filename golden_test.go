@@ -12,6 +12,7 @@ package depsense
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -40,7 +41,7 @@ func computeGolden(workers int) (*goldenFixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := NewEMExt(EMOptions{Workers: workers}).Run(w.Dataset)
+	res, err := NewEMExt(EMOptions{Workers: workers}).RunContext(context.Background(), w.Dataset)
 	if err != nil {
 		return nil, err
 	}

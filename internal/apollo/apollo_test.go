@@ -141,11 +141,8 @@ func TestPipelineWithSimulatedStream(t *testing.T) {
 type failingFinder struct{}
 
 func (failingFinder) Name() string { return "failing" }
-func (failingFinder) Run(*claims.Dataset) (*factfind.Result, error) {
+func (failingFinder) RunContext(context.Context, *claims.Dataset) (*factfind.Result, error) {
 	return nil, errors.New("boom")
-}
-func (f failingFinder) RunContext(context.Context, *claims.Dataset) (*factfind.Result, error) {
-	return f.Run(nil)
 }
 
 func TestPipelinePropagatesFinderErrors(t *testing.T) {

@@ -25,11 +25,6 @@ var _ factfind.FactFinder = (*AverageLog)(nil)
 // Name implements factfind.FactFinder.
 func (a *AverageLog) Name() string { return "Average.Log" }
 
-// Run implements factfind.FactFinder.
-func (a *AverageLog) Run(ds *claims.Dataset) (*factfind.Result, error) {
-	return a.RunContext(context.Background(), ds)
-}
-
 // RunContext implements factfind.FactFinder. Cancellation is checked before
 // every belief/trust round; on cancellation the beliefs of the completed
 // rounds are returned with the context's error.
@@ -50,8 +45,8 @@ func (a *AverageLog) RunContext(ctx context.Context, ds *claims.Dataset) (*factf
 		maxB := 0.0
 		for j := 0; j < m; j++ {
 			b := 0.0
-			for _, c := range ds.Claimants(j) {
-				b += trust[c.Source]
+			for _, i := range ds.Claimants(j) {
+				b += trust[i]
 			}
 			belief[j] = b
 			if b > maxB {

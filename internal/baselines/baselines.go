@@ -27,11 +27,6 @@ var _ factfind.FactFinder = (*EM)(nil)
 // Name implements factfind.FactFinder.
 func (e *EM) Name() string { return "EM" }
 
-// Run implements factfind.FactFinder.
-func (e *EM) Run(ds *claims.Dataset) (*factfind.Result, error) {
-	return e.RunContext(context.Background(), ds)
-}
-
 // RunContext implements factfind.FactFinder.
 func (e *EM) RunContext(ctx context.Context, ds *claims.Dataset) (*factfind.Result, error) {
 	return core.RunCtx(ctx, ds, core.VariantIndependent, e.Opts)
@@ -48,11 +43,6 @@ var _ factfind.FactFinder = (*EMSocial)(nil)
 
 // Name implements factfind.FactFinder.
 func (e *EMSocial) Name() string { return "EM-Social" }
-
-// Run implements factfind.FactFinder.
-func (e *EMSocial) Run(ds *claims.Dataset) (*factfind.Result, error) {
-	return e.RunContext(context.Background(), ds)
-}
 
 // RunContext implements factfind.FactFinder.
 func (e *EMSocial) RunContext(ctx context.Context, ds *claims.Dataset) (*factfind.Result, error) {

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"testing"
 
 	"depsense/internal/claims"
@@ -46,7 +47,7 @@ func TestAllRunOnSynthetic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alg := range All() {
-		res, err := alg.Run(w.Dataset)
+		res, err := alg.RunContext(context.Background(), w.Dataset)
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}
@@ -63,7 +64,7 @@ func TestAllRunOnSynthetic(t *testing.T) {
 
 func TestVotingCounts(t *testing.T) {
 	ds := handcrafted(t)
-	res, err := (&Voting{}).Run(ds)
+	res, err := (&Voting{}).RunContext(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestVotingEmptyDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&Voting{}).Run(ds)
+	res, err := (&Voting{}).RunContext(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestVotingEmptyDataset(t *testing.T) {
 
 func TestSumsRanksSupportedFirst(t *testing.T) {
 	ds := handcrafted(t)
-	res, err := (&Sums{}).Run(ds)
+	res, err := (&Sums{}).RunContext(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestSumsMutualReinforcement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&Sums{}).Run(ds)
+	res, err := (&Sums{}).RunContext(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestSumsMutualReinforcement(t *testing.T) {
 
 func TestAverageLogProlificSources(t *testing.T) {
 	ds := handcrafted(t)
-	res, err := (&AverageLog{}).Run(ds)
+	res, err := (&AverageLog{}).RunContext(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestAverageLogProlificSources(t *testing.T) {
 func TestTruthFinderBasics(t *testing.T) {
 	ds := handcrafted(t)
 	tf := &TruthFinder{}
-	res, err := tf.Run(ds)
+	res, err := tf.RunContext(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestTruthFinderTrustSaturationIsFinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&TruthFinder{MaxIters: 500, InitialTrust: 0.999999}).Run(ds)
+	res, err := (&TruthFinder{MaxIters: 500, InitialTrust: 0.999999}).RunContext(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestHeuristicsInflatedByDependentClaims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&Voting{}).Run(ds)
+	res, err := (&Voting{}).RunContext(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestBaselinesAccuracyOnEasyWorld(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alg := range []factfind.FactFinder{&EM{}, &EMSocial{}} {
-		res, err := alg.Run(w.Dataset)
+		res, err := alg.RunContext(context.Background(), w.Dataset)
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}
@@ -238,7 +239,7 @@ func TestBaselinesAccuracyOnEasyWorld(t *testing.T) {
 func TestInvestmentRanksSupportedFirst(t *testing.T) {
 	ds := handcrafted(t)
 	for _, alg := range []factfind.FactFinder{&Investment{}, &PooledInvestment{}} {
-		res, err := alg.Run(ds)
+		res, err := alg.RunContext(context.Background(), ds)
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}
@@ -259,7 +260,7 @@ func TestInvestmentOnEmptyDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alg := range []factfind.FactFinder{&Investment{}, &PooledInvestment{}} {
-		res, err := alg.Run(ds)
+		res, err := alg.RunContext(context.Background(), ds)
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}
@@ -285,7 +286,7 @@ func TestExtendedLineup(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alg := range algs[7:] {
-		res, err := alg.Run(w.Dataset)
+		res, err := alg.RunContext(context.Background(), w.Dataset)
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}

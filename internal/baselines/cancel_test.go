@@ -65,7 +65,7 @@ func TestSumsCancelMidRun(t *testing.T) {
 		t.Fatalf("Iterations = %d, want 2", res.Iterations)
 	}
 	// The partial beliefs equal a full run truncated to the same rounds.
-	want, err := (&Sums{Iters: 2}).Run(ds)
+	want, err := (&Sums{Iters: 2}).RunContext(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}

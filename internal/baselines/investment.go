@@ -38,11 +38,6 @@ var _ factfind.FactFinder = (*Investment)(nil)
 // Name implements factfind.FactFinder.
 func (v *Investment) Name() string { return "Investment" }
 
-// Run implements factfind.FactFinder.
-func (v *Investment) Run(ds *claims.Dataset) (*factfind.Result, error) {
-	return v.RunContext(context.Background(), ds)
-}
-
 // RunContext implements factfind.FactFinder. Cancellation is checked before
 // every investment round; on cancellation the beliefs of the completed
 // rounds are returned with the context's error.
@@ -65,7 +60,7 @@ func (v *Investment) RunContext(ctx context.Context, ds *claims.Dataset) (*factf
 		trust[i] = 1
 	}
 
-	forEachClaim := func(i int, fn func(j int)) {
+	forEachClaim := func(i int, fn func(j int32)) {
 		for _, j := range ds.ClaimsD0(i) {
 			fn(j)
 		}
@@ -84,7 +79,7 @@ func (v *Investment) RunContext(ctx context.Context, ds *claims.Dataset) (*factf
 				continue
 			}
 			share := trust[i] / counts[i]
-			forEachClaim(i, func(j int) { invested[j] += share })
+			forEachClaim(i, func(j int32) { invested[j] += share })
 		}
 		// Grow beliefs, normalized by the maximum to keep the exponent
 		// numerically tame.
@@ -109,7 +104,7 @@ func (v *Investment) RunContext(ctx context.Context, ds *claims.Dataset) (*factf
 			}
 			share := trust[i] / counts[i]
 			sum := 0.0
-			forEachClaim(i, func(j int) {
+			forEachClaim(i, func(j int32) {
 				if invested[j] > 0 {
 					sum += belief[j] * share / invested[j]
 				}
@@ -153,11 +148,6 @@ var _ factfind.FactFinder = (*PooledInvestment)(nil)
 // Name implements factfind.FactFinder.
 func (v *PooledInvestment) Name() string { return "PooledInvestment" }
 
-// Run implements factfind.FactFinder.
-func (v *PooledInvestment) Run(ds *claims.Dataset) (*factfind.Result, error) {
-	return v.RunContext(context.Background(), ds)
-}
-
 // RunContext implements factfind.FactFinder. Cancellation is checked before
 // every investment round; on cancellation the beliefs of the completed
 // rounds are returned with the context's error.
@@ -179,7 +169,7 @@ func (v *PooledInvestment) RunContext(ctx context.Context, ds *claims.Dataset) (
 		counts[i] = float64(len(ds.ClaimsD0(i)) + len(ds.ClaimsD1(i)))
 		trust[i] = 1
 	}
-	forEachClaim := func(i int, fn func(j int)) {
+	forEachClaim := func(i int, fn func(j int32)) {
 		for _, j := range ds.ClaimsD0(i) {
 			fn(j)
 		}
@@ -196,7 +186,7 @@ func (v *PooledInvestment) RunContext(ctx context.Context, ds *claims.Dataset) (
 				continue
 			}
 			share := trust[i] / counts[i]
-			forEachClaim(i, func(j int) { linear[j] += share })
+			forEachClaim(i, func(j int32) { linear[j] += share })
 		}
 		// Pooled growth: H(c) = linear(c) · (linear(c)^g / Σ linear^g),
 		// normalized by max.
@@ -228,7 +218,7 @@ func (v *PooledInvestment) RunContext(ctx context.Context, ds *claims.Dataset) (
 			}
 			share := trust[i] / counts[i]
 			sum := 0.0
-			forEachClaim(i, func(j int) {
+			forEachClaim(i, func(j int32) {
 				if linear[j] > 0 {
 					sum += belief[j] * share / linear[j]
 				}

@@ -21,11 +21,6 @@ var _ factfind.FactFinder = (*Sums)(nil)
 // Name implements factfind.FactFinder.
 func (s *Sums) Name() string { return "Sums" }
 
-// Run implements factfind.FactFinder.
-func (s *Sums) Run(ds *claims.Dataset) (*factfind.Result, error) {
-	return s.RunContext(context.Background(), ds)
-}
-
 // RunContext implements factfind.FactFinder. Cancellation is checked before
 // every belief/trust round; on cancellation the beliefs of the completed
 // rounds are returned with the context's error.
@@ -44,8 +39,8 @@ func (s *Sums) RunContext(ctx context.Context, ds *claims.Dataset) (*factfind.Re
 		maxB := 0.0
 		for j := 0; j < m; j++ {
 			b := 0.0
-			for _, c := range ds.Claimants(j) {
-				b += trust[c.Source]
+			for _, i := range ds.Claimants(j) {
+				b += trust[i]
 			}
 			belief[j] = b
 			if b > maxB {

@@ -38,11 +38,6 @@ var _ factfind.FactFinder = (*TruthFinder)(nil)
 // Name implements factfind.FactFinder.
 func (t *TruthFinder) Name() string { return "Truth-Finder" }
 
-// Run implements factfind.FactFinder.
-func (t *TruthFinder) Run(ds *claims.Dataset) (*factfind.Result, error) {
-	return t.RunContext(context.Background(), ds)
-}
-
 // RunContext implements factfind.FactFinder. Cancellation is checked before
 // every trust/confidence round; on cancellation the confidences of the
 // completed rounds are returned with the context's error.
@@ -90,9 +85,9 @@ func (t *TruthFinder) RunContext(ctx context.Context, ds *claims.Dataset) (*fact
 		copy(prev, trust)
 		for j := 0; j < m; j++ {
 			score := 0.0
-			for _, c := range ds.Claimants(j) {
+			for _, i := range ds.Claimants(j) {
 				// Clamp keeps -ln(1-t) finite when trust saturates.
-				ti := trust[c.Source]
+				ti := trust[i]
 				if ti > 1-1e-9 {
 					ti = 1 - 1e-9
 				}

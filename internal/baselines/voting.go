@@ -18,11 +18,6 @@ var _ factfind.FactFinder = (*Voting)(nil)
 // Name implements factfind.FactFinder.
 func (v *Voting) Name() string { return "Voting" }
 
-// Run implements factfind.FactFinder.
-func (v *Voting) Run(ds *claims.Dataset) (*factfind.Result, error) {
-	return v.RunContext(context.Background(), ds)
-}
-
 // RunContext implements factfind.FactFinder. Voting is a single pass, so
 // the context is checked once up front; there is no partial state to
 // return.

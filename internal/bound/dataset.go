@@ -204,14 +204,13 @@ func distinctColumns(ds *claims.Dataset) []columnGroup {
 	ptr := make([]int, m+1)
 	flat := make([]int32, 0, ds.NumDependentClaims()+ds.Summarize().SilentDependent)
 	for j := 0; j < m; j++ {
-		for _, c := range ds.Claimants(j) {
-			if c.Dependent {
-				flat = append(flat, int32(c.Source))
+		dep := ds.ClaimDependent(j)
+		for k, s := range ds.Claimants(j) {
+			if dep[k] {
+				flat = append(flat, s)
 			}
 		}
-		for _, s := range ds.SilentDependents(j) {
-			flat = append(flat, int32(s))
-		}
+		flat = append(flat, ds.SilentDependents(j)...)
 		slices.Sort(flat[ptr[j]:])
 		ptr[j+1] = len(flat)
 	}

@@ -26,40 +26,21 @@ import (
 	"depsense/internal/model"
 )
 
-// ClaimRef identifies one claimant of an assertion and whether that claim is
-// dependent (D[i][j] = 1).
-type ClaimRef struct {
-	Source    int  `json:"source"`
-	Dependent bool `json:"dependent"`
-}
-
-// Dataset is an immutable fact-finding input: n sources, m assertions, the
-// sparse claim structure, and the sparse dependent-pair structure. Construct
-// one with a Builder or FromRows; a zero Dataset is empty but valid.
+// Dataset is an immutable fact-finding input: n sources, m assertions, and
+// the sparse claim and dependent-pair structure, held once as a SparseView.
+// Construct one with a Builder or FromRows; a zero Dataset is empty but
+// valid.
 type Dataset struct {
-	n int
-	m int
-
-	// Each index is one flat array delimited by the sparse view's pointer
-	// array: the claimants of C_j are claimants[ColPtr[j]:ColPtr[j+1]] of
-	// sparse.Claims, the independent claims of S_i are
-	// claimsD0[RowPtr[i]:RowPtr[i+1]] of sparse.ClaimsD0, and so on.
-	claimants []ClaimRef // by assertion: sources that claimed C_j
-	silentDep []int      // by assertion: D[i][j] = 1 and no claim
-	claimsD0  []int      // by source: assertions claimed independently
-	claimsD1  []int      // by source: assertions claimed dependently
-	silentD1  []int      // by source: D[i][j] = 1 where S_i stayed silent
-
-	// sparse is the flattened CSR/CSC kernel view, frozen at assembly.
+	n, m   int
 	sparse *SparseView
 }
 
 // SparseView is the flattened sparse-kernel view of a Dataset: the SC and D
 // nonzero structure packed into model.CSR/model.CSC index arrays, the form
 // the estimator hot paths iterate. Columns are assertions, rows are sources.
-// All fields are frozen at Build time and must not be modified; the
-// slice-of-slices accessors (Claimants, ClaimsD0, ...) and this view always
-// describe the same matrices, in the same per-row / per-column order.
+// It is the Dataset's only copy of the structure: every accessor
+// (Claimants, ClaimsD0, ...) is a view into these arrays. All fields are
+// frozen at Build time and must not be modified.
 type SparseView struct {
 	// Claims is SC's nonzero pattern by assertion: Claims.Col(j) lists the
 	// claimants of assertion j in increasing source order.
@@ -140,7 +121,6 @@ func assemble(d0, d1, s1 *model.CSR) *Dataset {
 	for j := 0; j < m; j++ {
 		claims.ColPtr[j+1] += claims.ColPtr[j]
 	}
-	refs := make([]ClaimRef, nnz)
 	dep := make([]bool, nnz)
 	next := make([]int32, m)
 	copy(next, claims.ColPtr[:m])
@@ -149,7 +129,6 @@ func assemble(d0, d1, s1 *model.CSR) *Dataset {
 			k := next[j]
 			next[j]++
 			claims.Row[k] = int32(i)
-			refs[k] = ClaimRef{Source: i, Dependent: dependent}
 			dep[k] = dependent
 		}
 	}
@@ -157,37 +136,19 @@ func assemble(d0, d1, s1 *model.CSR) *Dataset {
 		place(i, d0.Row(i), false)
 		place(i, d1.Row(i), true)
 	}
-	silent := s1.CSC()
-	return &Dataset{
-		n:         n,
-		m:         m,
-		claimants: refs,
-		silentDep: toInts(silent.Row),
-		claimsD0:  toInts(d0.Col),
-		claimsD1:  toInts(d1.Col),
-		silentD1:  toInts(s1.Col),
-		sparse: &SparseView{
-			Claims:   claims,
-			ClaimDep: dep,
-			Silent:   silent,
-			ClaimsD0: d0,
-			ClaimsD1: d1,
-			SilentD1: s1,
-		},
-	}
+	return &Dataset{n: n, m: m, sparse: &SparseView{
+		Claims:   claims,
+		ClaimDep: dep,
+		Silent:   s1.CSC(),
+		ClaimsD0: d0,
+		ClaimsD1: d1,
+		SilentD1: s1,
+	}}
 }
 
 // emptyRows returns an n×m CSR with no nonzeros, ready to append rows to.
 func emptyRows(n, m int) *model.CSR {
 	return &model.CSR{NumRows: n, NumCols: m, RowPtr: make([]int32, n+1), Col: []int32{}}
-}
-
-func toInts(idx []int32) []int {
-	out := make([]int, len(idx))
-	for k, v := range idx {
-		out[k] = int(v)
-	}
-	return out
 }
 
 // span returns entry k of a flat index delimited by ptr, capped so that an
@@ -208,41 +169,54 @@ func (d *Dataset) N() int { return d.n }
 func (d *Dataset) M() int { return d.m }
 
 // NumClaims returns the total number of claims (nonzeros of SC).
-func (d *Dataset) NumClaims() int { return len(d.claimants) }
+func (d *Dataset) NumClaims() int { return d.Sparse().Claims.NNZ() }
 
 // NumDependentClaims returns the number of claims with D[i][j] = 1.
-func (d *Dataset) NumDependentClaims() int { return len(d.claimsD1) }
+func (d *Dataset) NumDependentClaims() int { return d.Sparse().ClaimsD1.NNZ() }
 
 // NumOriginalClaims returns the number of independent claims, the paper's
 // "#Original Claims" column in Table III.
-func (d *Dataset) NumOriginalClaims() int { return len(d.claimsD0) }
+func (d *Dataset) NumOriginalClaims() int { return d.Sparse().ClaimsD0.NNZ() }
 
-// Claimants returns the sources claiming assertion j. The returned slice is
-// owned by the Dataset and must not be modified.
-func (d *Dataset) Claimants(j int) []ClaimRef {
-	return span(d.claimants, d.sparse.Claims.ColPtr, j)
+// Claimants returns the sources claiming assertion j, in increasing order.
+// Like every accessor below, it returns a view into the SparseView: owned
+// by the Dataset, not to be modified, and nil when empty.
+func (d *Dataset) Claimants(j int) []int32 {
+	return span(d.sparse.Claims.Row, d.sparse.Claims.ColPtr, j)
+}
+
+// ClaimDependent returns D over the claimants of assertion j:
+// ClaimDependent(j)[k] is D[i][j] for i = Claimants(j)[k].
+func (d *Dataset) ClaimDependent(j int) []bool {
+	return span(d.sparse.ClaimDep, d.sparse.Claims.ColPtr, j)
 }
 
 // SilentDependents returns the sources with D[i][j] = 1 that did not claim
-// j. The returned slice is owned by the Dataset and must not be modified.
-func (d *Dataset) SilentDependents(j int) []int {
-	return span(d.silentDep, d.sparse.Silent.ColPtr, j)
+// j, in increasing order.
+func (d *Dataset) SilentDependents(j int) []int32 {
+	return span(d.sparse.Silent.Row, d.sparse.Silent.ColPtr, j)
 }
 
 // ClaimsD0 returns the assertions source i claimed independently.
-func (d *Dataset) ClaimsD0(i int) []int { return span(d.claimsD0, d.sparse.ClaimsD0.RowPtr, i) }
+func (d *Dataset) ClaimsD0(i int) []int32 {
+	return span(d.sparse.ClaimsD0.Col, d.sparse.ClaimsD0.RowPtr, i)
+}
 
 // ClaimsD1 returns the assertions source i claimed dependently.
-func (d *Dataset) ClaimsD1(i int) []int { return span(d.claimsD1, d.sparse.ClaimsD1.RowPtr, i) }
+func (d *Dataset) ClaimsD1(i int) []int32 {
+	return span(d.sparse.ClaimsD1.Col, d.sparse.ClaimsD1.RowPtr, i)
+}
 
 // SilentD1 returns the assertions with D[i][j] = 1 that source i did not
 // claim.
-func (d *Dataset) SilentD1(i int) []int { return span(d.silentD1, d.sparse.SilentD1.RowPtr, i) }
+func (d *Dataset) SilentD1(i int) []int32 {
+	return span(d.sparse.SilentD1.Col, d.sparse.SilentD1.RowPtr, i)
+}
 
 // Claimed reports SC[i][j].
 func (d *Dataset) Claimed(i, j int) bool {
-	for _, c := range d.Claimants(j) {
-		if c.Source == i {
+	for _, s := range d.Claimants(j) {
+		if int(s) == i {
 			return true
 		}
 	}
@@ -251,13 +225,14 @@ func (d *Dataset) Claimed(i, j int) bool {
 
 // Dependent reports D[i][j].
 func (d *Dataset) Dependent(i, j int) bool {
-	for _, c := range d.Claimants(j) {
-		if c.Source == i {
-			return c.Dependent
+	dep := d.ClaimDependent(j)
+	for k, s := range d.Claimants(j) {
+		if int(s) == i {
+			return dep[k]
 		}
 	}
 	for _, s := range d.SilentDependents(j) {
-		if s == i {
+		if int(s) == i {
 			return true
 		}
 	}
@@ -268,10 +243,9 @@ func (d *Dataset) Dependent(i, j int) bool {
 // length n. The error-bound computation consumes columns in this form.
 func (d *Dataset) DependencyColumn(j int) []bool {
 	col := make([]bool, d.n)
-	for _, c := range d.Claimants(j) {
-		if c.Dependent {
-			col[c.Source] = true
-		}
+	dep := d.ClaimDependent(j)
+	for k, s := range d.Claimants(j) {
+		col[s] = dep[k]
 	}
 	for _, s := range d.SilentDependents(j) {
 		col[s] = true
@@ -297,7 +271,7 @@ func (d *Dataset) Summarize() Summary {
 		TotalClaims:     d.NumClaims(),
 		OriginalClaims:  d.NumOriginalClaims(),
 		DependentClaims: d.NumDependentClaims(),
-		SilentDependent: len(d.silentDep),
+		SilentDependent: d.Sparse().Silent.NNZ(),
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -151,7 +152,7 @@ func TestDeterministicOrder(t *testing.T) {
 	for j := 0; j < 5; j++ {
 		cl := a.Claimants(j)
 		for k := 1; k < len(cl); k++ {
-			if cl[k-1].Source >= cl[k].Source {
+			if cl[k-1] >= cl[k] {
 				t.Fatal("claimants not sorted")
 			}
 		}
@@ -236,21 +237,22 @@ func TestIndexConsistency(t *testing.T) {
 		gotSilent := make(map[pk]bool)
 		for i := 0; i < n; i++ {
 			for _, j := range ds.ClaimsD0(i) {
-				gotClaims[pk{i, j}] = false
+				gotClaims[pk{i, int(j)}] = false
 			}
 			for _, j := range ds.ClaimsD1(i) {
-				gotClaims[pk{i, j}] = true
+				gotClaims[pk{i, int(j)}] = true
 			}
 			for _, j := range ds.SilentD1(i) {
-				gotSilent[pk{i, j}] = true
+				gotSilent[pk{i, int(j)}] = true
 			}
 		}
 		// And from the by-assertion view.
 		gotClaims2 := make(map[pk]bool)
 		total := 0
 		for j := 0; j < m; j++ {
-			for _, c := range ds.Claimants(j) {
-				gotClaims2[pk{c.Source, j}] = c.Dependent
+			dep := ds.ClaimDependent(j)
+			for k, i := range ds.Claimants(j) {
+				gotClaims2[pk{int(i), j}] = dep[k]
 				total++
 			}
 		}
@@ -303,25 +305,40 @@ func TestConflictErrorDeterministic(t *testing.T) {
 	}
 }
 
-// TestSparseViewMatchesAccessors: the flattened CSR/CSC kernel view and the
-// slice-of-slices accessors describe the same matrices in the same order.
+// randomDense draws an n×m SC and D at random, feeds them to a Builder,
+// and returns the built dataset with the dense matrices it was fed.
+func randomDense(t *testing.T, rng *rand.Rand) (ds *Dataset, sc, dep [][]bool) {
+	t.Helper()
+	n, m := 1+rng.Intn(30), 1+rng.Intn(30)
+	b := NewBuilder(n, m)
+	sc, dep = make([][]bool, n), make([][]bool, n)
+	for i := range sc {
+		sc[i], dep[i] = make([]bool, m), make([]bool, m)
+		for j := 0; j < m; j++ {
+			switch {
+			case rng.Float64() < 0.15:
+				sc[i][j], dep[i][j] = true, rng.Float64() < 0.4
+				b.AddClaim(i, j, dep[i][j])
+			case rng.Float64() < 0.05:
+				dep[i][j] = true
+				b.MarkSilentDependent(i, j)
+			}
+		}
+	}
+	return mustBuild(t, b), sc, dep
+}
+
+// TestSparseViewMatchesAccessors: every SparseView field and every
+// accessor describes the dense SC and D the Builder was fed, in
+// increasing index order, and an empty entry is nil.
 func TestSparseViewMatchesAccessors(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(30)
-		m := 1 + rng.Intn(30)
-		b := NewBuilder(n, m)
-		for i := 0; i < n; i++ {
-			for j := 0; j < m; j++ {
-				switch {
-				case rng.Float64() < 0.15:
-					b.AddClaim(i, j, rng.Float64() < 0.4)
-				case rng.Float64() < 0.05:
-					b.MarkSilentDependent(i, j)
-				}
-			}
+		ds, sc, dep := randomDense(t, rng)
+		n, m := len(sc), len(sc[0])
+		if ds.N() != n || ds.M() != m {
+			t.Fatalf("trial %d: dims (%d,%d), want (%d,%d)", trial, ds.N(), ds.M(), n, m)
 		}
-		ds := mustBuild(t, b)
 		sv := ds.Sparse()
 		for _, v := range []interface{ Validate() error }{
 			sv.Claims, sv.Silent, sv.ClaimsD0, sv.ClaimsD1, sv.SilentD1,
@@ -330,53 +347,127 @@ func TestSparseViewMatchesAccessors(t *testing.T) {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
 		}
-		if len(sv.ClaimDep) != sv.Claims.NNZ() {
-			t.Fatalf("trial %d: ClaimDep length %d != nnz %d", trial, len(sv.ClaimDep), sv.Claims.NNZ())
+		same := func(name string, k int, got, view []int32, want []int32) {
+			t.Helper()
+			if !slices.Equal(got, want) || !slices.Equal(view, want) || (got == nil) != (len(want) == 0) {
+				t.Fatalf("trial %d %s(%d) = %v, view %v, want %v", trial, name, k, got, view, want)
+			}
 		}
+		var claims, dependents, original, silent int
 		for j := 0; j < m; j++ {
-			want := ds.Claimants(j)
-			col := sv.Claims.Col(j)
-			if len(col) != len(want) {
-				t.Fatalf("trial %d col %d: %d claimants, want %d", trial, j, len(col), len(want))
-			}
-			base := int(sv.Claims.ColPtr[j])
-			for k, ref := range want {
-				if int(col[k]) != ref.Source || sv.ClaimDep[base+k] != ref.Dependent {
-					t.Fatalf("trial %d col %d entry %d: (%d,%v) want (%d,%v)",
-						trial, j, k, col[k], sv.ClaimDep[base+k], ref.Source, ref.Dependent)
+			var cl, sil []int32
+			var flags []bool
+			col := make([]bool, n)
+			for i := 0; i < n; i++ {
+				switch {
+				case sc[i][j]:
+					cl, flags = append(cl, int32(i)), append(flags, dep[i][j])
+				case dep[i][j]:
+					sil = append(sil, int32(i))
+				}
+				col[i] = dep[i][j]
+				if ds.Claimed(i, j) != sc[i][j] || ds.Dependent(i, j) != dep[i][j] {
+					t.Fatalf("trial %d (%d,%d): Claimed %v Dependent %v, want %v %v",
+						trial, i, j, ds.Claimed(i, j), ds.Dependent(i, j), sc[i][j], dep[i][j])
 				}
 			}
-			sil := sv.Silent.Col(j)
-			wantSil := ds.SilentDependents(j)
-			if len(sil) != len(wantSil) {
-				t.Fatalf("trial %d col %d: %d silent, want %d", trial, j, len(sil), len(wantSil))
+			same("Claimants", j, ds.Claimants(j), sv.Claims.Col(j), cl)
+			same("SilentDependents", j, ds.SilentDependents(j), sv.Silent.Col(j), sil)
+			got, view := ds.ClaimDependent(j), sv.ClaimDep[sv.Claims.ColPtr[j]:sv.Claims.ColPtr[j+1]]
+			if !slices.Equal(got, flags) || !slices.Equal(view, flags) || (got == nil) != (len(flags) == 0) {
+				t.Fatalf("trial %d ClaimDependent(%d) = %v, view %v, want %v", trial, j, got, view, flags)
 			}
-			for k := range sil {
-				if int(sil[k]) != wantSil[k] {
-					t.Fatalf("trial %d col %d silent %d: %d want %d", trial, j, k, sil[k], wantSil[k])
-				}
+			if got := ds.DependencyColumn(j); !slices.Equal(got, col) {
+				t.Fatalf("trial %d DependencyColumn(%d) = %v, want %v", trial, j, got, col)
 			}
+			claims += len(cl)
+			silent += len(sil)
 		}
-		rowsMatch := func(name string, row []int32, want []int) {
-			if len(row) != len(want) {
-				t.Fatalf("trial %d %s: len %d want %d", trial, name, len(row), len(want))
-			}
-			for k := range row {
-				if int(row[k]) != want[k] {
-					t.Fatalf("trial %d %s entry %d: %d want %d", trial, name, k, row[k], want[k])
-				}
-			}
+		if len(sv.ClaimDep) != claims {
+			t.Fatalf("trial %d: ClaimDep length %d, want %d", trial, len(sv.ClaimDep), claims)
 		}
 		for i := 0; i < n; i++ {
-			rowsMatch("ClaimsD0", sv.ClaimsD0.Row(i), ds.ClaimsD0(i))
-			rowsMatch("ClaimsD1", sv.ClaimsD1.Row(i), ds.ClaimsD1(i))
-			rowsMatch("SilentD1", sv.SilentD1.Row(i), ds.SilentD1(i))
+			var d0, d1, s1 []int32
+			for j := 0; j < m; j++ {
+				switch {
+				case sc[i][j] && dep[i][j]:
+					d1 = append(d1, int32(j))
+				case sc[i][j]:
+					d0 = append(d0, int32(j))
+				case dep[i][j]:
+					s1 = append(s1, int32(j))
+				}
+			}
+			same("ClaimsD0", i, ds.ClaimsD0(i), sv.ClaimsD0.Row(i), d0)
+			same("ClaimsD1", i, ds.ClaimsD1(i), sv.ClaimsD1.Row(i), d1)
+			same("SilentD1", i, ds.SilentD1(i), sv.SilentD1.Row(i), s1)
+			dependents += len(d1)
+			original += len(d0)
+		}
+		want := Summary{Sources: n, Assertions: m, TotalClaims: claims, OriginalClaims: original,
+			DependentClaims: dependents, SilentDependent: silent}
+		if got := ds.Summarize(); got != want || ds.NumClaims() != claims ||
+			ds.NumDependentClaims() != dependents || ds.NumOriginalClaims() != original {
+			t.Fatalf("trial %d: summary %+v, want %+v", trial, got, want)
 		}
 	}
 	// Zero-value dataset still yields a structurally valid (empty) view.
 	var zero Dataset
 	if err := zero.Sparse().Claims.Validate(); err != nil {
 		t.Fatalf("zero-value view: %v", err)
+	}
+	if zero.NumClaims() != 0 || zero.Summarize() != (Summary{}) {
+		t.Fatalf("zero-value summary %+v", zero.Summarize())
+	}
+}
+
+// TestSparseViewAccessorsDoNotAlias: appending to any accessor's result
+// copies instead of overwriting the next entry of the shared view.
+func TestSparseViewAccessorsDoNotAlias(t *testing.T) {
+	ds, sc, _ := randomDense(t, rand.New(rand.NewSource(78)))
+	n, m := len(sc), len(sc[0])
+	sv := ds.Sparse()
+	arrays := func() [][]int32 {
+		return [][]int32{sv.Claims.Row, sv.Silent.Row, sv.ClaimsD0.Col, sv.ClaimsD1.Col, sv.SilentD1.Col}
+	}
+	var before [][]int32
+	for _, a := range arrays() {
+		before = append(before, slices.Clone(a))
+	}
+	beforeDep := slices.Clone(sv.ClaimDep)
+	check := func(name string, k int) {
+		t.Helper()
+		for a, arr := range arrays() {
+			if !slices.Equal(arr, before[a]) {
+				t.Fatalf("append to %s(%d) overwrote view array %d", name, k, a)
+			}
+		}
+		if !slices.Equal(sv.ClaimDep, beforeDep) {
+			t.Fatalf("append to %s(%d) overwrote ClaimDep", name, k)
+		}
+	}
+	for _, acc := range []struct {
+		name  string
+		count int
+		get   func(int) []int32
+	}{
+		{"Claimants", m, ds.Claimants},
+		{"SilentDependents", m, ds.SilentDependents},
+		{"ClaimsD0", n, ds.ClaimsD0},
+		{"ClaimsD1", n, ds.ClaimsD1},
+		{"SilentD1", n, ds.SilentD1},
+	} {
+		for k := 0; k < acc.count; k++ {
+			_ = append(acc.get(k), -1)
+			check(acc.name, k)
+		}
+	}
+	for j := 0; j < m; j++ {
+		// One of the two values differs from whatever follows column j.
+		for _, v := range []bool{false, true} {
+			_ = append(ds.ClaimDependent(j), v)
+			check("ClaimDependent", j)
+		}
 	}
 }
 
@@ -490,7 +581,7 @@ func TestFromRowsRejectsBadRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.NumClaims() != 2 || ds.NumDependentClaims() != 1 || !reflect.DeepEqual(ds.SilentDependents(2), []int{1}) {
+	if ds.NumClaims() != 2 || ds.NumDependentClaims() != 1 || !reflect.DeepEqual(ds.SilentDependents(2), []int32{1}) {
 		t.Fatalf("FromRows built %+v", ds.Summarize())
 	}
 }

@@ -32,11 +32,12 @@ func (d *Dataset) MarshalJSON() ([]byte, error) {
 	out := datasetJSON{Sources: d.n, Assertions: d.m}
 	out.Claims = make([]claimJSON, 0, d.NumClaims())
 	for j := 0; j < d.m; j++ {
-		for _, c := range d.Claimants(j) {
-			out.Claims = append(out.Claims, claimJSON{Source: c.Source, Assertion: j, Dependent: c.Dependent})
+		dep := d.ClaimDependent(j)
+		for k, i := range d.Claimants(j) {
+			out.Claims = append(out.Claims, claimJSON{Source: int(i), Assertion: j, Dependent: dep[k]})
 		}
 		for _, i := range d.SilentDependents(j) {
-			out.SilentDep = append(out.SilentDep, pairJSON{Source: i, Assertion: j})
+			out.SilentDep = append(out.SilentDep, pairJSON{Source: int(i), Assertion: j})
 		}
 	}
 	return json.Marshal(out)

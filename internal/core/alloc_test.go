@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"depsense/internal/model"
@@ -14,7 +15,7 @@ import (
 // buffer, an escaping slice header) shows up as allocs/op > 0.
 func TestWarmRefitKernelAllocFree(t *testing.T) {
 	w := genWorld(t, 40, 200, 91)
-	res, err := Run(w.Dataset, VariantExt, Options{DepMode: DepModeJoint})
+	res, err := RunCtx(context.Background(), w.Dataset, VariantExt, Options{DepMode: DepModeJoint})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,18 +43,18 @@ func TestWarmFitAllocsSizeIndependent(t *testing.T) {
 	measure := func(n, m int, seed int64) float64 {
 		t.Helper()
 		w := genWorld(t, n, m, seed)
-		res, err := Run(w.Dataset, VariantExt, Options{DepMode: DepModeJoint})
+		res, err := RunCtx(context.Background(), w.Dataset, VariantExt, Options{DepMode: DepModeJoint})
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := NewScratch()
 		warm := func() *model.Params { p := res.Params.Clone(); p.Clamp(); return p }
 		opts := Options{Init: warm(), MaxIters: 2, DepMode: DepModeJoint, Scratch: s}
-		if _, err := Run(w.Dataset, VariantExt, opts); err != nil {
+		if _, err := RunCtx(context.Background(), w.Dataset, VariantExt, opts); err != nil {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(10, func() {
-			if _, err := Run(w.Dataset, VariantExt, opts); err != nil {
+			if _, err := RunCtx(context.Background(), w.Dataset, VariantExt, opts); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -72,7 +73,7 @@ func TestPosteriorOptsScratchReuse(t *testing.T) {
 	measure := func(n, m int, seed int64) float64 {
 		t.Helper()
 		w := genWorld(t, n, m, seed)
-		res, err := Run(w.Dataset, VariantExt, Options{DepMode: DepModeJoint})
+		res, err := RunCtx(context.Background(), w.Dataset, VariantExt, Options{DepMode: DepModeJoint})
 		if err != nil {
 			t.Fatal(err)
 		}

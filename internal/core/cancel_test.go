@@ -109,7 +109,7 @@ func TestRunCtxPreCancelled(t *testing.T) {
 func TestRunCtxStoppedReasons(t *testing.T) {
 	w := genWorld(t, 10, 30, 99)
 
-	res, err := Run(w.Dataset, VariantExt, Options{})
+	res, err := RunCtx(context.Background(), w.Dataset, VariantExt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestRunCtxStoppedReasons(t *testing.T) {
 		t.Fatalf("converged run: Converged=%v Stopped=%q", res.Converged, res.Stopped)
 	}
 
-	res, err = Run(w.Dataset, VariantExt, Options{MaxIters: 2, Tol: 1e-300, DepMode: DepModeJoint})
+	res, err = RunCtx(context.Background(), w.Dataset, VariantExt, Options{MaxIters: 2, Tol: 1e-300, DepMode: DepModeJoint})
 	if err != nil {
 		t.Fatal(err)
 	}

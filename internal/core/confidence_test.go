@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -31,7 +32,7 @@ func TestNormalQuantile(t *testing.T) {
 
 func TestConfidenceValidation(t *testing.T) {
 	w := genWorld(t, 6, 15, 8)
-	res, err := Run(w.Dataset, VariantExt, Options{})
+	res, err := RunCtx(context.Background(), w.Dataset, VariantExt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestConfidenceValidation(t *testing.T) {
 
 func TestConfidenceBasicShape(t *testing.T) {
 	w := genWorld(t, 10, 40, 9)
-	res, err := Run(w.Dataset, VariantExt, Options{})
+	res, err := RunCtx(context.Background(), w.Dataset, VariantExt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestConfidenceShrinksWithData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(w.Dataset, VariantExt, Options{})
+		res, err := RunCtx(context.Background(), w.Dataset, VariantExt, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +120,7 @@ func TestConfidenceCoverage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(w.Dataset, VariantExt, Options{})
+		res, err := RunCtx(context.Background(), w.Dataset, VariantExt, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +157,7 @@ func TestConfidenceVacuousOnEmptyStrata(t *testing.T) {
 		}
 		return world
 	}()
-	res, err := Run(w.Dataset, VariantExt, Options{})
+	res, err := RunCtx(context.Background(), w.Dataset, VariantExt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,20 +169,9 @@ var _ factfind.FactFinder = (*EMExt)(nil)
 // Name implements factfind.FactFinder.
 func (e *EMExt) Name() string { return "EM-Ext" }
 
-// Run implements factfind.FactFinder.
-func (e *EMExt) Run(ds *claims.Dataset) (*factfind.Result, error) {
-	return e.RunContext(context.Background(), ds)
-}
-
 // RunContext implements factfind.FactFinder.
 func (e *EMExt) RunContext(ctx context.Context, ds *claims.Dataset) (*factfind.Result, error) {
 	return RunCtx(ctx, ds, VariantExt, e.Opts)
-}
-
-// Run executes the EM engine for the given variant without cancellation or
-// observability, the pre-runctx contract kept for batch callers.
-func Run(ds *claims.Dataset, variant Variant, opts Options) (*factfind.Result, error) {
-	return RunCtx(context.Background(), ds, variant, opts)
 }
 
 // RunCtx executes the EM engine for the given variant under a run-context.

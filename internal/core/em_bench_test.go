@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -20,7 +21,7 @@ func BenchmarkEMExt(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("n=%d_m=%d", size.n, size.m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(w.Dataset, VariantExt, Options{}); err != nil {
+				if _, err := RunCtx(context.Background(), w.Dataset, VariantExt, Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -43,7 +44,7 @@ func BenchmarkEMExtWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := Run(w.Dataset, VariantExt, Options{
+				_, err := RunCtx(context.Background(), w.Dataset, VariantExt, Options{
 					MaxIters: 3, Tol: 1e-300, Workers: workers,
 				})
 				if err != nil {

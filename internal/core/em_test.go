@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -35,7 +36,7 @@ func TestRunValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(empty, VariantExt, Options{}); !errors.Is(err, ErrEmptyDataset) {
+	if _, err := RunCtx(context.Background(), empty, VariantExt, Options{}); !errors.Is(err, ErrEmptyDataset) {
 		t.Fatalf("want ErrEmptyDataset, got %v", err)
 	}
 
@@ -46,12 +47,12 @@ func TestRunValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	badInit := model.NewParams(3, 0.5)
-	if _, err := Run(ds, VariantExt, Options{Init: badInit}); !errors.Is(err, ErrParamsShape) {
+	if _, err := RunCtx(context.Background(), ds, VariantExt, Options{Init: badInit}); !errors.Is(err, ErrParamsShape) {
 		t.Fatalf("want ErrParamsShape, got %v", err)
 	}
 	invalid := model.NewParams(2, 0.5)
 	invalid.Sources[0].A = 2
-	if _, err := Run(ds, VariantExt, Options{Init: invalid}); err == nil {
+	if _, err := RunCtx(context.Background(), ds, VariantExt, Options{Init: invalid}); err == nil {
 		t.Fatal("invalid init accepted")
 	}
 }
@@ -59,7 +60,7 @@ func TestRunValidation(t *testing.T) {
 func TestPosteriorsAreProbabilities(t *testing.T) {
 	w := genWorld(t, 12, 40, 321)
 	for _, v := range []Variant{VariantExt, VariantIndependent, VariantSocial} {
-		res, err := Run(w.Dataset, v, Options{})
+		res, err := RunCtx(context.Background(), w.Dataset, v, Options{})
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
@@ -81,11 +82,11 @@ func TestPosteriorsAreProbabilities(t *testing.T) {
 // same dataset with the same options agree bit for bit.
 func TestRepeatedRunsIdentical(t *testing.T) {
 	w := genWorld(t, 10, 30, 99)
-	a, err := Run(w.Dataset, VariantExt, Options{})
+	a, err := RunCtx(context.Background(), w.Dataset, VariantExt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(w.Dataset, VariantExt, Options{})
+	b, err := RunCtx(context.Background(), w.Dataset, VariantExt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +130,11 @@ func TestSeedHasNoEffect(t *testing.T) {
 			for _, mode := range []DepMode{DepModeAuto, DepModeJoint, DepModePlugin} {
 				for _, workers := range []int{1, 3} {
 					t.Run(fmt.Sprintf("%s/%v/mode%d/w%d", d.name, v, mode, workers), func(t *testing.T) {
-						a, err := Run(d.ds, v, Options{Seed: 1, DepMode: mode, Workers: workers})
+						a, err := RunCtx(context.Background(), d.ds, v, Options{Seed: 1, DepMode: mode, Workers: workers})
 						if err != nil {
 							t.Fatal(err)
 						}
-						b, err := Run(d.ds, v, Options{Seed: 987654321, DepMode: mode, Workers: workers})
+						b, err := RunCtx(context.Background(), d.ds, v, Options{Seed: 987654321, DepMode: mode, Workers: workers})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -162,7 +163,7 @@ func TestNearPerfectSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(w.Dataset, VariantExt, Options{})
+	res, err := RunCtx(context.Background(), w.Dataset, VariantExt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestEMExtRecoversParameters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(w.Dataset, VariantExt, Options{})
+	res, err := RunCtx(context.Background(), w.Dataset, VariantExt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,9 +210,9 @@ func TestVariantsDivergeOnDependentData(t *testing.T) {
 	if w.Dataset.NumDependentClaims() == 0 {
 		t.Fatal("test world has no dependent claims")
 	}
-	resExt, _ := Run(w.Dataset, VariantExt, Options{})
-	resInd, _ := Run(w.Dataset, VariantIndependent, Options{})
-	resSoc, _ := Run(w.Dataset, VariantSocial, Options{})
+	resExt, _ := RunCtx(context.Background(), w.Dataset, VariantExt, Options{})
+	resInd, _ := RunCtx(context.Background(), w.Dataset, VariantIndependent, Options{})
+	resSoc, _ := RunCtx(context.Background(), w.Dataset, VariantSocial, Options{})
 	if samePosteriors(resExt.Posterior, resInd.Posterior) {
 		t.Error("EM-Ext and EM identical on dependent data")
 	}
@@ -233,8 +234,8 @@ func TestVariantsAgreeWithoutDependencies(t *testing.T) {
 	if w.Dataset.NumDependentClaims() != 0 {
 		t.Fatal("all-roots world has dependent claims")
 	}
-	resInd, _ := Run(w.Dataset, VariantIndependent, Options{})
-	resSoc, _ := Run(w.Dataset, VariantSocial, Options{})
+	resInd, _ := RunCtx(context.Background(), w.Dataset, VariantIndependent, Options{})
+	resSoc, _ := RunCtx(context.Background(), w.Dataset, VariantSocial, Options{})
 	for j := range resInd.Posterior {
 		if math.Abs(resInd.Posterior[j]-resSoc.Posterior[j]) > 1e-9 {
 			t.Fatalf("EM vs EM-Social differ at %d without dependencies", j)
@@ -245,7 +246,7 @@ func TestVariantsAgreeWithoutDependencies(t *testing.T) {
 func TestExplicitInitHonored(t *testing.T) {
 	w := genWorld(t, 8, 25, 31)
 	init := w.TrueParams.Clone()
-	res, err := Run(w.Dataset, VariantExt, Options{Init: init, MaxIters: 1})
+	res, err := RunCtx(context.Background(), w.Dataset, VariantExt, Options{Init: init, MaxIters: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,14 +262,14 @@ func TestExplicitInitHonored(t *testing.T) {
 
 func TestConvergenceFlag(t *testing.T) {
 	w := genWorld(t, 10, 30, 77)
-	res, err := Run(w.Dataset, VariantExt, Options{MaxIters: 500, Tol: 1e-8})
+	res, err := RunCtx(context.Background(), w.Dataset, VariantExt, Options{MaxIters: 500, Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Converged {
 		t.Fatal("EM did not converge in 500 iterations")
 	}
-	short, err := Run(w.Dataset, VariantExt, Options{MaxIters: 1, Tol: 1e-12})
+	short, err := RunCtx(context.Background(), w.Dataset, VariantExt, Options{MaxIters: 1, Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func TestLikelihoodMonotone(t *testing.T) {
 	w := genWorld(t, 10, 40, 55)
 	prev := math.Inf(-1)
 	for iters := 1; iters <= 30; iters += 3 {
-		res, err := Run(w.Dataset, VariantExt, Options{
+		res, err := RunCtx(context.Background(), w.Dataset, VariantExt, Options{
 			MaxIters: iters, Tol: 1e-15, Smoothing: -1,
 		})
 		if err != nil {
@@ -303,7 +304,7 @@ func TestEMExtImplementsFactFinder(t *testing.T) {
 	if e.Name() != "EM-Ext" {
 		t.Fatalf("Name = %q", e.Name())
 	}
-	res, err := e.Run(w.Dataset)
+	res, err := e.RunContext(context.Background(), w.Dataset)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"depsense/internal/apollo"
@@ -38,7 +39,7 @@ func BenchmarkFactfindFit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, ds := range sets {
-			if _, err := core.Run(ds, core.VariantExt, core.Options{Workers: 1}); err != nil {
+			if _, err := core.RunCtx(context.Background(), ds, core.VariantExt, core.Options{Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}

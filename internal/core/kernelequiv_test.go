@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -69,7 +70,7 @@ func usedScratch(t *testing.T, refs map[string]*claims.Dataset, h string) *Scrat
 	if h == "fresh" {
 		return s
 	}
-	if _, err := Run(refs[h], VariantExt, Options{MaxIters: 2, Scratch: s}); err != nil {
+	if _, err := RunCtx(context.Background(), refs[h], VariantExt, Options{MaxIters: 2, Scratch: s}); err != nil {
 		t.Fatalf("dirtying a Scratch on %s: %v", h, err)
 	}
 	return s
@@ -83,7 +84,7 @@ func TestKernelEquivalence(t *testing.T) {
 		ds := buildRandomDataset(t, tc.n, tc.m, tc.density, tc.seed)
 		for _, v := range []Variant{VariantExt, VariantIndependent, VariantSocial} {
 			opts := Options{DepMode: DepModeJoint}
-			ref, err := Run(ds, v, opts)
+			ref, err := RunCtx(context.Background(), ds, v, opts)
 			if err != nil {
 				t.Fatalf("n=%d m=%d %v ref: %v", tc.n, tc.m, v, err)
 			}
@@ -92,7 +93,7 @@ func TestKernelEquivalence(t *testing.T) {
 					o := opts
 					o.Scratch = usedScratch(t, refs, h)
 					o.Workers = workers
-					got, err := Run(ds, v, o)
+					got, err := RunCtx(context.Background(), ds, v, o)
 					if err != nil {
 						t.Fatalf("n=%d m=%d %v scratch=%s workers=%d: %v", tc.n, tc.m, v, h, workers, err)
 					}
@@ -109,13 +110,13 @@ func TestKernelEquivalence(t *testing.T) {
 func TestKernelEquivalencePlugin(t *testing.T) {
 	refs := referenceDatasets(t)
 	ds := buildRandomDataset(t, 30, 90, 0.04, 11)
-	ref, err := Run(ds, VariantExt, Options{DepMode: DepModePlugin})
+	ref, err := RunCtx(context.Background(), ds, VariantExt, Options{DepMode: DepModePlugin})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, h := range scratchHistories {
 		for _, workers := range []int{1, 8} {
-			got, err := Run(ds, VariantExt, Options{
+			got, err := RunCtx(context.Background(), ds, VariantExt, Options{
 				DepMode: DepModePlugin, Workers: workers, Scratch: usedScratch(t, refs, h),
 			})
 			if err != nil {
@@ -131,7 +132,7 @@ func TestKernelEquivalencePlugin(t *testing.T) {
 func TestKernelEquivalenceScratch(t *testing.T) {
 	refs := referenceDatasets(t)
 	ds := buildRandomDataset(t, 20, 50, 0.12, 13)
-	ref, err := Run(ds, VariantExt, Options{DepMode: DepModeJoint})
+	ref, err := RunCtx(context.Background(), ds, VariantExt, Options{DepMode: DepModeJoint})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestKernelEquivalenceScratch(t *testing.T) {
 			// Run twice through the same scratch: the second fit starts from
 			// the first one's buffers and must still match.
 			for pass := 0; pass < 2; pass++ {
-				got, err := Run(ds, VariantExt, Options{
+				got, err := RunCtx(context.Background(), ds, VariantExt, Options{
 					DepMode: DepModeJoint, Workers: workers, Scratch: scratch,
 				})
 				if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -89,7 +90,7 @@ func mustBuildDS(t *testing.T, b *claims.Builder) *claims.Dataset {
 func TestEdgeCaseResultsFinite(t *testing.T) {
 	for name, ds := range edgeDatasets(t) {
 		for _, v := range []Variant{VariantExt, VariantIndependent, VariantSocial} {
-			res, err := Run(ds, v, Options{})
+			res, err := RunCtx(context.Background(), ds, v, Options{})
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, v, err)
 			}
@@ -114,7 +115,7 @@ func TestZeroProbabilityInitFinite(t *testing.T) {
 			boundary.Sources[i] = model.SourceParams{A: 1, B: 0, F: 1, G: 0}
 		}
 	}
-	res, err := Run(ds, VariantExt, Options{Init: boundary, DepMode: DepModeJoint})
+	res, err := RunCtx(context.Background(), ds, VariantExt, Options{Init: boundary, DepMode: DepModeJoint})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestMetamorphicZeroDependenciesMatchesIndependent(t *testing.T) {
 	}
 
 	base := Options{Init: w.TrueParams, MaxIters: 40, Tol: 1e-300}
-	ref, err := Run(w.Dataset, VariantIndependent, base)
+	ref, err := RunCtx(context.Background(), w.Dataset, VariantIndependent, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestMetamorphicZeroDependenciesMatchesIndependent(t *testing.T) {
 			opts := base
 			opts.DepMode = mode
 			opts.Workers = workers
-			res, err := Run(w.Dataset, VariantExt, opts)
+			res, err := RunCtx(context.Background(), w.Dataset, VariantExt, opts)
 			if err != nil {
 				t.Fatalf("mode=%v workers=%d: %v", mode, workers, err)
 			}

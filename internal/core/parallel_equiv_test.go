@@ -39,12 +39,12 @@ func requireBitIdentical(t *testing.T, serial, par *factfind.Result) {
 func TestWorkersEquivalenceSingleRun(t *testing.T) {
 	w := genWorld(t, 25, 80, 41)
 	for _, v := range []Variant{VariantExt, VariantIndependent, VariantSocial} {
-		serial, err := Run(w.Dataset, v, Options{})
+		serial, err := RunCtx(context.Background(), w.Dataset, v, Options{})
 		if err != nil {
 			t.Fatalf("%v serial: %v", v, err)
 		}
 		for _, workers := range []int{2, 8} {
-			par, err := Run(w.Dataset, v, Options{Workers: workers})
+			par, err := RunCtx(context.Background(), w.Dataset, v, Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", v, workers, err)
 			}

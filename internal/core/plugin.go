@@ -31,10 +31,7 @@ func DependentPairsPerSource(ds *claims.Dataset) float64 {
 	if ds.N() == 0 {
 		return 0
 	}
-	total := ds.NumDependentClaims()
-	for j := 0; j < ds.M(); j++ {
-		total += len(ds.SilentDependents(j))
-	}
+	total := ds.NumDependentClaims() + ds.Summarize().SilentDependent
 	return float64(total) / float64(ds.N())
 }
 
@@ -136,8 +133,8 @@ func PooledDependentChannel(ds *claims.Dataset, posterior []float64) (f, g float
 		z := posterior[j]
 		w := math.Pow(math.Abs(2*z-1), pluginConfidenceExp)
 		dep := 0
-		for _, c := range ds.Claimants(j) {
-			if c.Dependent {
+		for _, d := range ds.ClaimDependent(j) {
+			if d {
 				dep++
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -106,7 +107,7 @@ func TestPooledDependentChannelNoDependents(t *testing.T) {
 
 func TestPosteriorMatchesEMOutput(t *testing.T) {
 	w := genWorld(t, 10, 30, 44)
-	res, err := Run(w.Dataset, VariantExt, Options{DepMode: DepModeJoint})
+	res, err := RunCtx(context.Background(), w.Dataset, VariantExt, Options{DepMode: DepModeJoint})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestPluginModeRunsOnSparseData(t *testing.T) {
 	if depMode(ds, Options{}) != DepModePlugin {
 		t.Skip("dataset unexpectedly dense")
 	}
-	res, err := Run(ds, VariantExt, Options{})
+	res, err := RunCtx(context.Background(), ds, VariantExt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +204,11 @@ func TestPluginModeRunsOnSparseData(t *testing.T) {
 // different estimators on the same data.
 func TestJointVsPluginDiffer(t *testing.T) {
 	w := genWorld(t, 20, 50, 9)
-	joint, err := Run(w.Dataset, VariantExt, Options{DepMode: DepModeJoint})
+	joint, err := RunCtx(context.Background(), w.Dataset, VariantExt, Options{DepMode: DepModeJoint})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plug, err := Run(w.Dataset, VariantExt, Options{DepMode: DepModePlugin})
+	plug, err := RunCtx(context.Background(), w.Dataset, VariantExt, Options{DepMode: DepModePlugin})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -333,7 +334,7 @@ func referenceDatasets(t *testing.T) map[string]*claims.Dataset {
 // independent channel only.
 func referenceInit(t *testing.T, ds *claims.Dataset, v Variant, smoothing float64) *model.Params {
 	t.Helper()
-	res, err := Run(ds, v, Options{DepMode: DepModeJoint, Smoothing: smoothing})
+	res, err := RunCtx(context.Background(), ds, v, Options{DepMode: DepModeJoint, Smoothing: smoothing})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +365,7 @@ func TestIterationMatchesReference(t *testing.T) {
 								o := opts
 								o.Scratch, o.Workers = usedScratch(t, refs, h), workers
 								t.Run(fmt.Sprintf("%s/%v/s%v/%s/mode%d/%s/w%d", name, v, smoothing, initName, mode, h, workers), func(t *testing.T) {
-									got, err := Run(ds, v, o)
+									got, err := RunCtx(context.Background(), ds, v, o)
 									if err != nil {
 										t.Fatal(err)
 									}

@@ -4,6 +4,7 @@ package core
 // produce NaN posteriors, panics, or invalid parameters.
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -16,7 +17,7 @@ import (
 // checkResult asserts the structural health of an estimator output.
 func checkResult(t *testing.T, ds *claims.Dataset, variant Variant) {
 	t.Helper()
-	res, err := Run(ds, variant, Options{})
+	res, err := RunCtx(context.Background(), ds, variant, Options{})
 	if err != nil {
 		t.Fatalf("%v: %v", variant, err)
 	}
@@ -161,7 +162,7 @@ func TestRandomDatasetsNeverBreak(t *testing.T) {
 			return false
 		}
 		for _, v := range []Variant{VariantExt, VariantIndependent, VariantSocial} {
-			res, err := Run(ds, v, Options{MaxIters: 40})
+			res, err := RunCtx(context.Background(), ds, v, Options{MaxIters: 40})
 			if err != nil {
 				return false
 			}
@@ -190,7 +191,7 @@ func TestExtremeInitParams(t *testing.T) {
 		init.Sources[i] = pickBoundary(i)
 	}
 	init.Z = 1
-	res, err := Run(w.Dataset, VariantExt, Options{Init: init})
+	res, err := RunCtx(context.Background(), w.Dataset, VariantExt, Options{Init: init})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,19 +42,16 @@ type Result struct {
 
 // FactFinder scores the assertions of a dataset.
 //
-// RunContext is the primary contract: it honors the context's cancellation
-// and deadline at iteration granularity and fires any runctx hook the
-// context carries. On cancellation it returns the context's error together
-// with the run's deterministic partial result (Stopped set to "cancelled"
-// or "deadline"), so callers can report completed iterations instead of
-// losing the run. Run is the backward-compatible adapter, equivalent to
-// RunContext(context.Background(), ds).
+// RunContext honors the context's cancellation and deadline at iteration
+// granularity and fires any runctx hook the context carries. On
+// cancellation it returns the context's error together with the run's
+// deterministic partial result (Stopped set to "cancelled" or "deadline"),
+// so callers can report completed iterations instead of losing the run.
+// A batch caller passes context.Background().
 type FactFinder interface {
 	// Name returns the algorithm's display name as used in the paper's
 	// figures (e.g. "EM-Ext", "Voting").
 	Name() string
-	// Run scores every assertion in the dataset.
-	Run(ds *claims.Dataset) (*Result, error)
 	// RunContext scores every assertion, honoring ctx for cancellation,
 	// deadlines, and iteration hooks.
 	RunContext(ctx context.Context, ds *claims.Dataset) (*Result, error)

@@ -379,10 +379,10 @@ func (s *Server) computeResult(r *http.Request, req Request, algorithm string, t
 		TraceID:    traceID,
 	}
 	for _, c := range out.Ranked {
-		claimants := out.Dataset.Claimants(c)
+		deps := out.Dataset.ClaimDependent(c)
 		dep := 0
-		for _, cl := range claimants {
-			if cl.Dependent {
+		for _, d := range deps {
+			if d {
 				dep++
 			}
 		}
@@ -390,7 +390,7 @@ func (s *Server) computeResult(r *http.Request, req Request, algorithm string, t
 			Assertion: c,
 			Posterior: out.Result.Posterior[c],
 			Text:      out.RepresentativeText[c],
-			Claims:    len(claimants),
+			Claims:    len(deps),
 			Dependent: dep,
 		})
 	}

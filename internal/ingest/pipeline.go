@@ -411,10 +411,10 @@ func (p *Pipeline) buildPublished(batchSeq int, converged bool, iterations int) 
 		if j < len(p.texts) {
 			ra.Text = p.texts[j]
 		}
-		refs := ds.Claimants(j)
-		ra.Claims = len(refs)
-		for _, ref := range refs {
-			if ref.Dependent {
+		deps := ds.ClaimDependent(j)
+		ra.Claims = len(deps)
+		for _, d := range deps {
+			if d {
 				ra.Dependent++
 			}
 		}

@@ -484,7 +484,7 @@ func referenceLabels(o Options, r Refit, v *Verdict) func(int) (bool, bool) {
 	if o.Truth != nil {
 		return o.Truth
 	}
-	ref, err := (&baselines.Voting{}).Run(r.Dataset)
+	ref, err := (&baselines.Voting{}).RunContext(context.Background(), r.Dataset)
 	if err != nil {
 		return func(int) (bool, bool) { return false, false }
 	}

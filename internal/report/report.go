@@ -96,8 +96,8 @@ func Render(w io.Writer, in Input) error {
 
 	for rank, c := range out.Ranked {
 		dep := 0
-		for _, cl := range out.Dataset.Claimants(c) {
-			if cl.Dependent {
+		for _, d := range out.Dataset.ClaimDependent(c) {
+			if d {
 				dep++
 			}
 		}

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -237,12 +238,13 @@ func TestStreamingMatchesBatchAccuracy(t *testing.T) {
 	// then leaves (time 1), matching generation order.
 	var events []depgraph.Event
 	for j := 0; j < w.Dataset.M(); j++ {
-		for _, c := range w.Dataset.Claimants(j) {
+		dep := w.Dataset.ClaimDependent(j)
+		for k, i := range w.Dataset.Claimants(j) {
 			tm := int64(0)
-			if c.Dependent {
+			if dep[k] {
 				tm = 1
 			}
-			events = append(events, depgraph.Event{Source: c.Source, Assertion: j, Time: tm})
+			events = append(events, depgraph.Event{Source: int(i), Assertion: j, Time: tm})
 		}
 	}
 
@@ -276,7 +278,7 @@ func TestStreamingMatchesBatchAccuracy(t *testing.T) {
 		}
 	}
 
-	cold, err := core.Run(mustDS(t, est), core.VariantExt, core.Options{})
+	cold, err := core.RunCtx(context.Background(), mustDS(t, est), core.VariantExt, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,12 +304,13 @@ func TestWarmStartConverges(t *testing.T) {
 	}
 	var events []depgraph.Event
 	for j := 0; j < w.Dataset.M(); j++ {
-		for _, c := range w.Dataset.Claimants(j) {
+		dep := w.Dataset.ClaimDependent(j)
+		for k, i := range w.Dataset.Claimants(j) {
 			tm := int64(0)
-			if c.Dependent {
+			if dep[k] {
 				tm = 1
 			}
-			events = append(events, depgraph.Event{Source: c.Source, Assertion: j, Time: tm})
+			events = append(events, depgraph.Event{Source: int(i), Assertion: j, Time: tm})
 		}
 	}
 	est := New(Options{})

@@ -143,11 +143,13 @@ func Preset(name string) (Scenario, bool) {
 }
 
 // Small returns a reduced-scale scenario for tests and examples: the same
-// behavioural parameters as a preset but a fraction of the volume.
+// behavioural parameters as a preset but a fraction of the volume. An
+// unknown name yields a zero-volume scenario under that name, which
+// Generate rejects with ErrBadScenario.
 func Small(name string, scale int) Scenario {
 	s, ok := Preset(name)
 	if !ok {
-		s = Presets()[0]
+		return Scenario{Name: name}
 	}
 	if scale < 1 {
 		scale = 1

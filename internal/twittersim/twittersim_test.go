@@ -50,9 +50,15 @@ func TestSmallScales(t *testing.T) {
 	if !strings.Contains(s.Name, "1/10") {
 		t.Fatalf("name = %q", s.Name)
 	}
-	// Unknown names fall back to the first preset rather than failing.
-	if f := Small("Atlantis", 2); f.Sources == 0 {
-		t.Fatal("fallback broken")
+	// An unknown name ("Paris Attack" is the preset) keeps its name and
+	// has no volume, so Generate refuses it instead of running another
+	// preset under its label.
+	f := Small("Paris attack", 5)
+	if f.Name != "Paris attack" {
+		t.Fatalf("unknown name became %q", f.Name)
+	}
+	if _, err := Generate(f, randutil.New(1)); !errors.Is(err, ErrBadScenario) {
+		t.Fatalf("Generate(Small(unknown)) = %v, want ErrBadScenario", err)
 	}
 }
 
