@@ -213,6 +213,9 @@ func printRun(out io.Writer, traceID string, run *trace.Run, d trace.RunDiag, ll
 	if d.Stopped != "" {
 		fmt.Fprintf(out, " stopped=%s", d.Stopped)
 	}
+	if d.Jumps > 0 {
+		fmt.Fprintf(out, " jumps=%d", d.Jumps)
+	}
 	fmt.Fprintln(out)
 	if d.HasLL {
 		verdict := "monotone"
@@ -255,6 +258,9 @@ func formatEvent(e trace.Event) string {
 	}
 	if e.Samples > 0 {
 		parts = append(parts, fmt.Sprintf("samples=%d", e.Samples))
+	}
+	if e.Jump {
+		parts = append(parts, "jump")
 	}
 	if e.Done {
 		parts = append(parts, "done("+e.Stopped+")")

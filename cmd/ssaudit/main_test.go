@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -174,6 +175,33 @@ func TestLLTolForgivesSmoothingJitter(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "quasi-monotone: 1 decrease(s) within jitter tolerance 0.0001") {
 		t.Fatalf("jitter verdict missing:\n%s", out.String())
+	}
+}
+
+// TestJumpDecreaseForgiven: an accelerated fit's extrapolation may lose
+// log-likelihood; -check fails only on a plain EM step that does, and the
+// run line reports the jump count.
+func TestJumpDecreaseForgiven(t *testing.T) {
+	spill := func(name string, lls []float64, jumps ...int) string {
+		b := trace.NewBuilder(name, "ingest", testClock())
+		hook := b.Hook()
+		for i, ll := range lls {
+			hook(runctx.Iteration{Algorithm: "EM-Social", N: i + 1, LogLikelihood: ll, HasLL: true,
+				Jump: slices.Contains(jumps, i+1)})
+		}
+		return writeTraces(t, name+".jsonl", b.Finish(trace.StatusOK, ""))
+	}
+	var out strings.Builder
+	if err := run([]string{"-check", "-lltol", "1e-2", spill("jump", []float64{-90, -60, -75, -55, -50}, 3)}, &out); err != nil {
+		t.Fatalf("-check failed on an extrapolation drop: %v", err)
+	}
+	if !strings.Contains(out.String(), "run EM-Social: iterations=5 jumps=1") ||
+		!strings.Contains(out.String(), "monotone") {
+		t.Fatalf("jump run rendered wrong:\n%s", out.String())
+	}
+	err := run([]string{"-check", "-lltol", "1e-2", spill("plain", []float64{-90, -60, -75, -55, -50}, 4)}, &strings.Builder{})
+	if err == nil || !strings.Contains(err.Error(), "log-likelihood decreased 1 time(s)") {
+		t.Fatalf("-check did not flag a plain EM-step drop: %v", err)
 	}
 }
 

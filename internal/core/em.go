@@ -177,13 +177,14 @@ func (e *EMExt) RunContext(ctx context.Context, ds *claims.Dataset) (*factfind.R
 // RunCtx executes the EM engine for the given variant under a run-context.
 // EM starts from Options.Init when set, otherwise from vote initialization
 // (see votePosteriors); neither reads randomness, so a run is a function of
-// the dataset and options alone. DepMode is resolved only for a
-// vote-initialized VariantExt run: with Init set, the run is the joint
-// EM whatever DepMode says. Cancellation is checked once per E/M
-// iteration; on cancellation it returns the context's error together with
-// the partial result (posteriors from the last completed E-step, Stopped
-// set from the context error). Any runctx hook on ctx fires after every
-// iteration with the current log-likelihood.
+// the dataset and options alone. A vote-initialized (cold) fit iterates
+// SQUAREM cycles, a warm one the plain map (see runOnce). DepMode is
+// resolved only for a vote-initialized VariantExt run: with Init set, the
+// run is the joint EM whatever DepMode says. Cancellation is checked once
+// per E/M iteration; on cancellation it returns the context's error
+// together with the partial result (posteriors from the last completed
+// E-step, Stopped set from the context error). Any runctx hook on ctx
+// fires after every iteration with the current log-likelihood.
 func RunCtx(ctx context.Context, ds *claims.Dataset, variant Variant, opts Options) (*factfind.Result, error) {
 	opts = opts.normalized()
 	if ds.N() == 0 || ds.M() == 0 {
@@ -281,7 +282,9 @@ func newEngine(ds *claims.Dataset, variant Variant, opts Options) *engine {
 }
 
 // runOnce executes one EM run from params, or — when seedPost is set —
-// from the parameters one M-step derives from those seed posteriors.
+// from the parameters one M-step derives from those seed posteriors. A
+// vote-initialized (cold) run iterates SQUAREM cycles (see squarem); a run
+// from explicit parameters (warm) iterates the plain map.
 func runOnce(ctx context.Context, ds *claims.Dataset, variant Variant, params *model.Params, seedPost []float64, opts Options) (*factfind.Result, error) {
 	eng := newEngine(ds, variant, opts)
 	params.Clamp()
@@ -297,69 +300,217 @@ func runOnce(ctx context.Context, ds *claims.Dataset, variant Variant, params *m
 		clear(eng.post)
 	}
 
-	var (
-		iter      int
-		converged bool
-		ll        float64
-	)
-	hook := runctx.HookFrom(ctx)
-	start := time.Now() //lint:allow seedsource wall-clock timing for the observability hook Elapsed field, not part of results
+	f := &fit{
+		ctx: ctx, eng: eng, params: params, opts: opts,
+		hook:  runctx.HookFrom(ctx),
+		start: time.Now(), //lint:allow seedsource wall-clock timing for the observability hook Elapsed field, not part of results
+	}
 	result := func(stopped string) *factfind.Result {
 		return &factfind.Result{
 			Posterior:     append([]float64(nil), eng.post...),
 			Params:        params,
-			Iterations:    iter,
-			Converged:     converged,
-			LogLikelihood: ll,
+			Iterations:    f.iter,
+			Converged:     f.converged,
+			LogLikelihood: f.ll,
 			Stopped:       stopped,
 		}
 	}
-	for iter = 1; iter <= opts.MaxIters; iter++ {
-		// One cancellation check per E/M iteration bounds the latency of a
-		// cancel to a single iteration's work, and the partial state — the
-		// posteriors of the last completed E-step — stays deterministic.
-		if err := runctx.Err(ctx); err != nil {
-			iter--
-			stopped := runctx.Reason(err)
-			hook.Emit(runctx.Iteration{
-				Algorithm: variant.String(), N: iter,
-				LogLikelihood: ll, HasLL: iter > 0,
-				Elapsed: time.Since(start), Done: true, Stopped: stopped,
-			})
-			return result(stopped), err
+	var err error
+	if seedPost != nil {
+		err = f.squarem()
+	} else {
+		for stop := false; !stop && err == nil; {
+			stop, err = f.step()
 		}
-		eng.refreshLogs(params)
-		ll = eng.eStep(params)
-		if eng.mStep(params) < opts.Tol {
-			converged = true
-		}
-		it := runctx.Iteration{
-			Algorithm: variant.String(), N: iter,
-			LogLikelihood: ll, HasLL: true,
-			Elapsed: time.Since(start), Done: converged,
-		}
-		if converged {
-			it.Stopped = runctx.StopConverged
-		}
-		hook.Emit(it)
-		if converged {
-			break
-		}
+	}
+	if err != nil {
+		return result(runctx.Reason(err)), err
 	}
 	// Final E-step so posteriors reflect the final parameters.
 	eng.refreshLogs(params)
-	ll = eng.eStep(params)
-	if !converged {
-		// The loop left iter one past the cap; the fit ran MaxIters.
-		iter = opts.MaxIters
-		hook.Emit(runctx.Iteration{
-			Algorithm: variant.String(), N: iter,
-			LogLikelihood: ll, HasLL: true,
-			Elapsed: time.Since(start), Done: true, Stopped: runctx.StopIterationCap,
-		})
+	f.ll = eng.eStep(params)
+	if !f.converged {
+		f.hook.Emit(f.iteration(true, runctx.StopIterationCap))
 	}
+	return result(runctx.StopOf(f.converged)), nil
+}
 
-	return result(runctx.StopOf(converged)), nil
+// fit is one run's iteration state: every map F = refreshLogs → eStep →
+// mStep it applies to params goes through step, which does the accounting.
+type fit struct {
+	ctx    context.Context
+	eng    *engine
+	params *model.Params
+	opts   Options
+	hook   runctx.Hook
+	start  time.Time
+
+	iter      int     // maps applied so far
+	converged bool    // the last map moved no parameter by Tol or more
+	ll        float64 // log-likelihood at the last map's input
+	// jump marks the next map's input as not F of the previous map's
+	// input: an extrapolated point, or a restart after a rejected one.
+	jump bool
+}
+
+// iteration returns the hook record for the fit's current state.
+func (f *fit) iteration(done bool, stopped string) runctx.Iteration {
+	return runctx.Iteration{
+		Algorithm: f.eng.variant.String(), N: f.iter,
+		LogLikelihood: f.ll, HasLL: f.iter > 0, Jump: f.jump,
+		Elapsed: time.Since(f.start), Done: done, Stopped: stopped,
+	}
+}
+
+// step applies one map to the parameters, counting it as one iteration:
+// it checks cancellation once, then runs the map and fires one hook. It
+// reports stop when the fit must end — converged, or at MaxIters before
+// running — and the context's error on cancellation, after firing the
+// final hook. On cancellation the partial state is the posteriors of the
+// last completed E-step.
+func (f *fit) step() (stop bool, err error) {
+	if f.iter == f.opts.MaxIters {
+		return true, nil
+	}
+	if err := runctx.Err(f.ctx); err != nil {
+		f.jump = false
+		f.hook.Emit(f.iteration(true, runctx.Reason(err)))
+		return true, err
+	}
+	f.iter++
+	f.eng.refreshLogs(f.params)
+	f.ll = f.eng.eStep(f.params)
+	f.converged = f.eng.mStep(f.params) < f.opts.Tol
+	stopped := ""
+	if f.converged {
+		stopped = runctx.StopConverged
+	}
+	f.hook.Emit(f.iteration(f.converged, stopped))
+	f.jump = false
+	return f.converged, nil
+}
+
+// squarem iterates SQUAREM cycles (Varadhan & Roland 2008, squared
+// extrapolation) over the map F on the variant's free parameters θ (see
+// engine.pack). From θ0 a cycle computes θ1 = F(θ0) and θ2 = F(θ1), sets
+// r = θ1 − θ0 and v = θ2 − θ1 − r, takes α = −‖r‖/‖v‖ clamped to
+// [−αmax, −1], and applies one stabilising map to the extrapolated point
+// θ′ = ClampProb(θ0 − 2αr + α²v). The cycle keeps F(θ′) when its residual
+// ‖F(θ′) − θ′‖² is at most ‖r‖², and otherwise restarts from θ2. αmax
+// starts at 1, grows fourfold after a kept step that reached it, and
+// shrinks fourfold (to no less than 1) after a rejected one.
+//
+// Every map is one step, so a cycle is three iterations and the fit stops
+// at the first map that converges. Norms are summed serially in index
+// order, so the result is Workers-independent.
+func (f *fit) squarem() error {
+	e, p := f.eng, f.params
+	x0, x1, x2 := e.thetaVectors()
+	e.pack(p, x0)
+	alphaMax := 1.0
+	for {
+		if stop, err := f.step(); stop || err != nil {
+			return err
+		}
+		e.pack(p, x1)
+		if stop, err := f.step(); stop || err != nil {
+			return err
+		}
+		e.pack(p, x2)
+		var rr, vv float64
+		for k := range x0 {
+			r := x1[k] - x0[k]
+			v := x2[k] - x1[k] - r
+			rr += r * r
+			vv += v * v
+		}
+		alpha := -math.Sqrt(rr / vv)
+		if !(alpha <= -1) { // NaN too: both differences vanished
+			alpha = -1
+		}
+		if alpha < -alphaMax {
+			alpha = -alphaMax
+		}
+		// θ′ overwrites θ1, read before it is written at each index.
+		for k := range x0 {
+			r := x1[k] - x0[k]
+			v := x2[k] - x1[k] - r
+			x1[k] = model.ClampProb(x0[k] - 2*alpha*r + alpha*alpha*v)
+		}
+		e.unpack(x1, p)
+		f.jump = true
+		stop, err := f.step()
+		if stop || err != nil {
+			return err
+		}
+		e.pack(p, x0)
+		res := 0.0
+		for k := range x0 {
+			d := x0[k] - x1[k]
+			res += d * d
+		}
+		if res <= rr {
+			if alpha == -alphaMax {
+				alphaMax *= 4
+			}
+			continue
+		}
+		alphaMax = math.Max(1, alphaMax/4)
+		e.unpack(x2, p)
+		copy(x0, x2)
+		f.jump = true
+	}
+}
+
+// thetaVectors returns the Scratch's three SQUAREM vectors, each as long
+// as the variant's free-parameter vector: z, then a_i and b_i per source,
+// plus f_i and g_i under VariantExt. EM's (f_i, g_i) mirror (a_i, b_i),
+// and EM-Social never estimates them.
+func (e *engine) thetaVectors() (x0, x1, x2 []float64) {
+	k := 1 + 2*e.ds.N()
+	if e.variant == VariantExt {
+		k = 1 + 4*e.ds.N()
+	}
+	growTo(&e.theta, 3*k)
+	return e.theta[:k], e.theta[k : 2*k], e.theta[2*k:]
+}
+
+// pack writes p's free parameters into x (see thetaVectors).
+func (e *engine) pack(p *model.Params, x []float64) {
+	x[0] = p.Z
+	if e.variant == VariantExt {
+		for i, s := range p.Sources {
+			x[1+4*i], x[2+4*i], x[3+4*i], x[4+4*i] = s.A, s.B, s.F, s.G
+		}
+		return
+	}
+	for i, s := range p.Sources {
+		x[1+2*i], x[2+2*i] = s.A, s.B
+	}
+}
+
+// unpack is pack's inverse; under VariantIndependent it also mirrors
+// (a_i, b_i) into (f_i, g_i), as the M-step does.
+func (e *engine) unpack(x []float64, p *model.Params) {
+	p.Z = x[0]
+	src := p.Sources
+	switch e.variant {
+	case VariantExt:
+		for i := range src {
+			s := &src[i]
+			s.A, s.B, s.F, s.G = x[1+4*i], x[2+4*i], x[3+4*i], x[4+4*i]
+		}
+	case VariantIndependent:
+		for i := range src {
+			s := &src[i]
+			s.A, s.B = x[1+2*i], x[2+2*i]
+			s.F, s.G = s.A, s.B
+		}
+	default:
+		for i := range src {
+			src[i].A, src[i].B = x[1+2*i], x[2+2*i]
+		}
+	}
 }
 
 // refreshLogs rebuilds the per-source log tables and folds them into the

@@ -21,8 +21,10 @@ import (
 // It fills all eight per-source tables every iteration, stages the M-step
 // through explicit stratum masses, writes parameters through a pointer
 // table, and tests convergence with a separate max-|Δθ| pass against a
-// snapshot. TestIterationMatchesReference demands that production
-// reproduces it byte for byte.
+// snapshot. A vote-initialized run iterates refSquarem, the cold fit's
+// SQUAREM cycles written over a pointer table of whole vectors.
+// TestIterationMatchesReference demands that production reproduces it
+// byte for byte.
 
 // refEngine is the serial reference estimator over a dataset's sparse view.
 type refEngine struct {
@@ -245,35 +247,114 @@ func refRun(ds *claims.Dataset, variant Variant, opts Options) *factfind.Result 
 func refOnce(ds *claims.Dataset, variant Variant, params *model.Params, seedPost []float64, opts Options) *factfind.Result {
 	e := newRefEngine(ds, variant, opts)
 	params.Clamp()
+	var iter int
+	var converged bool
+	// mapped applies one map unless the cap is spent, counting it, and
+	// reports whether the fit stops.
+	mapped := func() bool {
+		if iter == opts.MaxIters {
+			return true
+		}
+		iter++
+		prev := params.Clone()
+		e.refreshLogs(params)
+		e.eStep(params)
+		e.mStep(params)
+		converged = refMaxAbsDiff(params, prev) < opts.Tol
+		return converged
+	}
 	if seedPost != nil {
 		copy(e.post, seedPost)
 		e.mStep(params)
-	}
-	var (
-		iter      int
-		converged bool
-		ll        float64
-	)
-	prev := params.Clone()
-	for iter = 1; iter <= opts.MaxIters; iter++ {
-		e.refreshLogs(params)
-		ll = e.eStep(params)
-		e.mStep(params)
-		if refMaxAbsDiff(params, prev) < opts.Tol {
-			converged = true
-			break
+		refSquarem(params, variant, mapped)
+	} else {
+		for !mapped() {
 		}
-		copy(prev.Sources, params.Sources)
-		prev.Z = params.Z
-	}
-	if !converged {
-		iter = opts.MaxIters
 	}
 	e.refreshLogs(params)
-	ll = e.eStep(params)
+	ll := e.eStep(params)
 	return &factfind.Result{
 		Posterior: e.post, Params: params, Iterations: iter,
 		Converged: converged, LogLikelihood: ll, Stopped: runctx.StopOf(converged),
+	}
+}
+
+// refSquarem is the cold fit's SQUAREM loop written over a pointer table
+// of the variant's free parameters, with r, v and θ′ kept as whole
+// vectors and the step clamped through math.Min/Max.
+func refSquarem(params *model.Params, variant Variant, mapped func() bool) {
+	theta := []*float64{&params.Z}
+	for i := range params.Sources {
+		s := &params.Sources[i]
+		theta = append(theta, &s.A, &s.B)
+		if variant == VariantExt {
+			theta = append(theta, &s.F, &s.G)
+		}
+	}
+	get := func() []float64 {
+		x := make([]float64, len(theta))
+		for k, ptr := range theta {
+			x[k] = *ptr
+		}
+		return x
+	}
+	set := func(x []float64) {
+		for k, ptr := range theta {
+			*ptr = x[k]
+		}
+		if variant == VariantIndependent {
+			for i := range params.Sources {
+				s := &params.Sources[i]
+				s.F, s.G = s.A, s.B
+			}
+		}
+	}
+	alphaMax := 1.0
+	x0 := get()
+	for {
+		if mapped() {
+			return
+		}
+		x1 := get()
+		if mapped() {
+			return
+		}
+		x2 := get()
+		r, v, xp := make([]float64, len(x0)), make([]float64, len(x0)), make([]float64, len(x0))
+		var rr, vv float64
+		for k := range x0 {
+			r[k] = x1[k] - x0[k]
+			v[k] = x2[k] - x1[k] - r[k]
+			rr += r[k] * r[k]
+			vv += v[k] * v[k]
+		}
+		alpha := -math.Sqrt(rr / vv)
+		if math.IsNaN(alpha) {
+			alpha = -1
+		}
+		alpha = math.Max(-alphaMax, math.Min(-1, alpha))
+		for k := range x0 {
+			xp[k] = model.ClampProb(x0[k] - 2*alpha*r[k] + alpha*alpha*v[k])
+		}
+		set(xp)
+		if mapped() {
+			return
+		}
+		xf := get()
+		res := 0.0
+		for k := range xf {
+			res += (xf[k] - xp[k]) * (xf[k] - xp[k])
+		}
+		if res <= rr {
+			if alpha == -alphaMax {
+				alphaMax *= 4
+			}
+			x0 = xf
+		} else {
+			alphaMax = math.Max(1, alphaMax/4)
+			set(x2)
+			x0 = x2
+		}
 	}
 }
 

@@ -53,6 +53,10 @@ type Scratch struct {
 	llPart, zPart []float64
 	nums, dens    [][4]float64
 
+	// theta backs a cold fit's three SQUAREM parameter vectors; see
+	// fit.squarem. It is sized on first use, so warm fits never grow it.
+	theta []float64
+
 	// memo caches the parameter logs refreshLogs reads; see logMemo.
 	memo logMemo
 	// postMemo caches the serial E-step's posteriors; see postMemo.

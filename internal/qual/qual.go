@@ -376,11 +376,12 @@ func (m *Monitor) ObserveRefit(ctx context.Context, r Refit) (*Verdict, error) {
 		Assertions: r.Dataset.M(),
 		Claims:     r.Dataset.NumClaims(),
 	}
-	v.Calibration = m.calibrate(ctx, r)
+	var labels func(int) (bool, bool)
+	v.Calibration, labels = m.calibrate(ctx, r)
 	if !o.DisableDrift {
 		v.Drift = m.observeDrift(r, v)
 	}
-	m.exportCalibration(r, v)
+	m.exportCalibration(r, v, labels)
 	observeD := o.Clock().Sub(start)
 
 	if o.BoundEvery > 0 && r.Result.Params != nil && m.tick%o.BoundEvery == 0 {
@@ -428,10 +429,11 @@ func (m *Monitor) ObserveRefit(ctx context.Context, r Refit) (*Verdict, error) {
 }
 
 // calibrate computes the tick's calibration block against ground truth or
-// the Voting baseline.
-func (m *Monitor) calibrate(ctx context.Context, r Refit) Calibration {
+// the Voting baseline, and returns the reference label function it used so
+// the posterior histograms reuse it.
+func (m *Monitor) calibrate(ctx context.Context, r Refit) (Calibration, func(int) (bool, bool)) {
 	if m.opts.Truth != nil {
-		return computeCalibration(m.opts.CalibrationBuckets, r.Result.Posterior, m.opts.Truth, "truth")
+		return computeCalibration(m.opts.CalibrationBuckets, r.Result.Posterior, m.opts.Truth, "truth"), m.opts.Truth
 	}
 	// Live mode: agreement against Voting, the cheapest independent
 	// estimator (one pass over the dataset). Voting cannot fail on a
@@ -447,12 +449,12 @@ func (m *Monitor) calibrate(ctx context.Context, r Refit) Calibration {
 			return dec[j], true
 		}
 	}
-	return computeCalibration(m.opts.CalibrationBuckets, r.Result.Posterior, label, "voting")
+	return computeCalibration(m.opts.CalibrationBuckets, r.Result.Posterior, label, "voting"), label
 }
 
 // exportCalibration publishes the calibration gauges and the posterior
-// histograms.
-func (m *Monitor) exportCalibration(r Refit, v *Verdict) {
+// histograms, split by agreement with the calibration's reference labels.
+func (m *Monitor) exportCalibration(r Refit, v *Verdict, labels func(int) (bool, bool)) {
 	reg := m.opts.Metrics
 	if reg == nil {
 		return
@@ -465,7 +467,6 @@ func (m *Monitor) exportCalibration(r Refit, v *Verdict) {
 		PosteriorBuckets(), obs.L("set", "all"))
 	agree := reg.Histogram(MetricPosterior, "Posterior assertion probabilities of the latest refit, by agreement with the reference.",
 		PosteriorBuckets(), obs.L("set", "agree"))
-	labels := referenceLabels(m.opts, r, v)
 	for j, p := range r.Result.Posterior {
 		all.Observe(p)
 		if lab, ok := labels(j); ok && (p > decisionThreshold) == lab {
@@ -474,26 +475,6 @@ func (m *Monitor) exportCalibration(r Refit, v *Verdict) {
 	}
 	if v.Drift != nil {
 		reg.Gauge(MetricDriftStat, "Largest per-source Page-Hinkley drift statistic at the latest tick.").Set(v.Drift.MaxStat)
-	}
-}
-
-// referenceLabels rebuilds the label function used by the histograms.
-// Truth mode reuses Options.Truth; voting mode re-derives the decisions
-// (one extra Voting pass only when a registry is attached).
-func referenceLabels(o Options, r Refit, v *Verdict) func(int) (bool, bool) {
-	if o.Truth != nil {
-		return o.Truth
-	}
-	ref, err := (&baselines.Voting{}).RunContext(context.Background(), r.Dataset)
-	if err != nil {
-		return func(int) (bool, bool) { return false, false }
-	}
-	dec := ref.Decisions(decisionThreshold)
-	return func(j int) (bool, bool) {
-		if j >= len(dec) {
-			return false, false
-		}
-		return dec[j], true
 	}
 }
 

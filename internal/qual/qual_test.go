@@ -536,3 +536,39 @@ func TestStreamFlipCausalAlarm(t *testing.T) {
 		}
 	}
 }
+
+// TestLiveCalibrationOneReference: in live mode the posterior histograms
+// split by the same Voting labels the calibration used, so a cancelled
+// context leaves both unlabelled, where a live one labels both.
+func TestLiveCalibrationOneReference(t *testing.T) {
+	ds := testDataset(t)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name    string
+		ctx     context.Context
+		labeled bool
+	}{
+		{"live", context.Background(), true},
+		{"cancelled", cancelled, false},
+	} {
+		reg := obs.NewRegistry()
+		m := NewMonitor(Options{BoundEvery: -1, Metrics: reg})
+		v, err := m.ObserveRefit(tc.ctx, testRefit(ds, []float64{0.9, 0.9, 0.85}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hist := func(set string) uint64 {
+			return reg.Histogram(MetricPosterior, "", PosteriorBuckets(), obs.L("set", set)).Count()
+		}
+		if all := hist("all"); all != uint64(ds.M()) {
+			t.Fatalf("%s: %d posteriors in the all set, want %d", tc.name, all, ds.M())
+		}
+		if got := v.Calibration.Labeled > 0; got != tc.labeled {
+			t.Errorf("%s: calibration labelled %d assertions", tc.name, v.Calibration.Labeled)
+		}
+		if got := hist("agree") > 0; got != tc.labeled {
+			t.Errorf("%s: %d posteriors in the agree set", tc.name, hist("agree"))
+		}
+	}
+}

@@ -61,6 +61,11 @@ type Iteration struct {
 	Value float64
 	// HasValue marks Value as meaningful.
 	HasValue bool
+	// Jump marks a fixed-point iteration whose input is not the map of the
+	// previous iteration's input — an extrapolated point of an accelerated
+	// EM fit, or its restart after a rejected one — so EM's monotone
+	// log-likelihood ascent is not owed into it.
+	Jump bool
 	// Samples is the cumulative sample / pattern count for Monte Carlo and
 	// enumeration loops; zero for fixed-point iterations.
 	Samples int

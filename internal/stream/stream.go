@@ -51,7 +51,9 @@ type Options struct {
 	// honored on every fit. DepMode and MaxIters apply to the
 	// cold first fit only: a warm refit starts from the previous estimate
 	// through core.Options.Init, which core.RunCtx always fits with the
-	// joint EM-Ext, whatever DepMode says.
+	// joint EM-Ext, whatever DepMode says. The cold fit is
+	// vote-initialized and so runs core's SQUAREM cycles; warm refits
+	// iterate the plain EM map.
 	EM core.Options
 	// WarmMaxIters caps the warm-started refits after later batches
 	// (default 60 — warm starts need fewer iterations than a cold

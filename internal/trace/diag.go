@@ -33,10 +33,15 @@ type RunDiag struct {
 	LLLast  float64 `json:"llLast,omitempty"`
 	// LLDecreases counts iterations that LOST log-likelihood beyond
 	// tolerance — EM guarantees monotone ascent, so any decrease flags a
-	// numerical or modeling problem. Monotone is its negation.
+	// numerical or modeling problem. Monotone is its negation. A decrease
+	// into a jump event (see Event.Jump) is not an EM step and is not
+	// counted.
 	LLDecreases int     `json:"llDecreases,omitempty"`
 	MaxDecrease float64 `json:"maxDecrease,omitempty"`
 	Monotone    bool    `json:"monotone,omitempty"`
+	// Jumps counts the run's jump events: the extrapolations and restarts
+	// of an accelerated (SQUAREM) fit.
+	Jumps int `json:"jumps,omitempty"`
 	// PlateauAt is the 1-based iteration from which every later step
 	// improved by less than plateauRelTol of the total improvement; 0 when
 	// the run never plateaued. A plateau well before the final iteration of
@@ -70,13 +75,20 @@ func diagnoseRun(run *Run) RunDiag {
 }
 
 // diagnoseLL checks the run's log-likelihood trajectory for monotone ascent
-// and plateau onset.
+// into every non-jump event, and for plateau onset.
 func diagnoseLL(run *Run, rd *RunDiag) {
-	var ll []float64
+	var (
+		ll   []float64
+		jump []bool
+	)
 	for i := range run.Events {
 		e := &run.Events[i]
+		if e.Jump {
+			rd.Jumps++
+		}
 		if e.HasLL {
 			ll = append(ll, e.LogLikelihood)
+			jump = append(jump, e.Jump)
 		}
 	}
 	if len(ll) == 0 {
@@ -86,7 +98,7 @@ func diagnoseLL(run *Run, rd *RunDiag) {
 	rd.LLFirst, rd.LLLast = ll[0], ll[len(ll)-1]
 	rd.Monotone = true
 	for i := 1; i < len(ll); i++ {
-		if drop := ll[i-1] - ll[i]; drop > llDecreaseTol {
+		if drop := ll[i-1] - ll[i]; drop > llDecreaseTol && !jump[i] {
 			rd.LLDecreases++
 			rd.Monotone = false
 			if drop > rd.MaxDecrease {

@@ -67,3 +67,33 @@ func TestDiagnoseLLDecrease(t *testing.T) {
 		t.Fatalf("floating-point jitter flagged as a decrease: %+v", d)
 	}
 }
+
+// TestDiagnoseJumpDecreaseNotCounted: a log-likelihood drop into a jump
+// event (an extrapolated point, or the restart after a rejected one) is not
+// an EM step and is not a decrease; a drop into the plain step after it
+// still is.
+func TestDiagnoseJumpDecreaseNotCounted(t *testing.T) {
+	jump := func(n int, ll float64) runctx.Iteration {
+		it := iter("EM-Social", n, ll)
+		it.Jump = true
+		return it
+	}
+	d := finishWith(t,
+		iter("EM-Social", 1, -10),
+		iter("EM-Social", 2, -8),
+		jump(3, -12), // the extrapolation overshot
+		jump(4, -7.5),
+		iter("EM-Social", 5, -7),
+	).Diagnostics.Runs[0]
+	if !d.Monotone || d.LLDecreases != 0 || d.Jumps != 2 {
+		t.Fatalf("jump drop counted as a decrease: %+v", d)
+	}
+	d = finishWith(t,
+		iter("EM-Social", 1, -10),
+		jump(2, -6),
+		iter("EM-Social", 3, -6.5), // a plain step lost 0.5
+	).Diagnostics.Runs[0]
+	if d.Monotone || d.LLDecreases != 1 || d.MaxDecrease != 0.5 || d.Jumps != 1 {
+		t.Fatalf("plain-step decrease after a jump not flagged: %+v", d)
+	}
+}

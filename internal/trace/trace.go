@@ -110,6 +110,11 @@ type Event struct {
 	Value float64 `json:"value,omitempty"`
 	// HasValue marks Value as meaningful.
 	HasValue bool `json:"hasValue,omitempty"`
+	// Jump marks an EM iteration whose input is not the map of the
+	// previous iteration's input (an extrapolated SQUAREM point, or the
+	// restart after a rejected one): no log-likelihood ascent is owed
+	// into it.
+	Jump bool `json:"jump,omitempty"`
 	// Samples is the cumulative sample / pattern count, when the layer
 	// reports one.
 	Samples int `json:"samples,omitempty"`
@@ -129,9 +134,9 @@ type Run struct {
 	// Algorithm is the runctx display name ("EM-Ext", "gibbs-bound", ...).
 	Algorithm string `json:"algorithm"`
 	// Events is the canonicalized event sequence: sorted by (N, Samples,
-	// Done, Stopped, LogLikelihood, Value), which is a total order over the
-	// deterministic fields, so the sequence is identical at any Workers
-	// value.
+	// Done, Stopped, LogLikelihood, Value, Jump), which is a total order
+	// over the deterministic fields, so the sequence is identical at any
+	// Workers value.
 	Events []Event `json:"events"`
 }
 
@@ -317,6 +322,7 @@ func (b *Builder) Hook() runctx.Hook {
 			HasLL:         it.HasLL,
 			Value:         it.Value,
 			HasValue:      it.HasValue,
+			Jump:          it.Jump,
 			Samples:       it.Samples,
 			Done:          it.Done,
 			Stopped:       it.Stopped,
@@ -383,6 +389,9 @@ func canonicalizeEvents(events []Event) {
 		if a.LogLikelihood != b.LogLikelihood {
 			return a.LogLikelihood < b.LogLikelihood
 		}
-		return a.Value < b.Value
+		if a.Value != b.Value {
+			return a.Value < b.Value
+		}
+		return !a.Jump && b.Jump
 	})
 }
