@@ -105,7 +105,7 @@ func BenchmarkAblationGibbsSweeps(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	exact, err := bound.Exact(col)
+	exact, err := bound.Exact(context.Background(), col, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func BenchmarkAblationGibbsSweeps(b *testing.B) {
 			rng := randutil.New(7)
 			var diff stats.Series
 			for i := 0; i < b.N; i++ {
-				res, err := bound.Approx(col, bound.ApproxOptions{
+				res, err := bound.ApproxContext(context.Background(), col, bound.ApproxOptions{
 					MaxSweeps: sweeps, Tol: 1e-12, // disable early exit: measure the budget
 				}, rng)
 				if err != nil {

@@ -48,7 +48,7 @@ func benchBoundPoint(b *testing.B, cfg synthetic.Config, method bound.Method) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := bound.ForDataset(w.Dataset, w.TrueParams, bound.DatasetOptions{
+		res, err := bound.ForDatasetContext(context.Background(), w.Dataset, w.TrueParams, bound.DatasetOptions{
 			Method:     method,
 			MaxColumns: 8,
 			Approx:     bound.ApproxOptions{MaxSweeps: 2000},
@@ -129,7 +129,7 @@ func BenchmarkFig6BoundTime(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("exact/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := bound.Exact(col); err != nil {
+				if _, err := bound.Exact(context.Background(), col, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -137,7 +137,7 @@ func BenchmarkFig6BoundTime(b *testing.B) {
 		b.Run(fmt.Sprintf("approx/n=%d", n), func(b *testing.B) {
 			rng := randutil.New(2)
 			for i := 0; i < b.N; i++ {
-				if _, err := bound.Approx(col, bound.ApproxOptions{MaxSweeps: 2000}, rng); err != nil {
+				if _, err := bound.ApproxContext(context.Background(), col, bound.ApproxOptions{MaxSweeps: 2000}, rng); err != nil {
 					b.Fatal(err)
 				}
 			}

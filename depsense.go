@@ -189,7 +189,7 @@ const (
 // rng drives Gibbs sampling and column sampling (MaxColumns); without
 // either, rng may be nil. A nil rng where one is needed is an error.
 func ErrorBound(ds *Dataset, p *Params, opts BoundOptions, rng *rand.Rand) (BoundResult, error) {
-	return bound.ForDataset(ds, p, opts, rng)
+	return bound.ForDatasetContext(context.Background(), ds, p, opts, rng)
 }
 
 // PatternTableBound computes the error bound from tabulated per-pattern

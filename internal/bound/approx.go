@@ -14,7 +14,12 @@ import (
 
 // ApproxOptions tunes the Gibbs-sampling bound approximation (Algorithm 1).
 type ApproxOptions struct {
-	// BurnIn sweeps are discarded before accumulation starts.
+	// BurnIn sweeps are discarded before accumulation starts. Only a
+	// negative value selects DefaultApproxOptions' 200: the zero value
+	// runs no burn-in, so the chain accumulates from its first sweep out
+	// of a uniform random claim pattern. Every production caller (the
+	// Figs. 3–10 experiments, ssbound and the errorbound example) passes
+	// BurnIn 0.
 	BurnIn int
 	// MaxSweeps caps the chain length (post burn-in).
 	MaxSweeps int
@@ -26,8 +31,10 @@ type ApproxOptions struct {
 	Tol float64
 }
 
-// DefaultApproxOptions matches the accuracy demonstrated in Figs. 3-5
-// (absolute error around 0.01 against exact enumeration).
+// DefaultApproxOptions is the per-field fallback of ApproxOptions: a zero
+// or negative MaxSweeps, CheckEvery or Tol, and a negative BurnIn, take
+// the value here. No production caller uses it whole; in particular none
+// gets its BurnIn, since they all pass 0 (see ApproxOptions.BurnIn).
 func DefaultApproxOptions() ApproxOptions {
 	return ApproxOptions{
 		BurnIn:     200,
@@ -78,8 +85,9 @@ func (t approxTally) result() Result {
 	return res
 }
 
-// Approx estimates the error bound by Gibbs sampling claim patterns from
-// their marginal P(SC_j) = z·P(SC_j|C=1) + (1-z)·P(SC_j|C=0) (Algorithm 1).
+// ApproxContext estimates the error bound by Gibbs sampling claim patterns
+// from their marginal P(SC_j) = z·P(SC_j|C=1) + (1-z)·P(SC_j|C=0)
+// (Algorithm 1).
 //
 // For a sampled pattern s with joint masses w1 = z·P(s|C=1) and
 // w0 = (1-z)·P(s|C=0), the quantity min(w1,w0)/(w1+w0) is the conditional
@@ -88,16 +96,12 @@ func (t approxTally) result() Result {
 // the measure-weighted form of the paper's ErrPart/Total ratio — which is
 // unbiased at any n, including the large-n regimes where every individual
 // pattern has vanishing probability.
-func Approx(c Column, opts ApproxOptions, rng *rand.Rand) (Result, error) {
-	return ApproxContext(context.Background(), c, opts, rng)
-}
-
-// ApproxContext is Approx under a run-context. Cancellation is checked once
-// per sweep (burn-in included), so a cancel returns within one O(n) sweep;
-// on cancellation the partial Monte Carlo averages over the samples drawn so
-// far are returned together with the context's error. Any runctx hook on
-// ctx fires at every convergence checkpoint (every CheckEvery sweeps) with
-// the cumulative sample count. A nil rng falls back to a fixed seed.
+//
+// Cancellation is checked once per sweep (burn-in included), so a cancel
+// returns within one O(n) sweep; on cancellation the partial Monte Carlo
+// averages over the samples drawn so far are returned together with the
+// context's error. Any runctx hook on ctx fires at every convergence
+// checkpoint (every CheckEvery sweeps) with the cumulative sample count. A nil rng falls back to a fixed seed.
 func ApproxContext(ctx context.Context, c Column, opts ApproxOptions, rng *rand.Rand) (Result, error) {
 	if err := c.Validate(); err != nil {
 		return Result{}, err

@@ -3,10 +3,10 @@
 // θ and the dependency indicators D exactly. Any fact-finder's expected
 // misclassification rate on an assertion is lower-bounded by this value.
 //
-// Exact computes Eq. (3) by enumerating all 2^n claim patterns; Approx
-// implements the Gibbs-sampling approximation of Algorithm 1; Convolution
-// is a deterministic lattice DP over the log-likelihood ratio, which
-// ForDataset shares across every distinct dependency column. All decompose
+// Exact computes Eq. (3) by enumerating all 2^n claim patterns;
+// ApproxContext implements the Gibbs-sampling approximation of Algorithm 1;
+// Convolution is a deterministic lattice DP over the log-likelihood ratio,
+// which ForDatasetContext shares across every distinct dependency column. All decompose
 // the bound into its false-positive part (false assertions the optimal
 // estimator would label true) and false-negative part (true assertions it
 // would label false).
@@ -119,9 +119,9 @@ func (c Column) PatternWeights(pattern []bool) (w1, w0 float64) {
 }
 
 // Result is a computed error bound and its decomposition. Err = FalsePos +
-// FalseNeg up to floating-point error. For Approx results, StdErr estimates
-// the Monte Carlo standard error of Err and Sweeps records chain length;
-// both are zero for exact results.
+// FalseNeg up to floating-point error. For ApproxContext results, StdErr
+// estimates the Monte Carlo standard error of Err and Sweeps records chain
+// length; both are zero for exact results.
 type Result struct {
 	Err      float64
 	FalsePos float64
@@ -142,43 +142,20 @@ const exactBlockBits = 15
 // are the unit the parallel path fans out.
 const ExactBlockPatterns = 1 << exactBlockBits
 
-// ExactOptions tunes the execution of the exact enumeration. It changes how
-// the fixed block decomposition is scheduled, never what it computes: the
-// block partial sums are reduced in block index order, so the Result is
-// bit-for-bit identical for every Workers value.
-type ExactOptions struct {
-	// Workers bounds the number of enumeration blocks computed
-	// concurrently. 0 or 1 runs serial (the default, preserving the
-	// one-block cancellation latency contract exactly).
-	Workers int
-}
-
 // Exact enumerates all 2^n claim patterns (Eq. 3). The enumeration shares
 // prefix products through recursion, so total work is O(2^n) rather than
 // O(n·2^n).
-func Exact(c Column) (Result, error) {
-	return ExactContext(context.Background(), c)
-}
-
-// ExactContext is Exact under a run-context: cancellation is checked every
-// ExactBlockPatterns enumerated patterns, and any runctx hook on ctx fires
-// at the same cadence with the cumulative pattern count. On cancellation it
-// returns the partial sums accumulated so far together with the context's
-// error — the partial Result is a deterministic function of the enumeration
-// prefix completed.
-func ExactContext(ctx context.Context, c Column) (Result, error) {
-	return ExactOpts(ctx, c, ExactOptions{})
-}
-
-// ExactOpts is ExactContext with execution options. With Workers > 1 the
-// enumeration blocks fan out over a bounded worker pool; each block sums
-// its own false-positive/false-negative partials and the partials are
-// reduced in block index order, so the Result matches the serial run bit
-// for bit. On cancellation the sums over the longest contiguous prefix of
-// completed blocks are returned with the context's error — a valid partial
-// state at a block checkpoint. Hooks fire once per completed block, under a
-// lock, with the cumulative count of completed blocks.
-func ExactOpts(ctx context.Context, c Column, opts ExactOptions) (Result, error) {
+//
+// The patterns are enumerated in fixed blocks of ExactBlockPatterns; the
+// context is checked, and any runctx hook on ctx fires under a lock with
+// the cumulative count of completed blocks, once per block. With
+// workers > 1 the blocks fan out over a bounded worker pool; each block
+// sums its own false-positive/false-negative partials and the partials are
+// reduced in block index order, so the Result is bit-for-bit identical for
+// every workers value (0 or 1 runs serial). On cancellation the sums over
+// the longest contiguous prefix of completed blocks are returned with the
+// context's error — a deterministic partial state at a block checkpoint.
+func Exact(ctx context.Context, c Column, workers int) (Result, error) {
 	if err := c.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -208,7 +185,7 @@ func ExactOpts(ctx context.Context, c Column, opts ExactOptions) (Result, error)
 		//lint:allow seedsource wall-clock timing for the observability hook Elapsed field, not part of results
 		start = time.Now()
 	)
-	poolErr := parallel.ForEachCtx(ctx, numBlocks, opts.Workers, func(b int) error {
+	poolErr := parallel.ForEachCtx(ctx, numBlocks, workers, func(b int) error {
 		// The block's prefix pattern: bit i of the pattern is ON when the
 		// corresponding bit of b is zero, so block 0 starts at the all-on
 		// pattern — the same global enumeration order as the on-first

@@ -13,7 +13,7 @@ func BenchmarkExactWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := ExactOpts(context.Background(), col, ExactOptions{Workers: workers}); err != nil {
+				if _, err := Exact(context.Background(), col, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package bound
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -54,7 +55,7 @@ func TestExactSingleSource(t *testing.T) {
 	// One source: claim w.p. a if true, b if false; z = 0.5, a=0.9, b=0.2.
 	// Patterns: claim -> min(0.45, 0.10); silence -> min(0.05, 0.40).
 	col := Column{P1: []float64{0.9}, P0: []float64{0.2}, Z: 0.5}
-	res, err := Exact(col)
+	res, err := Exact(context.Background(), col, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestExactUninformativeSources(t *testing.T) {
 	// P1 == P0: patterns carry no information, so the optimal estimator
 	// always follows the prior and Err = min(z, 1-z).
 	col := Column{P1: []float64{0.5, 0.3}, P0: []float64{0.5, 0.3}, Z: 0.3}
-	res, err := Exact(col)
+	res, err := Exact(context.Background(), col, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestExactMatchesBruteForcePatternTable(t *testing.T) {
 		rng := randutil.New(seed)
 		n := 1 + rng.Intn(6)
 		col := randomColumn(rng, n)
-		res, err := Exact(col)
+		res, err := Exact(context.Background(), col, 0)
 		if err != nil {
 			return false
 		}
@@ -122,7 +123,7 @@ func TestExactPermutationInvariant(t *testing.T) {
 		rng := randutil.New(seed)
 		n := 2 + rng.Intn(7)
 		col := randomColumn(rng, n)
-		res, err := Exact(col)
+		res, err := Exact(context.Background(), col, 0)
 		if err != nil {
 			return false
 		}
@@ -132,7 +133,7 @@ func TestExactPermutationInvariant(t *testing.T) {
 			pc.P1[i] = col.P1[p]
 			pc.P0[i] = col.P0[p]
 		}
-		res2, err := Exact(pc)
+		res2, err := Exact(context.Background(), pc, 0)
 		if err != nil {
 			return false
 		}
@@ -148,7 +149,7 @@ func TestExactBoundedByPrior(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		rng := randutil.New(seed)
 		col := randomColumn(rng, 1+rng.Intn(8))
-		res, err := Exact(col)
+		res, err := Exact(context.Background(), col, 0)
 		if err != nil {
 			return false
 		}
@@ -169,7 +170,7 @@ func TestExactRejectsTooManySources(t *testing.T) {
 	for i := range col.P1 {
 		col.P1[i], col.P0[i] = 0.5, 0.5
 	}
-	if _, err := Exact(col); !errors.Is(err, ErrTooManyExact) {
+	if _, err := Exact(context.Background(), col, 0); !errors.Is(err, ErrTooManyExact) {
 		t.Fatalf("want ErrTooManyExact, got %v", err)
 	}
 }
@@ -215,11 +216,11 @@ func TestApproxMatchesExact(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		n := 2 + rng.Intn(10)
 		col := randomColumn(rng, n)
-		exact, err := Exact(col)
+		exact, err := Exact(context.Background(), col, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		approx, err := Approx(col, ApproxOptions{MaxSweeps: 30000, Tol: 1e-9}, rng)
+		approx, err := ApproxContext(context.Background(), col, ApproxOptions{MaxSweeps: 30000, Tol: 1e-9}, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +236,7 @@ func TestApproxMatchesExact(t *testing.T) {
 func TestApproxDecomposition(t *testing.T) {
 	rng := randutil.New(5)
 	col := randomColumn(rng, 6)
-	res, err := Approx(col, ApproxOptions{MaxSweeps: 5000}, rng)
+	res, err := ApproxContext(context.Background(), col, ApproxOptions{MaxSweeps: 5000}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestApproxDecomposition(t *testing.T) {
 func TestApproxConvergesEarly(t *testing.T) {
 	rng := randutil.New(6)
 	col := randomColumn(rng, 4)
-	res, err := Approx(col, ApproxOptions{MaxSweeps: 100000, CheckEvery: 200, Tol: 1e-3}, rng)
+	res, err := ApproxContext(context.Background(), col, ApproxOptions{MaxSweeps: 100000, CheckEvery: 200, Tol: 1e-3}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestApproxConvergesEarly(t *testing.T) {
 }
 
 func TestApproxValidatesColumn(t *testing.T) {
-	if _, err := Approx(Column{}, ApproxOptions{}, randutil.New(1)); err == nil {
+	if _, err := ApproxContext(context.Background(), Column{}, ApproxOptions{}, randutil.New(1)); err == nil {
 		t.Fatal("empty column accepted")
 	}
 }

@@ -32,7 +32,7 @@ func TestExactContextCancelAtFirstBlock(t *testing.T) {
 			cancel()
 		}
 	})
-	_, err := ExactContext(ctx, wideColumn(n))
+	_, err := Exact(ctx, wideColumn(n), 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -46,21 +46,6 @@ func TestExactContextCancelAtFirstBlock(t *testing.T) {
 	}
 	if final.Samples < ExactBlockPatterns {
 		t.Fatalf("cancelled before the first full block: %d patterns", final.Samples)
-	}
-}
-
-func TestExactContextUncancelledMatchesExact(t *testing.T) {
-	col := wideColumn(16)
-	want, err := Exact(col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ExactContext(context.Background(), col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("ExactContext = %+v, Exact = %+v", got, want)
 	}
 }
 

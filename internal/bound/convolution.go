@@ -17,21 +17,19 @@ type ConvolutionOptions struct {
 	// (default 1 << 15). Finer grids reduce quantization error near the
 	// decision threshold at linear cost.
 	Bins int
-	// HalfWidth is the lattice half-width in logits around the decision
-	// threshold (default 60). Mass beyond the lattice is decisively
-	// classified and accumulates exactly in saturating edge bins.
-	HalfWidth float64
 }
 
 func (o ConvolutionOptions) normalized() ConvolutionOptions {
 	if o.Bins <= 0 {
 		o.Bins = 1 << 15
 	}
-	if o.HalfWidth <= 0 {
-		o.HalfWidth = 60
-	}
 	return o
 }
+
+// halfWidth is the lattice half-width in logits around the decision
+// threshold. Mass beyond the lattice is decisively classified and
+// accumulates exactly in saturating edge bins.
+const halfWidth = 60
 
 // pmfCutoff truncates the claimer-count distribution of a folded source
 // group: counts less likely than this are dropped. A group of g sources
@@ -60,8 +58,8 @@ const pmfCutoff = 1e-20
 // default resolution this keeps the bound within ~1e-3 of exact for the
 // paper's problem sizes, deterministically.
 //
-// A single column is the one-leaf case of the kernel ForDataset runs over
-// every distinct column of a dataset (MethodConvolution).
+// A single column is the one-leaf case of the kernel ForDatasetContext runs
+// over every distinct column of a dataset (MethodConvolution).
 func Convolution(c Column, opts ConvolutionOptions) (Result, error) {
 	if err := c.Validate(); err != nil {
 		return Result{}, err
@@ -90,7 +88,7 @@ type lattice struct {
 
 func newLattice(opts ConvolutionOptions, z float64) lattice {
 	opts = opts.normalized()
-	l := lattice{bins: opts.Bins, step: 2 * opts.HalfWidth / float64(opts.Bins), z: clampOpen(z)}
+	l := lattice{bins: opts.Bins, step: 2 * halfWidth / float64(opts.Bins), z: clampOpen(z)}
 	threshold := math.Log((1 - l.z) / l.z)
 	l.start = clampBin(l.bins/2-int(math.Round(threshold/l.step)), l.bins)
 	return l

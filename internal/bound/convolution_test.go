@@ -24,7 +24,7 @@ func referenceConvolution(c Column, opts ConvolutionOptions) (res Result, edge f
 	z := clampOpen(c.Z)
 	threshold := math.Log((1 - z) / z)
 	bins := opts.Bins
-	step := 2 * opts.HalfWidth / float64(bins)
+	step := 2 * halfWidth / float64(bins)
 	start := clampBin(bins/2-int(math.Round(threshold/step)), bins)
 	dist1 := make([]float64, bins)
 	dist0 := make([]float64, bins)
@@ -177,7 +177,7 @@ func checkAgainstReference(t testing.TB, ds *claims.Dataset, p *model.Params, op
 		want.Err /= weight
 		want.FalsePos /= weight
 		want.FalseNeg /= weight
-		res, err := ForDataset(ds, p, DatasetOptions{Method: MethodConvolution, Convolution: opts}, nil)
+		res, err := ForDatasetContext(context.Background(), ds, p, DatasetOptions{Method: MethodConvolution, Convolution: opts}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func TestConvolutionMatchesExact(t *testing.T) {
 		rng := randutil.New(seed)
 		n := 1 + rng.Intn(12)
 		col := randomColumn(rng, n)
-		exact, err := Exact(col)
+		exact, err := Exact(context.Background(), col, 0)
 		if err != nil {
 			return false
 		}
@@ -258,7 +258,7 @@ func TestConvolutionAgreesWithGibbsLargeN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gibbs, err := Approx(col, ApproxOptions{MaxSweeps: 30000, Tol: 1e-9}, rng)
+	gibbs, err := ApproxContext(context.Background(), col, ApproxOptions{MaxSweeps: 30000, Tol: 1e-9}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestConvolutionAgreesWithGibbsLargeN(t *testing.T) {
 func TestConvolutionResolutionTradeoff(t *testing.T) {
 	rng := randutil.New(11)
 	col := randomColumn(rng, 10)
-	exact, err := Exact(col)
+	exact, err := Exact(context.Background(), col, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,11 +364,11 @@ func TestForDatasetConvolutionMatchesExact(t *testing.T) {
 	rng := randutil.New(5)
 	for c := 0; c < 20; c++ {
 		ds, p := randomBoundCase(rng, 1+rng.Intn(16), 1+rng.Intn(12))
-		exact, err := ForDataset(ds, p, DatasetOptions{Method: MethodExact}, nil)
+		exact, err := ForDatasetContext(context.Background(), ds, p, DatasetOptions{Method: MethodExact}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		conv, err := ForDataset(ds, p, DatasetOptions{Method: MethodConvolution}, nil)
+		conv, err := ForDatasetContext(context.Background(), ds, p, DatasetOptions{Method: MethodConvolution}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,14 +414,14 @@ func TestForDatasetNilGenerator(t *testing.T) {
 		t.Fatal("fixture needs several distinct columns")
 	}
 	for _, m := range []Method{MethodExact, MethodConvolution} {
-		if _, err := ForDataset(ds, p, DatasetOptions{Method: m}, nil); err != nil {
+		if _, err := ForDatasetContext(context.Background(), ds, p, DatasetOptions{Method: m}, nil); err != nil {
 			t.Fatalf("method %d without generator: %v", m, err)
 		}
-		if _, err := ForDataset(ds, p, DatasetOptions{Method: m, MaxColumns: 1}, nil); !errors.Is(err, ErrNoGenerator) {
+		if _, err := ForDatasetContext(context.Background(), ds, p, DatasetOptions{Method: m, MaxColumns: 1}, nil); !errors.Is(err, ErrNoGenerator) {
 			t.Fatalf("method %d column sampling without generator: err = %v", m, err)
 		}
 	}
-	if _, err := ForDataset(ds, p, DatasetOptions{Method: MethodApprox}, nil); !errors.Is(err, ErrNoGenerator) {
+	if _, err := ForDatasetContext(context.Background(), ds, p, DatasetOptions{Method: MethodApprox}, nil); !errors.Is(err, ErrNoGenerator) {
 		t.Fatalf("approx without generator: err = %v", err)
 	}
 }
@@ -432,7 +432,7 @@ func TestForDatasetDeterministicMethodsIgnoreGenerator(t *testing.T) {
 	ds, p := smallWorldParams(t)
 	for _, m := range []Method{MethodExact, MethodConvolution} {
 		rng := randutil.New(99)
-		if _, err := ForDataset(ds, p, DatasetOptions{Method: m}, rng); err != nil {
+		if _, err := ForDatasetContext(context.Background(), ds, p, DatasetOptions{Method: m}, rng); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := rng.Int63(), randutil.New(99).Int63(); got != want {
@@ -482,7 +482,7 @@ func FuzzForDatasetConvolution(f *testing.F) {
 		for i := range p.Sources {
 			p.Sources[i] = model.SourceParams{A: prob(), B: prob(), F: prob(), G: prob()}
 		}
-		res, err := ForDataset(ds, p, DatasetOptions{Method: MethodConvolution, Convolution: opts}, nil)
+		res, err := ForDatasetContext(context.Background(), ds, p, DatasetOptions{Method: MethodConvolution, Convolution: opts}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

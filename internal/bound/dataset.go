@@ -29,7 +29,7 @@ const (
 	MethodConvolution
 )
 
-// DatasetOptions configures ForDataset.
+// DatasetOptions configures ForDatasetContext.
 type DatasetOptions struct {
 	Method Method
 	// Approx tunes the Gibbs chain when Method == MethodApprox.
@@ -49,27 +49,23 @@ type DatasetOptions struct {
 	Workers int
 }
 
-// ErrNoGenerator is returned when ForDataset needs randomness — Gibbs
+// ErrNoGenerator is returned when ForDatasetContext needs randomness — Gibbs
 // sampling (MethodApprox) or column sampling (MaxColumns) — and the caller
 // passed no generator. The deterministic methods never consult one.
 var ErrNoGenerator = errors.New("bound: a random generator is required for Gibbs or column sampling")
 
-// ForDataset computes the expected error bound of a dataset: the frequency-
-// weighted average over assertions of the per-assertion bound. Assertions
-// sharing a dependency column share a bound, so distinct columns are
-// evaluated once and weighted by multiplicity — the dominant saving in the
-// paper's forest-structured simulations, where columns repeat heavily.
+// ForDatasetContext computes the expected error bound of a dataset: the
+// frequency-weighted average over assertions of the per-assertion bound.
+// Assertions sharing a dependency column share a bound, so distinct columns
+// are evaluated once and weighted by multiplicity — the dominant saving in
+// the paper's forest-structured simulations, where columns repeat heavily.
 // MethodConvolution goes further and shares the convolution of every
 // source whose dependency mode several columns agree on (see Convolution).
-func ForDataset(ds *claims.Dataset, p *model.Params, opts DatasetOptions, rng *rand.Rand) (Result, error) {
-	return ForDatasetContext(context.Background(), ds, p, opts, rng)
-}
-
-// ForDatasetContext is ForDataset under a run-context. The context is
-// threaded into each per-column computation (exact enumeration blocks,
-// Gibbs sweeps and convolution tree nodes all check it), and also checked
-// between columns, so a cancel returns within one block/sweep/node of work
-// with the context's error.
+//
+// The context is threaded into each per-column computation (exact
+// enumeration blocks, Gibbs sweeps and convolution tree nodes all check
+// it), and also checked between columns, so a cancel returns within one
+// block/sweep/node of work with the context's error.
 func ForDatasetContext(ctx context.Context, ds *claims.Dataset, p *model.Params, opts DatasetOptions, rng *rand.Rand) (Result, error) {
 	if ds.M() == 0 {
 		return Result{}, fmt.Errorf("bound: dataset has no assertions")
@@ -124,7 +120,7 @@ func ForDatasetContext(ctx context.Context, ds *claims.Dataset, p *model.Params,
 				return Result{}, err
 			}
 			if opts.Method == MethodExact {
-				results[g], err = ExactOpts(ctx, col, ExactOptions{Workers: opts.Workers})
+				results[g], err = Exact(ctx, col, opts.Workers)
 			} else {
 				results[g], err = ApproxContext(ctx, col, opts.Approx, rng)
 			}

@@ -1,6 +1,7 @@
 package bound
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -26,11 +27,11 @@ func smallWorldParams(t *testing.T) (*claims.Dataset, *model.Params) {
 func TestForDatasetExactVsApprox(t *testing.T) {
 	ds, params := smallWorldParams(t)
 	rng := randutil.New(7)
-	exact, err := ForDataset(ds, params, DatasetOptions{Method: MethodExact}, rng)
+	exact, err := ForDatasetContext(context.Background(), ds, params, DatasetOptions{Method: MethodExact}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := ForDataset(ds, params, DatasetOptions{
+	approx, err := ForDatasetContext(context.Background(), ds, params, DatasetOptions{
 		Method: MethodApprox,
 		Approx: ApproxOptions{MaxSweeps: 20000, Tol: 1e-9},
 	}, rng)
@@ -64,7 +65,7 @@ func TestForDatasetColumnDedup(t *testing.T) {
 	for i := range p.Sources {
 		p.Sources[i] = model.SourceParams{A: 0.8, B: 0.2, F: 0.7, G: 0.4}
 	}
-	whole, err := ForDataset(ds, p, DatasetOptions{Method: MethodExact}, randutil.New(1))
+	whole, err := ForDatasetContext(context.Background(), ds, p, DatasetOptions{Method: MethodExact}, randutil.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestForDatasetColumnDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := Exact(col)
+	single, err := Exact(context.Background(), col, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +85,11 @@ func TestForDatasetColumnDedup(t *testing.T) {
 func TestForDatasetColumnSampling(t *testing.T) {
 	ds, params := smallWorldParams(t)
 	rng := randutil.New(9)
-	full, err := ForDataset(ds, params, DatasetOptions{Method: MethodExact}, rng)
+	full, err := ForDatasetContext(context.Background(), ds, params, DatasetOptions{Method: MethodExact}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := ForDataset(ds, params, DatasetOptions{Method: MethodExact, MaxColumns: 3}, rng)
+	sampled, err := ForDatasetContext(context.Background(), ds, params, DatasetOptions{Method: MethodExact, MaxColumns: 3}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +106,14 @@ func TestForDatasetValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ForDataset(empty, params, DatasetOptions{}, rng); err == nil {
+	if _, err := ForDatasetContext(context.Background(), empty, params, DatasetOptions{}, rng); err == nil {
 		t.Fatal("empty dataset accepted")
 	}
 	wrong := model.NewParams(ds.N()+1, 0.5)
-	if _, err := ForDataset(ds, wrong, DatasetOptions{}, rng); err == nil {
+	if _, err := ForDatasetContext(context.Background(), ds, wrong, DatasetOptions{}, rng); err == nil {
 		t.Fatal("mismatched params accepted")
 	}
-	if _, err := ForDataset(ds, params, DatasetOptions{Method: Method(99)}, rng); err == nil {
+	if _, err := ForDatasetContext(context.Background(), ds, params, DatasetOptions{Method: Method(99)}, rng); err == nil {
 		t.Fatal("unknown method accepted")
 	}
 }

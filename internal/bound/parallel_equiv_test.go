@@ -28,12 +28,12 @@ func heterogeneousColumn(n int) Column {
 func TestExactWorkersEquivalence(t *testing.T) {
 	for _, n := range []int{8, 15, 18} {
 		col := heterogeneousColumn(n)
-		serial, err := ExactOpts(context.Background(), col, ExactOptions{Workers: 1})
+		serial, err := Exact(context.Background(), col, 1)
 		if err != nil {
 			t.Fatalf("n=%d serial: %v", n, err)
 		}
 		for _, workers := range []int{2, 8} {
-			par, err := ExactOpts(context.Background(), col, ExactOptions{Workers: workers})
+			par, err := Exact(context.Background(), col, workers)
 			if err != nil {
 				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
 			}
@@ -51,7 +51,7 @@ func TestExactWorkersEquivalence(t *testing.T) {
 func TestExactWorkersCancelValidPartial(t *testing.T) {
 	const n = 18 // 8 blocks
 	col := heterogeneousColumn(n)
-	full, err := Exact(col)
+	full, err := Exact(context.Background(), col, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestExactWorkersCancelValidPartial(t *testing.T) {
 			cancel()
 		}
 	})
-	res, err := ExactOpts(ctx, col, ExactOptions{Workers: 8})
+	res, err := Exact(ctx, col, 8)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}

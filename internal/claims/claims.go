@@ -191,6 +191,18 @@ func (d *Dataset) ClaimDependent(j int) []bool {
 	return span(d.sparse.ClaimDep, d.sparse.Claims.ColPtr, j)
 }
 
+// DependentClaimCount returns how many claimants of assertion j claimed it
+// dependently: the number of true entries of ClaimDependent(j).
+func (d *Dataset) DependentClaimCount(j int) int {
+	n := 0
+	for _, dep := range d.ClaimDependent(j) {
+		if dep {
+			n++
+		}
+	}
+	return n
+}
+
 // SilentDependents returns the sources with D[i][j] = 1 that did not claim
 // j, in increasing order.
 func (d *Dataset) SilentDependents(j int) []int32 {

@@ -377,6 +377,15 @@ func TestSparseViewMatchesAccessors(t *testing.T) {
 			if !slices.Equal(got, flags) || !slices.Equal(view, flags) || (got == nil) != (len(flags) == 0) {
 				t.Fatalf("trial %d ClaimDependent(%d) = %v, view %v, want %v", trial, j, got, view, flags)
 			}
+			wantDep := 0
+			for _, f := range flags {
+				if f {
+					wantDep++
+				}
+			}
+			if got := ds.DependentClaimCount(j); got != wantDep {
+				t.Fatalf("trial %d DependentClaimCount(%d) = %d, want %d", trial, j, got, wantDep)
+			}
 			if got := ds.DependencyColumn(j); !slices.Equal(got, col) {
 				t.Fatalf("trial %d DependencyColumn(%d) = %v, want %v", trial, j, got, col)
 			}

@@ -67,7 +67,7 @@ func BenchmarkEStep(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Posterior(w.Dataset, w.TrueParams); err != nil {
+		if _, _, err := PosteriorOpts(w.Dataset, w.TrueParams, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -97,7 +97,7 @@ func TestColdFitFixedPointBodies(t *testing.T) {
 		for i := range params.Sources {
 			params.Sources[i].F, params.Sources[i].G = f, g
 		}
-		want, _, err := core.Posterior(ds, params)
+		want, _, err := core.PosteriorOpts(ds, params, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

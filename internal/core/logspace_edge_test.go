@@ -121,7 +121,7 @@ func TestZeroProbabilityInitFinite(t *testing.T) {
 	}
 	assertFiniteResult(t, res, "boundary-init")
 
-	post, ll, err := Posterior(ds, boundary)
+	post, ll, err := PosteriorOpts(ds, boundary, Options{})
 	if err != nil {
 		t.Fatalf("posterior: %v", err)
 	}

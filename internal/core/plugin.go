@@ -132,12 +132,7 @@ func PooledDependentChannel(ds *claims.Dataset, posterior []float64) (f, g float
 	for j := 0; j < ds.M(); j++ {
 		z := posterior[j]
 		w := math.Pow(math.Abs(2*z-1), pluginConfidenceExp)
-		dep := 0
-		for _, d := range ds.ClaimDependent(j) {
-			if d {
-				dep++
-			}
-		}
+		dep := ds.DependentClaimCount(j)
 		pairs := float64(dep + len(ds.SilentDependents(j)))
 		fNum += float64(dep) * z * w
 		fDen += pairs * z * w
@@ -164,18 +159,13 @@ func clampChannel(v float64) float64 {
 	return v
 }
 
-// Posterior computes P(C_j = 1 | SC; θ) for every assertion under the full
-// dependency-aware model (Eq. 9) together with the data log-likelihood
+// PosteriorOpts computes P(C_j = 1 | SC; θ) for every assertion under the
+// full dependency-aware model (Eq. 9) together with the data log-likelihood
 // (Eq. 7), without fitting anything — the scoring half of the estimator,
-// usable with known or externally estimated parameters.
-func Posterior(ds *claims.Dataset, p *model.Params) ([]float64, float64, error) {
-	return PosteriorOpts(ds, p, Options{})
-}
-
-// PosteriorOpts is Posterior with the kernel knobs honored: Options.Scratch
-// supplies reusable buffers (the returned posterior slice is always a fresh
-// copy, never an alias of the scratch) and Options.Workers shards the
-// E-step. All other options are ignored.
+// usable with known or externally estimated parameters. Of the options only
+// the kernel knobs are honored: Options.Scratch supplies reusable buffers
+// (the returned posterior slice is always a fresh copy, never an alias of
+// the scratch) and Options.Workers shards the E-step.
 func PosteriorOpts(ds *claims.Dataset, p *model.Params, opts Options) ([]float64, float64, error) {
 	if ds.N() == 0 || ds.M() == 0 {
 		return nil, 0, ErrEmptyDataset

@@ -111,7 +111,7 @@ func TestPosteriorMatchesEMOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	post, ll, err := Posterior(w.Dataset, res.Params)
+	post, ll, err := PosteriorOpts(w.Dataset, res.Params, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,19 +127,19 @@ func TestPosteriorMatchesEMOutput(t *testing.T) {
 
 func TestPosteriorValidation(t *testing.T) {
 	w := genWorld(t, 5, 10, 1)
-	if _, _, err := Posterior(w.Dataset, model.NewParams(3, 0.5)); err == nil {
+	if _, _, err := PosteriorOpts(w.Dataset, model.NewParams(3, 0.5), Options{}); err == nil {
 		t.Fatal("mismatched params accepted")
 	}
 	bad := model.NewParams(5, 0.5)
 	bad.Sources[0].A = -1
-	if _, _, err := Posterior(w.Dataset, bad); err == nil {
+	if _, _, err := PosteriorOpts(w.Dataset, bad, Options{}); err == nil {
 		t.Fatal("invalid params accepted")
 	}
 	empty, err := claims.NewBuilder(0, 0).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Posterior(empty, model.NewParams(1, 0.5)); err == nil {
+	if _, _, err := PosteriorOpts(empty, model.NewParams(1, 0.5), Options{}); err == nil {
 		t.Fatal("empty dataset accepted")
 	}
 }
@@ -150,7 +150,7 @@ func TestPosteriorDoesNotMutateParams(t *testing.T) {
 	for i := range p.Sources {
 		p.Sources[i] = model.SourceParams{A: 1, B: 0, F: 1, G: 0} // boundary values
 	}
-	if _, _, err := Posterior(w.Dataset, p); err != nil {
+	if _, _, err := PosteriorOpts(w.Dataset, p, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if p.Z != 0 || p.Sources[0].A != 1 {

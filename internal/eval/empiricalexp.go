@@ -39,7 +39,7 @@ type EmpiricalResult struct {
 // five Table III-scale simulated Twitter datasets.
 func Empirical(c Config) (EmpiricalResult, error) {
 	c = c.normalized()
-	out := EmpiricalResult{TopK: c.TopK}
+	out := EmpiricalResult{TopK: topK}
 	for si, preset := range twittersim.Presets() {
 		sc := preset
 		if c.EmpiricalScale > 1 {
@@ -62,7 +62,7 @@ func Empirical(c Config) (EmpiricalResult, error) {
 			in := apollo.Input{NumSources: sc.Sources, Messages: msgs, Graph: w.Graph}
 
 			for _, alg := range baselines.All() {
-				pipe, err := apollo.RunContext(c.Ctx, in, alg, apollo.Options{TopK: c.TopK})
+				pipe, err := apollo.RunContext(c.Ctx, in, alg, apollo.Options{TopK: topK})
 				if err != nil {
 					return EmpiricalResult{}, fmt.Errorf("eval: empirical %s %s: %w", sc.Name, alg.Name(), err)
 				}

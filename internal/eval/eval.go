@@ -40,9 +40,6 @@ type Config struct {
 	MaxExactColumns int
 	// GibbsSweeps caps the Gibbs chains of the approximate bound.
 	GibbsSweeps int
-	// TopK is the empirical evaluation cut-off (the paper grades the
-	// top 100).
-	TopK int
 	// EmpiricalScale divides the Table III scenario volumes (1 = full
 	// scale).
 	EmpiricalScale int
@@ -56,6 +53,9 @@ type Config struct {
 	Workers int
 }
 
+// topK is the empirical evaluation cut-off: the paper grades the top 100.
+const topK = 100
+
 // DefaultConfig reproduces the paper's experiment scales.
 func DefaultConfig() Config {
 	return Config{
@@ -65,7 +65,6 @@ func DefaultConfig() Config {
 		OptimalRuns:     20,
 		MaxExactColumns: 0,
 		GibbsSweeps:     20000,
-		TopK:            100,
 		EmpiricalScale:  1,
 	}
 }
@@ -79,7 +78,6 @@ func QuickConfig() Config {
 		OptimalRuns:     3,
 		MaxExactColumns: 6,
 		GibbsSweeps:     1500,
-		TopK:            100,
 		EmpiricalScale:  20,
 		EmpiricalSeeds:  1,
 	}
@@ -101,9 +99,6 @@ func (c Config) normalized() Config {
 	}
 	if c.GibbsSweeps <= 0 {
 		c.GibbsSweeps = d.GibbsSweeps
-	}
-	if c.TopK <= 0 {
-		c.TopK = d.TopK
 	}
 	if c.EmpiricalScale <= 0 {
 		c.EmpiricalScale = 1

@@ -336,7 +336,7 @@ func TestConfigNormalization(t *testing.T) {
 	d := DefaultConfig()
 	if n.BoundRuns != d.BoundRuns || n.EstimatorRuns != d.EstimatorRuns ||
 		n.OptimalRuns != d.OptimalRuns || n.GibbsSweeps != d.GibbsSweeps ||
-		n.TopK != d.TopK || n.EmpiricalScale != 1 || n.EmpiricalSeeds != 3 {
+		n.EmpiricalScale != 1 || n.EmpiricalSeeds != 3 {
 		t.Fatalf("normalized zero config: %+v", n)
 	}
 }

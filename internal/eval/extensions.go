@@ -65,7 +65,7 @@ func ExtSybilAttack(c Config) (SybilResult, error) {
 	if scale < 4 {
 		scale = 4 // the sweep repeats per sybil level; keep it affordable
 	}
-	out := SybilResult{TopK: c.TopK}
+	out := SybilResult{TopK: topK}
 	for _, sybils := range []int{0, 25, 50, 100, 200} {
 		sc := twittersim.Small("Ukraine", scale)
 		sc.Sybils = sybils * 4 / scale // scale the attack with the dataset
@@ -86,7 +86,7 @@ func ExtSybilAttack(c Config) (SybilResult, error) {
 			}
 			in := apollo.Input{NumSources: sc.Sources + sc.Sybils, Messages: msgs, Graph: w.Graph}
 			for _, alg := range baselines.All() {
-				pipe, err := apollo.RunContext(c.Ctx, in, alg, apollo.Options{TopK: c.TopK})
+				pipe, err := apollo.RunContext(c.Ctx, in, alg, apollo.Options{TopK: topK})
 				if err != nil {
 					return SybilResult{}, fmt.Errorf("eval: sybil %s: %w", alg.Name(), err)
 				}

@@ -30,10 +30,10 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -67,12 +67,8 @@ type Options struct {
 	// block sharding). Results are bit-for-bit identical at any value; 0 or
 	// 1 runs serial.
 	Workers int
-	// Metrics receives the server's telemetry and backs the /metrics
-	// endpoint; nil creates a private registry (retrievable with
-	// Server.Metrics).
-	Metrics *obs.Registry
 	// DisableMetrics removes the /metrics endpoint. Telemetry is still
-	// recorded into the registry for programmatic access.
+	// recorded into the server's registry (Server.Metrics).
 	DisableMetrics bool
 	// Logger receives request-id-tagged access logs; nil discards them.
 	Logger *slog.Logger
@@ -141,13 +137,10 @@ func New(opts Options) *Server {
 	if opts.DefaultTopK <= 0 {
 		opts.DefaultTopK = 100
 	}
-	reg := opts.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	log := opts.Logger
 	if log == nil {
-		log = discardLogger()
+		log = DiscardLogger()
 	}
 	clock := opts.Clock
 	if clock == nil {
@@ -377,10 +370,17 @@ func (s *Server) buildInput(req Request) (apollo.Input, error) {
 	return apollo.Input{NumSources: req.Sources, Messages: msgs, Graph: graph}, nil
 }
 
-// discardLogger is the default when no logger is injected.
-func discardLogger() *slog.Logger {
-	return slog.New(slog.NewTextHandler(io.Discard, nil))
-}
+// DiscardLogger is the default when no logger is injected. Its handler
+// reports every level disabled, so a log call returns before it captures
+// the caller or formats a record (slog.DiscardHandler needs Go 1.24).
+func DiscardLogger() *slog.Logger { return slog.New(discardHandler{}) }
+
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
+func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -1,8 +1,11 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -159,6 +162,27 @@ func TestMiddlewareAccounting(t *testing.T) {
 	}
 	if got := reg.Gauge(MetricInFlight, "").Value(); got != 0 {
 		t.Fatalf("in-flight after quiesce = %v, want 0", got)
+	}
+}
+
+// TestDefaultLoggerDisabled: a middleware or server built without a logger
+// reports every level disabled, so an access-log call returns before it
+// captures the caller or formats a record — also through With and
+// WithGroup.
+func TestDefaultLoggerDisabled(t *testing.T) {
+	mw := NewMiddleware(nil, nil, nil)
+	for name, log := range map[string]*slog.Logger{
+		"middleware": mw.Log,
+		"server":     New(Options{}).log,
+		"with":       mw.Log.With("k", "v"),
+		"group":      mw.Log.WithGroup("g"),
+	} {
+		for _, level := range []slog.Level{math.MinInt, slog.LevelDebug, slog.LevelInfo,
+			slog.LevelWarn, slog.LevelError, math.MaxInt} {
+			if log.Enabled(context.Background(), level) {
+				t.Errorf("%s logger enabled at level %v", name, level)
+			}
+		}
 	}
 }
 

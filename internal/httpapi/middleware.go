@@ -60,7 +60,7 @@ func NewMiddleware(reg *obs.Registry, log *slog.Logger, clock func() time.Time) 
 		reg = obs.NewRegistry()
 	}
 	if log == nil {
-		log = discardLogger()
+		log = DiscardLogger()
 	}
 	if clock == nil {
 		clock = time.Now

@@ -379,19 +379,12 @@ func (s *Server) computeResult(r *http.Request, req Request, algorithm string, t
 		TraceID:    traceID,
 	}
 	for _, c := range out.Ranked {
-		deps := out.Dataset.ClaimDependent(c)
-		dep := 0
-		for _, d := range deps {
-			if d {
-				dep++
-			}
-		}
 		resp.Ranked = append(resp.Ranked, RankedAssertion{
 			Assertion: c,
 			Posterior: out.Result.Posterior[c],
 			Text:      out.RepresentativeText[c],
-			Claims:    len(deps),
-			Dependent: dep,
+			Claims:    len(out.Dataset.Claimants(c)),
+			Dependent: out.Dataset.DependentClaimCount(c),
 		})
 	}
 	// The cached copy carries no TraceID; replays stamp their own.

@@ -31,7 +31,7 @@ import (
 
 	"depsense/internal/cluster"
 	"depsense/internal/depgraph"
-	"depsense/internal/obs"
+	"depsense/internal/httpapi"
 	"depsense/internal/qual"
 	"depsense/internal/stream"
 	"depsense/internal/twittersim"
@@ -213,16 +213,14 @@ type Published struct {
 
 // Options configures the pipeline.
 type Options struct {
-	// Stream configures the estimator stage (EM options, warm-refit caps).
+	// Stream configures the estimator stage (EM options).
 	// Its Metrics and Clock are overridden by the pipeline's.
 	Stream stream.Options
 	// BatchSize is the number of accepted tweets per batch (default 64).
 	BatchSize int
-	// RawQueue bounds the collector->clusterer queue (default 1024). When
-	// full, raw tweets are shed (counted) unless DisableShedding.
-	RawQueue int
 	// DisableShedding makes the collector block instead of dropping when
-	// the raw queue is full — lossless mode for replays and tests.
+	// the raw queue (rawQueue slots) is full — lossless mode for replays
+	// and tests. By default a full raw queue sheds tweets, counted.
 	DisableShedding bool
 	// TopK bounds the published ranking (default 100).
 	TopK int
@@ -233,9 +231,6 @@ type Options struct {
 	// (default 16). The final state on graceful shutdown is always
 	// snapshotted.
 	SnapshotEvery int
-	// Metrics receives pipeline and estimator telemetry; nil allocates a
-	// private registry.
-	Metrics *obs.Registry
 	// Clock supplies timestamps (injected per the clocked-zone contract);
 	// nil means the wall clock.
 	Clock func() time.Time
@@ -268,32 +263,17 @@ func (o *Options) withDefaults() Options {
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = 64
 	}
-	if opts.RawQueue <= 0 {
-		opts.RawQueue = 1024
-	}
 	if opts.TopK <= 0 {
 		opts.TopK = 100
 	}
 	if opts.SnapshotEvery <= 0 {
 		opts.SnapshotEvery = 16
 	}
-	if opts.Metrics == nil {
-		opts.Metrics = obs.NewRegistry()
-	}
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
 	if opts.Logger == nil {
-		opts.Logger = slog.New(discardHandler{})
+		opts.Logger = httpapi.DiscardLogger()
 	}
 	return opts
 }
-
-// discardHandler drops all log records (slog.DiscardHandler arrived in Go
-// 1.24; this keeps the floor lower).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
-func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }

@@ -58,6 +58,10 @@ type Pipeline struct {
 // backpressures the clusterer, never drops.
 const batchQueue = 4
 
+// rawQueue bounds the collector->clusterer queue; a full queue sheds raw
+// tweets unless Options.DisableShedding.
+const rawQueue = 1024
+
 // New builds a pipeline over the source. When opts.Dir is set, it replays
 // the persisted snapshot and claim log first (refitting any batches
 // committed after the last snapshot), so the returned pipeline resumes
@@ -67,7 +71,7 @@ func New(ctx context.Context, source Source, opts Options) (*Pipeline, error) {
 	o := opts.withDefaults()
 	p := &Pipeline{
 		opts:   o,
-		reg:    o.Metrics,
+		reg:    obs.NewRegistry(),
 		log:    o.Logger,
 		clock:  o.Clock,
 		source: source,
@@ -75,7 +79,7 @@ func New(ctx context.Context, source Source, opts Options) (*Pipeline, error) {
 	p.flight = trace.NewFlightRecorder(o.TraceBuffer, 0)
 	// The inter-stage queues exist from construction so the HTTP layer can
 	// report their occupancy before and during Run without racing it.
-	p.rawCh = make(chan Tweet, o.RawQueue)
+	p.rawCh = make(chan Tweet, rawQueue)
 	p.batchCh = make(chan Batch, batchQueue)
 
 	streamOpts := o.Stream
@@ -411,13 +415,8 @@ func (p *Pipeline) buildPublished(batchSeq int, converged bool, iterations int) 
 		if j < len(p.texts) {
 			ra.Text = p.texts[j]
 		}
-		deps := ds.ClaimDependent(j)
-		ra.Claims = len(deps)
-		for _, d := range deps {
-			if d {
-				ra.Dependent++
-			}
-		}
+		ra.Claims = len(ds.Claimants(j))
+		ra.Dependent = ds.DependentClaimCount(j)
 		pub.Ranked = append(pub.Ranked, ra)
 	}
 	return pub

@@ -293,14 +293,12 @@ func TestPipelineRecoversTornLog(t *testing.T) {
 	f.Close()
 
 	// Restart: recovery reports the torn tail, heals the log, resumes.
-	reg := obs.NewRegistry()
 	opts.OnPublish = nil
-	opts.Metrics = reg
 	p2, err := New(context.Background(), NewFirehoseSource(world, world.Firehose(twittersim.FirehoseOptions{})), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter(MetricTornLog, "").Value(); got != 1 {
+	if got := p2.Metrics().Counter(MetricTornLog, "").Value(); got != 1 {
 		t.Fatalf("torn-log counter = %v, want 1", got)
 	}
 	if p2.Published() == nil {
@@ -336,35 +334,28 @@ func TestPipelineRecoversTornLog(t *testing.T) {
 // raw tweets (counted) instead of blocking — and with shedding disabled it
 // blocks instead.
 func TestPipelineShedsRawOnly(t *testing.T) {
-	reg := obs.NewRegistry()
-	tweets := []Tweet{
-		{Seq: 0, Source: 0, Text: "alpha beta", RetweetOf: -1},
-		{Seq: 1, Source: 1, Text: "gamma delta", RetweetOf: -1},
-		{Seq: 2, Source: 2, Text: "epsilon zeta", RetweetOf: -1},
+	tweets := make([]Tweet, rawQueue+2)
+	for i := range tweets {
+		tweets[i] = Tweet{Seq: i, Source: i % 3, Text: "alpha beta", RetweetOf: -1}
 	}
-	p, err := New(context.Background(), &SliceSource{Tweets: tweets}, Options{
-		RawQueue: 1,
-		Metrics:  reg,
-	})
+	p, err := New(context.Background(), &SliceSource{Tweets: tweets}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := p.Metrics()
 	// White box: run only the collector, with no clusterer draining, so
-	// the one-slot raw queue fills after the first tweet.
+	// the raw queue fills after its first rawQueue tweets.
 	p.collector(context.Background())
-	if got := reg.Counter(MetricTweets, "", obs.L("outcome", "accepted")).Value(); got != 1 {
-		t.Fatalf("accepted = %v, want 1", got)
+	if got := reg.Counter(MetricTweets, "", obs.L("outcome", "accepted")).Value(); got != rawQueue {
+		t.Fatalf("accepted = %v, want %d", got, rawQueue)
 	}
 	if got := reg.Counter(MetricTweets, "", obs.L("outcome", "dropped")).Value(); got != 2 {
 		t.Fatalf("dropped = %v, want 2", got)
 	}
 
 	// Lossless mode blocks instead: cancellation is the only way out.
-	reg2 := obs.NewRegistry()
 	p2, err := New(context.Background(), &SliceSource{Tweets: tweets}, Options{
-		RawQueue:        1,
 		DisableShedding: true,
-		Metrics:         reg2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -384,7 +375,7 @@ func TestPipelineShedsRawOnly(t *testing.T) {
 	}
 	cancel()
 	<-done
-	if got := reg2.Counter(MetricTweets, "", obs.L("outcome", "dropped")).Value(); got != 0 {
+	if got := p2.Metrics().Counter(MetricTweets, "", obs.L("outcome", "dropped")).Value(); got != 0 {
 		t.Fatalf("lossless mode dropped %v tweets", got)
 	}
 }
@@ -392,13 +383,11 @@ func TestPipelineShedsRawOnly(t *testing.T) {
 // TestPipelineQueueAndBatchTelemetry: committed batches, queue capacity
 // gauges, and per-stage histograms land in the registry.
 func TestPipelineQueueAndBatchTelemetry(t *testing.T) {
-	reg := obs.NewRegistry()
 	_, tweets := testTweets(t, 60, 7)
 	opts := Options{
 		Stream:          stream.Options{},
 		BatchSize:       32,
 		DisableShedding: true,
-		Metrics:         reg,
 		TraceBuffer:     8,
 	}
 	var pubs []*Published
@@ -407,6 +396,7 @@ func TestPipelineQueueAndBatchTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := p.Metrics()
 	if err := p.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -414,8 +404,8 @@ func TestPipelineQueueAndBatchTelemetry(t *testing.T) {
 	if got := reg.Counter(MetricBatches, "").Value(); got != float64(wantBatches) {
 		t.Fatalf("batches counter = %v, want %d", got, wantBatches)
 	}
-	if got := reg.Gauge(MetricQueueCapacity, "", obs.L("queue", "raw")).Value(); got != 1024 {
-		t.Fatalf("raw capacity gauge = %v, want 1024", got)
+	if got := reg.Gauge(MetricQueueCapacity, "", obs.L("queue", "raw")).Value(); got != rawQueue {
+		t.Fatalf("raw capacity gauge = %v, want %d", got, rawQueue)
 	}
 	for _, stage := range []string{"cluster", "wal", "fit", "publish"} {
 		h := reg.Histogram(MetricStageSeconds, "", nil, obs.L("stage", stage))

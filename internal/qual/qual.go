@@ -106,6 +106,17 @@ const TraceStatusAlarm = "alarm"
 // factfind.DefaultThreshold.
 const decisionThreshold = factfind.DefaultThreshold
 
+// calibrationBuckets is the reliability-diagram bin count.
+const calibrationBuckets = 10
+
+// churnDelta / churnLambda tune the graph-churn CUSUM detectors: the
+// per-step allowance and the alarm threshold. The edge-rate series is
+// normalized by the batch claim count, so the thresholds are scale-free.
+const (
+	churnDelta  = 0.01
+	churnLambda = 0.1
+)
+
 // SpillFile is the quality spill filename under Options.SpillDir.
 const SpillFile = "quality.jsonl"
 
@@ -118,8 +129,6 @@ func Write(w io.Writer, verdicts ...*Verdict) error { return jsonl.Write(w, verd
 // defaults with drift detection on, the bound evaluated every 8 refits,
 // and live-mode (Voting agreement) calibration.
 type Options struct {
-	// CalibrationBuckets is the reliability-diagram bin count (default 10).
-	CalibrationBuckets int
 	// Window is the per-series observation window retained for alarm
 	// snapshots, in refits (default 32).
 	Window int
@@ -131,11 +140,6 @@ type Options struct {
 	// threshold on the accumulated statistic (defaults 0.005 and 0.05).
 	DriftDelta  float64
 	DriftLambda float64
-	// ChurnDelta / ChurnLambda tune the graph-churn CUSUM detectors
-	// (defaults 0.01 and 0.1). The edge-rate series is normalized by the
-	// batch claim count, so the thresholds are scale-free.
-	ChurnDelta  float64
-	ChurnLambda float64
 	// DisableDrift turns the drift detectors off — the right mode when
 	// refits are unrelated datasets (the per-request HTTP service) rather
 	// than one evolving stream.
@@ -169,9 +173,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.CalibrationBuckets <= 0 {
-		o.CalibrationBuckets = 10
-	}
 	if o.Window <= 0 {
 		o.Window = 32
 	}
@@ -183,12 +184,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DriftLambda <= 0 {
 		o.DriftLambda = 0.05
-	}
-	if o.ChurnDelta <= 0 {
-		o.ChurnDelta = 0.01
-	}
-	if o.ChurnLambda <= 0 {
-		o.ChurnLambda = 0.1
 	}
 	if o.BoundEvery == 0 {
 		o.BoundEvery = 8
@@ -433,7 +428,7 @@ func (m *Monitor) ObserveRefit(ctx context.Context, r Refit) (*Verdict, error) {
 // the posterior histograms reuse it.
 func (m *Monitor) calibrate(ctx context.Context, r Refit) (Calibration, func(int) (bool, bool)) {
 	if m.opts.Truth != nil {
-		return computeCalibration(m.opts.CalibrationBuckets, r.Result.Posterior, m.opts.Truth, "truth"), m.opts.Truth
+		return computeCalibration(calibrationBuckets, r.Result.Posterior, m.opts.Truth, "truth"), m.opts.Truth
 	}
 	// Live mode: agreement against Voting, the cheapest independent
 	// estimator (one pass over the dataset). Voting cannot fail on a
@@ -449,7 +444,7 @@ func (m *Monitor) calibrate(ctx context.Context, r Refit) (Calibration, func(int
 			return dec[j], true
 		}
 	}
-	return computeCalibration(m.opts.CalibrationBuckets, r.Result.Posterior, label, "voting"), label
+	return computeCalibration(calibrationBuckets, r.Result.Posterior, label, "voting"), label
 }
 
 // exportCalibration publishes the calibration gauges and the posterior
@@ -510,8 +505,8 @@ func (m *Monitor) observeDrift(r Refit, v *Verdict) *DriftStatus {
 	}
 
 	if m.depDet == nil {
-		m.depDet = newCUSUM(o.ChurnDelta, o.ChurnLambda, o.MinObs, o.Window)
-		m.edgeDet = newCUSUM(o.ChurnDelta, o.ChurnLambda, o.MinObs, o.Window)
+		m.depDet = newCUSUM(churnDelta, churnLambda, o.MinObs, o.Window)
+		m.edgeDet = newCUSUM(churnDelta, churnLambda, o.MinObs, o.Window)
 	}
 	if n := r.Dataset.NumClaims(); n > 0 {
 		st.DependentFraction = float64(r.Dataset.NumDependentClaims()) / float64(n)
@@ -522,7 +517,7 @@ func (m *Monitor) observeDrift(r Refit, v *Verdict) *DriftStatus {
 		win, start := m.depDet.win.snapshot()
 		m.fireAlarm(v, Alarm{
 			Kind: AlarmDependentFraction, Source: -1, Tick: m.tick,
-			Stat: st.DependentStat, Threshold: o.ChurnLambda,
+			Stat: st.DependentStat, Threshold: churnLambda,
 			StartTick: start, Window: win,
 		})
 	}
@@ -544,7 +539,7 @@ func (m *Monitor) observeDrift(r Refit, v *Verdict) *DriftStatus {
 			win, start := m.edgeDet.win.snapshot()
 			m.fireAlarm(v, Alarm{
 				Kind: AlarmEdgeRate, Source: -1, Tick: m.tick,
-				Stat: st.EdgeStat, Threshold: o.ChurnLambda,
+				Stat: st.EdgeStat, Threshold: churnLambda,
 				StartTick: start, Window: win,
 			})
 		}

@@ -272,7 +272,7 @@ func TestMonitorBoundTracking(t *testing.T) {
 	if vs[2].Bound == nil || vs[2].Bound.Tick != 2 {
 		t.Fatalf("tick 2 bound = %+v, want fresh evaluation", vs[2].Bound)
 	}
-	want, err := bound.ForDataset(ds, refit.Result.Params, bound.DatasetOptions{
+	want, err := bound.ForDatasetContext(context.Background(), ds, refit.Result.Params, bound.DatasetOptions{
 		Method:      bound.MethodConvolution,
 		Convolution: bound.ConvolutionOptions{Bins: 4096},
 	}, nil)

@@ -95,12 +95,6 @@ func Render(w io.Writer, in Input) error {
 	data.GeneratedAt = ts.UTC().Format(time.RFC3339)
 
 	for rank, c := range out.Ranked {
-		dep := 0
-		for _, d := range out.Dataset.ClaimDependent(c) {
-			if d {
-				dep++
-			}
-		}
 		p := out.Result.Posterior[c]
 		data.Ranked = append(data.Ranked, rankedRow{
 			Rank:      rank + 1,
@@ -108,7 +102,7 @@ func Render(w io.Writer, in Input) error {
 			Percent:   int(p*100 + 0.5),
 			Text:      out.RepresentativeText[c],
 			Claims:    len(out.Dataset.Claimants(c)),
-			Dependent: dep,
+			Dependent: out.Dataset.DependentClaimCount(c),
 		})
 	}
 

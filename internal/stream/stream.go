@@ -48,21 +48,13 @@ const (
 // Options tunes the incremental estimator.
 type Options struct {
 	// EM configures the underlying estimator; Smoothing and Workers are
-	// honored on every fit. DepMode and MaxIters apply to the
+	// honored on every fit. DepMode, MaxIters and Tol apply to the
 	// cold first fit only: a warm refit starts from the previous estimate
 	// through core.Options.Init, which core.RunCtx always fits with the
-	// joint EM-Ext, whatever DepMode says. The cold fit is
-	// vote-initialized and so runs core's SQUAREM cycles; warm refits
-	// iterate the plain EM map.
+	// joint EM-Ext, whatever DepMode says, capped at 60 iterations and
+	// stopped at tolerance 1e-3. The cold fit is vote-initialized and so
+	// runs core's SQUAREM cycles; warm refits iterate the plain EM map.
 	EM core.Options
-	// WarmMaxIters caps the warm-started refits after later batches
-	// (default 60 — warm starts need fewer iterations than a cold
-	// fit).
-	WarmMaxIters int
-	// WarmTol is the convergence tolerance of warm refits (default 1e-3).
-	// Streaming estimates are revised on the next batch anyway, so the
-	// cold fit's strict tolerance buys nothing but iterations here.
-	WarmTol float64
 	// Metrics, when set, receives fit telemetry: MetricFits counters and
 	// MetricFitSeconds histograms labeled mode="cold"/"warm", and the
 	// MetricBuildSeconds histogram. Nil records nothing.
@@ -111,14 +103,16 @@ type Estimator struct {
 	clock    func() time.Time
 }
 
+// Warm refits stop sooner than a cold fit: warm starts need fewer
+// iterations, and streaming estimates are revised on the next batch
+// anyway, so the cold fit's strict tolerance buys nothing but iterations.
+const (
+	warmMaxIters = 60
+	warmTol      = 1e-3
+)
+
 // New creates an empty streaming estimator.
 func New(opts Options) *Estimator {
-	if opts.WarmMaxIters <= 0 {
-		opts.WarmMaxIters = 60
-	}
-	if opts.WarmTol <= 0 {
-		opts.WarmTol = 1e-3
-	}
 	clock := opts.Clock
 	if clock == nil {
 		clock = time.Now
@@ -210,8 +204,8 @@ func (e *Estimator) AddBatchContext(ctx context.Context, batch []depgraph.Event)
 	warm := e.params != nil && e.params.NumSources() == ds.N()
 	if warm {
 		opts.Init = e.params
-		opts.MaxIters = e.opts.WarmMaxIters
-		opts.Tol = e.opts.WarmTol
+		opts.MaxIters = warmMaxIters
+		opts.Tol = warmTol
 	}
 	start := e.clock()
 	res, err := core.RunCtx(ctx, ds, core.VariantExt, opts)

@@ -32,7 +32,7 @@ func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 	marshal := func(workers int) []byte {
 		b := trace.NewBuilder("exact", "test", nil)
 		ctx := runctx.WithHook(context.Background(), b.Hook())
-		if _, err := bound.ExactOpts(ctx, c, bound.ExactOptions{Workers: workers}); err != nil {
+		if _, err := bound.Exact(ctx, c, workers); err != nil {
 			t.Fatal(err)
 		}
 		tr := b.Finish(trace.StatusOK, "")

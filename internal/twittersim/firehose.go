@@ -7,25 +7,21 @@ import (
 
 // TimedTweet is one firehose emission: a tweet plus its stable stream
 // timestamp. The timestamp is a deterministic function of the tweet's ID
-// and the firehose's epoch — never of the wall clock at emission — so the
+// and the firehose's interval — never of the wall clock at emission — so the
 // same world always yields the same timestamps, across runs and across
 // restarts resuming mid-stream.
 type TimedTweet struct {
 	Tweet
-	// Time is the tweet's timestamp: Epoch + ID·Interval.
+	// Time is the tweet's timestamp: the Unix epoch + ID·Interval.
 	Time time.Time
 }
 
 // FirehoseOptions configures a World's firehose replay.
 type FirehoseOptions struct {
 	// Interval is the per-tweet spacing, used both for the stable
-	// timestamps (Epoch + ID·Interval) and, when Pace is set, for the
-	// emission cadence. Zero selects one millisecond.
+	// timestamps (the Unix epoch + ID·Interval) and, when Pace is set, for
+	// the emission cadence. Zero selects one millisecond.
 	Interval time.Duration
-	// Epoch anchors the stable timestamps; the zero value selects the Unix
-	// epoch. Persist it alongside stream state so a restarted service
-	// resumes with identical timestamps.
-	Epoch time.Time
 	// Pace throttles emission to the interval cadence, making the firehose
 	// stand in for a live stream; unset replays as fast as the consumer
 	// drains. Pacing is measured on Clock from the firehose's creation, or
@@ -61,9 +57,6 @@ func (w *World) Firehose(opts FirehoseOptions) *Firehose {
 	if opts.Interval <= 0 {
 		opts.Interval = time.Millisecond
 	}
-	if opts.Epoch.IsZero() {
-		opts.Epoch = time.Unix(0, 0).UTC()
-	}
 	clock := opts.Clock
 	if clock == nil {
 		clock = time.Now
@@ -72,10 +65,10 @@ func (w *World) Firehose(opts FirehoseOptions) *Firehose {
 	return &Firehose{world: w, opts: opts, anchor: clock()}
 }
 
-// TweetTime returns the stable timestamp of tweet id under the firehose's
-// epoch and interval.
+// TweetTime returns the stable timestamp of tweet id: the Unix epoch plus
+// id firehose intervals.
 func (f *Firehose) TweetTime(id int) time.Time {
-	return f.opts.Epoch.Add(time.Duration(id) * f.opts.Interval)
+	return time.Unix(0, 0).UTC().Add(time.Duration(id) * f.opts.Interval)
 }
 
 // Seek repositions the firehose so the next emission is tweet id (clamped

@@ -53,8 +53,7 @@ func TestFirehoseEmitsAllTweetsInOrder(t *testing.T) {
 func TestFirehoseStampsStableAcrossResume(t *testing.T) {
 	w := firehoseWorld(t)
 	ctx := context.Background()
-	epoch := time.Unix(1700000000, 0).UTC()
-	opts := FirehoseOptions{Interval: 250 * time.Millisecond, Epoch: epoch}
+	opts := FirehoseOptions{Interval: 250 * time.Millisecond}
 
 	full := w.Firehose(opts)
 	var want []TimedTweet
