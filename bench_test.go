@@ -49,9 +49,9 @@ func benchBoundPoint(b *testing.B, cfg synthetic.Config, method bound.Method) {
 			b.Fatal(err)
 		}
 		res, err := bound.ForDatasetContext(context.Background(), w.Dataset, w.TrueParams, bound.DatasetOptions{
-			Method:     method,
-			MaxColumns: 8,
-			Approx:     bound.ApproxOptions{MaxSweeps: 2000},
+			Method:      method,
+			MaxColumns:  8,
+			GibbsSweeps: 2000,
 		}, rng)
 		if err != nil {
 			b.Fatal(err)
@@ -137,7 +137,7 @@ func BenchmarkFig6BoundTime(b *testing.B) {
 		b.Run(fmt.Sprintf("approx/n=%d", n), func(b *testing.B) {
 			rng := randutil.New(2)
 			for i := 0; i < b.N; i++ {
-				if _, err := bound.ApproxContext(context.Background(), col, bound.ApproxOptions{MaxSweeps: 2000}, rng); err != nil {
+				if _, err := bound.ApproxContext(context.Background(), col, 2000, rng); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -45,7 +45,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		demo       = fs.Bool("demo", false, "generate a synthetic world and bound it with its true parameters")
 		n          = fs.Int("n", 15, "demo: number of sources")
 		seed       = fs.Int64("seed", 1, "random seed")
-		sweeps     = fs.Int("sweeps", 20000, "approx: max Gibbs sweeps per column")
+		sweeps     = fs.Int("sweeps", bound.DefaultGibbsSweeps, "approx: max Gibbs sweeps per column")
 		maxCols    = fs.Int("maxcols", 0, "cap distinct dependency columns (0 = all)")
 		workers    = fs.Int("workers", 1, "exact: enumeration blocks computed concurrently inside each column's bound; results are identical at any value")
 	)
@@ -96,10 +96,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	compute := func(m bound.Method, name string) error {
 		start := time.Now()
 		res, err := bound.ForDatasetContext(ctx, ds, params, bound.DatasetOptions{
-			Method:     m,
-			MaxColumns: *maxCols,
-			Approx:     bound.ApproxOptions{MaxSweeps: *sweeps},
-			Workers:    *workers,
+			Method:      m,
+			MaxColumns:  *maxCols,
+			GibbsSweeps: *sweeps,
+			Workers:     *workers,
 		}, randutil.New(*seed))
 		if reason := runctx.Reason(err); reason != "" {
 			fmt.Fprintf(out, "%-7s %s after %s — partial column results discarded\n",

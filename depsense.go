@@ -171,8 +171,6 @@ type (
 	BoundResult = bound.Result
 	// BoundOptions selects the computation method and its budget.
 	BoundOptions = bound.DatasetOptions
-	// GibbsOptions tunes the sampling approximation (Algorithm 1).
-	GibbsOptions = bound.ApproxOptions
 )
 
 // Bound computation methods.

@@ -95,9 +95,9 @@ func run(w io.Writer) error {
 			}
 			acc += float64(correct) / float64(m)
 			br, err := depsense.ErrorBound(sw.Dataset, sw.TrueParams, depsense.BoundOptions{
-				Method:     depsense.BoundApprox,
-				MaxColumns: 8,
-				Approx:     depsense.GibbsOptions{MaxSweeps: 2000},
+				Method:      depsense.BoundApprox,
+				MaxColumns:  8,
+				GibbsSweeps: 2000,
 			}, depsense.NewRand(int64(r)))
 			if err != nil {
 				return err

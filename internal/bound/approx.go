@@ -12,54 +12,18 @@ import (
 	"depsense/internal/runctx"
 )
 
-// ApproxOptions tunes the Gibbs-sampling bound approximation (Algorithm 1).
-type ApproxOptions struct {
-	// BurnIn sweeps are discarded before accumulation starts. Only a
-	// negative value selects DefaultApproxOptions' 200: the zero value
-	// runs no burn-in, so the chain accumulates from its first sweep out
-	// of a uniform random claim pattern. Every production caller (the
-	// Figs. 3–10 experiments, ssbound and the errorbound example) passes
-	// BurnIn 0.
-	BurnIn int
-	// MaxSweeps caps the chain length (post burn-in).
-	MaxSweeps int
-	// CheckEvery sets the convergence-check interval in sweeps.
-	CheckEvery int
-	// Tol declares convergence when the running estimate moves less than
-	// Tol between consecutive checks ("while Err not convergent" in the
-	// paper's pseudocode").
-	Tol float64
-}
+// DefaultGibbsSweeps is the Gibbs chain's sweep budget when a caller
+// passes a non-positive one.
+const DefaultGibbsSweeps = 20000
 
-// DefaultApproxOptions is the per-field fallback of ApproxOptions: a zero
-// or negative MaxSweeps, CheckEvery or Tol, and a negative BurnIn, take
-// the value here. No production caller uses it whole; in particular none
-// gets its BurnIn, since they all pass 0 (see ApproxOptions.BurnIn).
-func DefaultApproxOptions() ApproxOptions {
-	return ApproxOptions{
-		BurnIn:     200,
-		MaxSweeps:  20000,
-		CheckEvery: 500,
-		Tol:        1e-4,
-	}
-}
-
-func (o ApproxOptions) normalized() ApproxOptions {
-	d := DefaultApproxOptions()
-	if o.BurnIn < 0 {
-		o.BurnIn = d.BurnIn
-	}
-	if o.MaxSweeps <= 0 {
-		o.MaxSweeps = d.MaxSweeps
-	}
-	if o.CheckEvery <= 0 {
-		o.CheckEvery = d.CheckEvery
-	}
-	if o.Tol <= 0 {
-		o.Tol = d.Tol
-	}
-	return o
-}
+// The chain's stop rule ("while Err not convergent" in the paper's
+// pseudocode): every approxCheckEvery sweeps it compares the running
+// estimate with the previous checkpoint's and stops once the two differ by
+// less than approxTol.
+const (
+	approxCheckEvery = 500
+	approxTol        = 1e-4
+)
 
 // approxTally is the raw Monte Carlo accumulator of the Gibbs chain.
 type approxTally struct {
@@ -97,31 +61,36 @@ func (t approxTally) result() Result {
 // unbiased at any n, including the large-n regimes where every individual
 // pattern has vanishing probability.
 //
-// Cancellation is checked once per sweep (burn-in included), so a cancel
-// returns within one O(n) sweep; on cancellation the partial Monte Carlo
-// averages over the samples drawn so far are returned together with the
-// context's error. Any runctx hook on ctx fires at every convergence
-// checkpoint (every CheckEvery sweeps) with the cumulative sample count. A nil rng falls back to a fixed seed.
-func ApproxContext(ctx context.Context, c Column, opts ApproxOptions, rng *rand.Rand) (Result, error) {
+// The chain runs up to maxSweeps sweeps (DefaultGibbsSweeps when
+// maxSweeps is not positive) and stops early once its running estimate
+// settles. Cancellation is checked once per sweep, so a cancel returns
+// within one O(n) sweep; on cancellation the partial Monte Carlo averages
+// over the samples drawn so far are returned together with the context's
+// error. Any runctx hook on ctx fires at every convergence checkpoint
+// (every 500 sweeps) with the cumulative sample count. A nil rng falls back
+// to a fixed seed.
+func ApproxContext(ctx context.Context, c Column, maxSweeps int, rng *rand.Rand) (Result, error) {
 	if err := c.Validate(); err != nil {
 		return Result{}, err
 	}
-	opts = opts.normalized()
+	if maxSweeps <= 0 {
+		maxSweeps = DefaultGibbsSweeps
+	}
 	if rng == nil {
 		rng = randutil.New(1)
 	}
-	t, err := runApproxChain(ctx, c, opts, rng)
+	t, err := runApproxChain(ctx, c, maxSweeps, rng)
 	if t.samples == 0 {
 		return Result{}, err
 	}
 	return t.result(), err
 }
 
-// runApproxChain runs the Gibbs chain for up to opts.MaxSweeps accumulation
+// runApproxChain runs the Gibbs chain for up to maxSweeps accumulation
 // sweeps and returns its raw tallies. The returned error is a chain-build
 // failure or the context's cancellation error; on cancellation the tallies
 // over the sweeps completed so far are still returned.
-func runApproxChain(ctx context.Context, c Column, opts ApproxOptions, rng *rand.Rand) (approxTally, error) {
+func runApproxChain(ctx context.Context, c Column, maxSweeps int, rng *rand.Rand) (approxTally, error) {
 	n := c.N()
 	pOn := [2][]float64{make([]float64, n), make([]float64, n)}
 	for i := 0; i < n; i++ {
@@ -136,9 +105,6 @@ func runApproxChain(ctx context.Context, c Column, opts ApproxOptions, rng *rand
 
 	hook := runctx.HookFrom(ctx)
 	start := time.Now() //lint:allow seedsource wall-clock timing for the observability hook Elapsed field, not part of results
-	if _, err := chain.SweepN(ctx, opts.BurnIn); err != nil {
-		return approxTally{}, err
-	}
 
 	var (
 		t            approxTally
@@ -148,7 +114,7 @@ func runApproxChain(ctx context.Context, c Column, opts ApproxOptions, rng *rand
 		lastSamples  int     // samples at the previous checkpoint
 		stop         error
 	)
-	for s := 0; s < opts.MaxSweeps; s++ {
+	for s := 0; s < maxSweeps; s++ {
 		if stop = runctx.Err(ctx); stop != nil {
 			break
 		}
@@ -175,13 +141,13 @@ func runApproxChain(ctx context.Context, c Column, opts ApproxOptions, rng *rand
 		}
 		t.samples++
 
-		if t.samples%opts.CheckEvery == 0 {
+		if t.samples%approxCheckEvery == 0 {
 			est := t.sumErr / float64(t.samples)
 			checkpoints++
-			converged := math.Abs(est-lastEstimate) < opts.Tol
+			converged := math.Abs(est-lastEstimate) < approxTol
 			// The hook's Value is the checkpoint's BATCH mean — the error
-			// average over just this checkpoint's CheckEvery sweeps — not the
-			// cumulative running estimate: batch means are near-iid
+			// average over just this checkpoint's approxCheckEvery sweeps —
+			// not the cumulative running estimate: batch means are near-iid
 			// per-checkpoint samples of the chain's output, where running
 			// means carry a deterministic converging trend.
 			batch := (t.sumErr - lastSumErr) / float64(t.samples-lastSamples)

@@ -102,8 +102,9 @@ func (c Column) Validate() error {
 func (c Column) N() int { return len(c.P1) }
 
 // PatternWeights returns the two joint masses of a claim pattern s:
-// w1 = z·P(s|C=1) and w0 = (1-z)·P(s|C=0). Exported for the walk-through
-// example (Table I) and for tests.
+// w1 = z·P(s|C=1) and w0 = (1-z)·P(s|C=0), as plain products. No program
+// calls it: tests use it as the model's product form, the reference for
+// the exact enumeration here and for the EM E-step in internal/core.
 func (c Column) PatternWeights(pattern []bool) (w1, w0 float64) {
 	w1, w0 = c.Z, 1-c.Z
 	for i, on := range pattern {

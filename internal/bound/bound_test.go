@@ -220,7 +220,7 @@ func TestApproxMatchesExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		approx, err := ApproxContext(context.Background(), col, ApproxOptions{MaxSweeps: 30000, Tol: 1e-9}, rng)
+		approx, err := ApproxContext(context.Background(), col, 30000, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestApproxMatchesExact(t *testing.T) {
 func TestApproxDecomposition(t *testing.T) {
 	rng := randutil.New(5)
 	col := randomColumn(rng, 6)
-	res, err := ApproxContext(context.Background(), col, ApproxOptions{MaxSweeps: 5000}, rng)
+	res, err := ApproxContext(context.Background(), col, 5000, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestApproxDecomposition(t *testing.T) {
 func TestApproxConvergesEarly(t *testing.T) {
 	rng := randutil.New(6)
 	col := randomColumn(rng, 4)
-	res, err := ApproxContext(context.Background(), col, ApproxOptions{MaxSweeps: 100000, CheckEvery: 200, Tol: 1e-3}, rng)
+	res, err := ApproxContext(context.Background(), col, 100000, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestApproxConvergesEarly(t *testing.T) {
 }
 
 func TestApproxValidatesColumn(t *testing.T) {
-	if _, err := ApproxContext(context.Background(), Column{}, ApproxOptions{}, randutil.New(1)); err == nil {
+	if _, err := ApproxContext(context.Background(), Column{}, 0, randutil.New(1)); err == nil {
 		t.Fatal("empty column accepted")
 	}
 }

@@ -51,7 +51,6 @@ func TestExactContextCancelAtFirstBlock(t *testing.T) {
 
 func TestApproxContextCancelAtFirstCheckpoint(t *testing.T) {
 	col := wideColumn(6)
-	opts := ApproxOptions{BurnIn: 10, MaxSweeps: 100000, CheckEvery: 100, Tol: 1e-12}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ctx = runctx.WithHook(ctx, func(it runctx.Iteration) {
@@ -59,12 +58,12 @@ func TestApproxContextCancelAtFirstCheckpoint(t *testing.T) {
 			cancel()
 		}
 	})
-	res, err := ApproxContext(ctx, col, opts, randutil.New(4))
+	res, err := ApproxContext(ctx, col, 100000, randutil.New(4))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
 	// Partial Monte Carlo averages over the sweeps completed so far.
-	if res.Sweeps < opts.CheckEvery || res.Sweeps > opts.CheckEvery+1 {
+	if res.Sweeps < approxCheckEvery || res.Sweeps > approxCheckEvery+1 {
 		t.Fatalf("Sweeps = %d, want about one checkpoint interval", res.Sweeps)
 	}
 	if res.Err <= 0 || res.Err >= 1 {
@@ -75,7 +74,7 @@ func TestApproxContextCancelAtFirstCheckpoint(t *testing.T) {
 func TestApproxContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := ApproxContext(ctx, wideColumn(5), ApproxOptions{}, randutil.New(1))
+	res, err := ApproxContext(ctx, wideColumn(5), 0, randutil.New(1))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}

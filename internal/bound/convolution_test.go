@@ -258,7 +258,7 @@ func TestConvolutionAgreesWithGibbsLargeN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gibbs, err := ApproxContext(context.Background(), col, ApproxOptions{MaxSweeps: 30000, Tol: 1e-9}, rng)
+	gibbs, err := ApproxContext(context.Background(), col, 30000, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,8 +32,9 @@ const (
 // DatasetOptions configures ForDatasetContext.
 type DatasetOptions struct {
 	Method Method
-	// Approx tunes the Gibbs chain when Method == MethodApprox.
-	Approx ApproxOptions
+	// GibbsSweeps caps the Gibbs chain of each column when Method ==
+	// MethodApprox; zero or negative means DefaultGibbsSweeps.
+	GibbsSweeps int
 	// Convolution tunes the lattice when Method == MethodConvolution.
 	Convolution ConvolutionOptions
 	// MaxColumns caps the number of distinct dependency columns evaluated;
@@ -122,7 +123,7 @@ func ForDatasetContext(ctx context.Context, ds *claims.Dataset, p *model.Params,
 			if opts.Method == MethodExact {
 				results[g], err = Exact(ctx, col, opts.Workers)
 			} else {
-				results[g], err = ApproxContext(ctx, col, opts.Approx, rng)
+				results[g], err = ApproxContext(ctx, col, opts.GibbsSweeps, rng)
 			}
 			if err != nil {
 				return Result{}, err

@@ -32,8 +32,8 @@ func TestForDatasetExactVsApprox(t *testing.T) {
 		t.Fatal(err)
 	}
 	approx, err := ForDatasetContext(context.Background(), ds, params, DatasetOptions{
-		Method: MethodApprox,
-		Approx: ApproxOptions{MaxSweeps: 20000, Tol: 1e-9},
+		Method:      MethodApprox,
+		GibbsSweeps: 20000,
 	}, rng)
 	if err != nil {
 		t.Fatal(err)

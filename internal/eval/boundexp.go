@@ -119,10 +119,9 @@ func boundSweep(label, xName string, xs []float64, cfgs []synthetic.Config, c Co
 
 			start = time.Now() //lint:allow seedsource wall-clock timing: this experiment reports bound computation seconds
 			ap, err := bound.ForDatasetContext(c.Ctx, w.Dataset, w.TrueParams, bound.DatasetOptions{
-				Method:     bound.MethodApprox,
-				MaxColumns: c.MaxExactColumns,
-				Approx:     bound.ApproxOptions{MaxSweeps: c.GibbsSweeps},
-				Workers:    c.Workers,
+				Method:      bound.MethodApprox,
+				MaxColumns:  c.MaxExactColumns,
+				GibbsSweeps: c.GibbsSweeps,
 			}, randutil.New(colSeed))
 			if err != nil {
 				return BoundSeries{}, fmt.Errorf("eval: %s approx: %w", label, err)

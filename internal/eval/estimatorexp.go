@@ -105,9 +105,9 @@ func estimatorSweep(label, xName string, xs []float64, cfgs []synthetic.Config, 
 			}
 			if r < c.OptimalRuns {
 				br, err := bound.ForDatasetContext(c.Ctx, w.Dataset, w.TrueParams, bound.DatasetOptions{
-					Method:     bound.MethodApprox,
-					MaxColumns: 8,
-					Approx:     bound.ApproxOptions{MaxSweeps: c.GibbsSweeps / 4},
+					Method:      bound.MethodApprox,
+					MaxColumns:  8,
+					GibbsSweeps: c.GibbsSweeps / 4,
 				}, rng)
 				if err != nil {
 					return fmt.Errorf("eval: %s optimal: %w", label, err)

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"depsense/internal/bound"
 )
 
 // Config scales the experiment runners.
@@ -64,7 +66,7 @@ func DefaultConfig() Config {
 		EstimatorRuns:   300,
 		OptimalRuns:     20,
 		MaxExactColumns: 0,
-		GibbsSweeps:     20000,
+		GibbsSweeps:     bound.DefaultGibbsSweeps,
 		EmpiricalScale:  1,
 	}
 }

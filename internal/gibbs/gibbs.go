@@ -14,13 +14,10 @@
 package gibbs
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-
-	"depsense/internal/runctx"
 )
 
 // ProductMixtureChain samples x ∈ {0,1}^n from
@@ -159,20 +156,6 @@ func (c *ProductMixtureChain) Sweep() {
 	if c.sweeps%refreshEvery == 0 {
 		c.recomputeWeights()
 	}
-}
-
-// SweepN runs up to n sweeps, checking ctx between sweeps. It returns the
-// number of completed sweeps and the context's error if cancellation cut the
-// run short; the chain state after a partial run is the deterministic result
-// of the completed sweeps.
-func (c *ProductMixtureChain) SweepN(ctx context.Context, n int) (int, error) {
-	for done := 0; done < n; done++ {
-		if err := runctx.Err(ctx); err != nil {
-			return done, err
-		}
-		c.Sweep()
-	}
-	return n, nil
 }
 
 // State returns the current vector, owned by the chain.
